@@ -1,7 +1,8 @@
 """Command-line front end: expression normalization and the check suites.
 
-Exit codes: 0 all requested checks pass, 1 a check failed, 2 usage or
-parse error.  JSON output follows the schema
+Exit codes: 0 all requested checks pass, 1 a check failed or none ran,
+2 usage or parse error (a negative size or bound is a usage error).
+JSON output follows the schema
 {command, parameters, results: [{name, pass, detail}], version}.
 """
 
@@ -387,6 +388,18 @@ def cmd_recover(args) -> int:
     return _emit(args, "recover", {"n": args.n}, report, extra_lines=lines)
 
 
+def _non_negative_int(text: str) -> int:
+    """argparse type for sizes and bounds: a non-negative integer."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer, got {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qonsager",
@@ -403,29 +416,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite", choices=("relations", "ambiguities", "gf", "central",
                                      "dolan-grady", "matrix", "appendix-b",
                                      "prop41"))
-    p.add_argument("--bound", type=int, default=None,
+    p.add_argument("--bound", type=_non_negative_int, default=None,
                    help="index bound (default 3; 6 for the central suite)")
-    p.add_argument("--order", type=int, default=4)
-    p.add_argument("--n", type=int, default=4)
+    p.add_argument("--order", type=_non_negative_int, default=4)
+    p.add_argument("--n", type=_non_negative_int, default=4)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("zn", help="print a central element both ways")
-    p.add_argument("--n", type=int, default=4)
+    p.add_argument("--n", type=_non_negative_int, default=4)
     p.set_defaults(func=cmd_zn)
 
     p = sub.add_parser("dims", help="dimension table of the degree layers")
-    p.add_argument("--max-degree", type=int, default=8)
+    p.add_argument("--max-degree", type=_non_negative_int, default=8)
     p.set_defaults(func=cmd_dims)
 
     p = sub.add_parser("series", help="print a generating-function expansion")
     p.add_argument("name", help="W-, W+, G, Gt, one of A..S, or Z")
-    p.add_argument("--order", type=int, default=4)
+    p.add_argument("--order", type=_non_negative_int, default=4)
     p.add_argument("--var", default="t")
     p.set_defaults(func=cmd_series)
 
     p = sub.add_parser("recover", help="rebuild generators from the central "
                                        "elements and the degree-one pair")
-    p.add_argument("--n", type=int, default=3)
+    p.add_argument("--n", type=_non_negative_int, default=3)
     p.set_defaults(func=cmd_recover)
     return parser
 

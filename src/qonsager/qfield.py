@@ -8,10 +8,21 @@ where a, b, c, d are integers (negative exponents are denominator
 factors) and U, V are primitive integer polynomials with positive
 leading coefficient, nonzero constant term, none of the basis factors,
 and gcd(U, V) = 1.  Powers of q, q - 1/q and q + 1/q make up every
-denominator produced by the reduction rules, so normalization is
-exponent bookkeeping plus a few exact trial divisions; a general
-polynomial gcd runs only when V != 1 (denominators such as q^n + q^-n),
-which is rare.
+denominator produced by the reduction rules, so most values are factor-
+basis monomials (U = V = 1) and the operators take shortcuts chosen by
+the operands' shape alone:
+
+* a product with a monomial operand adds exponents and multiplies the
+  rational prefactors; the other operand's U/V carry over unchanged,
+  because they are already canonical and a monomial brings no new
+  polynomial factor, so no normalization runs;
+* a sum of two values with equal exponents, U and V adds only the
+  prefactors (zero if they cancel);
+* every other result is normalized by `_canon`, which strips a basis
+  factor only after a root test shows that it divides: q - 1 and q + 1
+  divide U iff U(1) = 0 and U(-1) = 0, q^2 + 1 iff U(i) = 0.  A general
+  polynomial gcd runs only when V != 1 (denominators such as
+  q^n + q^-n), which is rare.
 
 The exposed numerator/denominator pair is always fully reduced over
 Z[q] with a positive-leading-coefficient denominator, so equality and
@@ -151,13 +162,21 @@ def p_gcd(f, g):
     return p_neg(ints) if ints[-1] < 0 else ints
 
 
+def _divides(f, u):
+    """Whether the monic basis factor f divides u: u vanishes at its roots."""
+    if f == FM:
+        return sum(u) == 0
+    if f == FP:
+        return sum(u[::2]) == sum(u[1::2])
+    # F2: the real and imaginary parts of u(i)
+    return sum(u[::4]) == sum(u[2::4]) and sum(u[1::4]) == sum(u[3::4])
+
+
 def _strip(u, f):
+    """(u / f^n, n) for the largest n with f^n dividing u."""
     n = 0
-    while len(u) >= len(f):
-        d = p_div_exact(u, f)
-        if d is None:
-            break
-        u = d
+    while len(u) >= len(f) and _divides(f, u):
+        u = p_div_exact(u, f)
         n += 1
     return u, n
 
@@ -224,15 +243,38 @@ class QRat:
             return y
         if y.p == 0:
             return x
+        if (x.a == y.a and x.b == y.b and x.c == y.c and x.d == y.d
+                and x.u == y.u and x.v == y.v):
+            p = x.p * y.r + y.p * x.r
+            if p == 0:
+                return QZERO
+            r = x.r * y.r
+            g = gcd(p, r)
+            return QRat._make(p // g, r // g, x.a, x.b, x.c, x.d, x.u, x.v)
         a = min(x.a, y.a)
         b = min(x.b, y.b)
         c = min(x.c, y.c)
         d = min(x.d, y.d)
-        t1 = p_scale(p_mul(p_mul(_mono(x.a - a, x.b - b, x.c - c, x.d - d),
-                                 x.u), y.v), x.p * y.r)
-        t2 = p_scale(p_mul(p_mul(_mono(y.a - a, y.b - b, y.c - c, y.d - d),
-                                 y.u), x.v), y.p * x.r)
-        return _canon(1, x.r * y.r, a, b, c, d, p_add(t1, t2), p_mul(x.v, y.v))
+        # t1/den + t2/den over the common factor-basis part, skipping
+        # products with U or V = 1
+        t1 = _mono(x.a - a, x.b - b, x.c - c, x.d - d)
+        t2 = _mono(y.a - a, y.b - b, y.c - c, y.d - d)
+        if x.u != P_ONE:
+            t1 = p_mul(t1, x.u)
+        if y.u != P_ONE:
+            t2 = p_mul(t2, y.u)
+        if y.v != P_ONE:
+            t1 = p_mul(t1, y.v)
+        if x.v != P_ONE:
+            t2 = p_mul(t2, x.v)
+        if x.v == P_ONE:
+            den = y.v
+        elif y.v == P_ONE:
+            den = x.v
+        else:
+            den = p_mul(x.v, y.v)
+        return _canon(1, x.r * y.r, a, b, c, d,
+                      p_add(p_scale(t1, x.p * y.r), p_scale(t2, y.p * x.r)), den)
 
     __radd__ = __add__
 
@@ -261,6 +303,14 @@ class QRat:
         x, y = self, other
         if x.p == 0 or y.p == 0:
             return QZERO
+        if x.u == P_ONE and x.v == P_ONE:
+            x, y = y, x
+        if y.u == P_ONE and y.v == P_ONE:
+            p = x.p * y.p
+            r = x.r * y.r
+            g = gcd(p, r)
+            return QRat._make(p // g, r // g, x.a + y.a, x.b + y.b, x.c + y.c,
+                              x.d + y.d, x.u, x.v)
         return _canon(x.p * y.p, x.r * y.r, x.a + y.a, x.b + y.b, x.c + y.c,
                       x.d + y.d, p_mul(x.u, y.u), p_mul(x.v, y.v))
 
@@ -430,19 +480,6 @@ def q_pow(n: int) -> QRat:
 def from_num_den(num, den) -> QRat:
     """Build from a numerator/denominator pair of Z[q] coefficient tuples."""
     return _canon(1, 1, 0, 0, 0, 0, p_trim(num), p_trim(den))
-
-
-def qrat_arith(a: QRat, b: QRat, op: str) -> QRat:
-    """Field arithmetic dispatch; op is one of add|sub|mul|div."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
 
 
 def q_int(n: int) -> QRat:

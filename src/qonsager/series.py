@@ -517,7 +517,8 @@ class Report:
 
     @property
     def passed(self) -> bool:
-        return all(r.passed for r in self.results)
+        """True when at least one check ran and every check passed."""
+        return bool(self.results) and all(r.passed for r in self.results)
 
     def add(self, name: str, passed: bool, detail: str = ""):
         self.results.append(CheckResult(name, passed, detail))

@@ -123,6 +123,29 @@ def test_usage_error_exit_code(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "central", "--n", "-1"],
+    ["check", "matrix", "--order", "-1"],
+    ["check", "ambiguities", "--bound", "-1"],
+    ["dims", "--max-degree", "-1"],
+])
+def test_negative_size_is_usage_error(capsys, argv):
+    rc = cli.main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "must be non-negative" in captured.err
+
+
+def test_empty_report_fails(capsys):
+    report = cli.Report("empty")
+    assert not report.passed
+    args = cli.build_parser().parse_args(["--format", "json", "check", "gf"])
+    rc = cli._emit(args, "check empty", {}, report)
+    assert json.loads(capsys.readouterr().out)["results"] == []
+    assert rc == 1
+
+
 def test_series_command(capsys):
     rc = cli.main(["series", "W-", "--order", "2"])
     out = capsys.readouterr().out

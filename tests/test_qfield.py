@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from qonsager import qfield as qf
 
@@ -91,14 +93,21 @@ def test_g0_value_and_identities():
     assert g0 * g0 / (qf.q_pow(2) - qf.q_pow(-2)) ** 2 == qf.q_int(2) ** 2
 
 
-def test_qrat_arith_dispatch():
+def test_operators_match_pointwise_arithmetic():
+    # one operand of each shape: non-monomial U, monomial, V != 1
+    # and rational prefactors whose product and sum need reducing
     a, b = qf.q_int(3), qf.q_pow(-2)
-    assert qf.qrat_arith(a, b, "add") == a + b
-    assert qf.qrat_arith(a, b, "sub") == a - b
-    assert qf.qrat_arith(a, b, "mul") == a * b
-    assert qf.qrat_arith(a, b, "div") == a / b
-    with pytest.raises(ValueError):
-        qf.qrat_arith(a, b, "pow")
+    c = (qf.q_pow(2) + qf.q_pow(-2)).inverse()
+    d, e = qf.of(Fraction(2, 3)) * b, qf.of(Fraction(9, 4)) * b
+    points = sample_points(seed=3)
+    for left, right in ((a, b), (b, a), (a, c), (c, b), (c, c), (d, e)):
+        for got, op in ((left + right, Fraction.__add__),
+                        (left - right, Fraction.__sub__),
+                        (left * right, Fraction.__mul__),
+                        (left / right, Fraction.__truediv__)):
+            assert got == qf.from_num_den(got.numerator(), got.denominator())
+            for x in points:
+                assert got.evaluate(x) == op(left.evaluate(x), right.evaluate(x))
 
 
 def test_normalization_is_stable_under_unreduced_input():
@@ -110,39 +119,77 @@ def test_normalization_is_stable_under_unreduced_input():
     assert x == y and hash(x) == hash(y)
 
 
-def _random_tree(rng, depth):
+def _leaf(rng, points):
+    """A random leaf value and its values at the points, computed directly."""
+    choice = rng.randrange(7)
+    if choice == 0:
+        k = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+        return qf.of(k), [k for x in points]
+    if choice == 1:
+        k = rng.randint(-4, 4)
+        return qf.q_pow(k), [x ** k for x in points]
+    if choice == 2:
+        n = rng.randint(-5, 5)
+        return qf.q_int(n), [(x ** n - x ** -n) / (x - 1 / x) for x in points]
+    if choice == 3:
+        n = rng.choice([-4, -3, -2, -1, 1, 2, 3, 4])
+        return (qf.q_int(n).inverse(),
+                [(x - 1 / x) / (x ** n - x ** -n) for x in points])
+    if choice == 4:
+        k = rng.randint(1, 3)
+        return ((qf.q_pow(k) + qf.q_pow(-k)).inverse(),
+                [1 / (x ** k + x ** -k) for x in points])
+    if choice == 5:
+        return qf.q_int(3), [x ** 2 + 1 + x ** -2 for x in points]
+    return qf.rho_const(), [-((x ** 2 - x ** -2) ** 2) for x in points]
+
+
+def _random_tree(rng, depth, points, nodes):
+    """A random expression; every (node, values at points) goes to nodes."""
     if depth == 0 or rng.random() < 0.3:
-        choice = rng.randrange(4)
-        if choice == 0:
-            return qf.of(rng.randint(-6, 6))
-        if choice == 1:
-            return qf.q_pow(rng.randint(-4, 4))
-        if choice == 2:
-            return qf.q_int(rng.randint(-5, 5))
-        return qf.rho_const()
-    left = _random_tree(rng, depth - 1)
-    right = _random_tree(rng, depth - 1)
-    op = rng.choice(["add", "sub", "mul", "div"])
-    if op == "div" and right.is_zero():
+        node = _leaf(rng, points)
+        nodes.append(node)
+        return node
+    left, lv = _random_tree(rng, depth - 1, points, nodes)
+    right, rv = _random_tree(rng, depth - 1, points, nodes)
+    op = rng.choice(["add", "sub", "mul", "div", "cancel"])
+    if op == "div" and 0 in rv:
         op = "add"
-    return qf.qrat_arith(left, right, op)
+    if op == "add":
+        node = left + right, [p + r for p, r in zip(lv, rv)]
+    elif op == "sub":
+        node = left - right, [p - r for p, r in zip(lv, rv)]
+    elif op == "mul":
+        node = left * right, [p * r for p, r in zip(lv, rv)]
+    elif op == "div":
+        node = left / right, [p / r for p, r in zip(lv, rv)]
+    else:
+        # x + (-x) must cancel to exactly zero before right is added
+        zero = left + (-left)
+        assert zero == qf.QZERO
+        node = zero + right, rv
+    nodes.append(node)
+    return node
 
 
 def test_random_expression_evaluation_oracle():
     rng = random.Random(7)
     points = sample_points(seed=2)
     for _ in range(60):
-        tree = _random_tree(rng, 4)
-        renum = qf.from_num_den(tree.numerator(), tree.denominator())
-        assert renum == tree
-        for x in points:
-            assert tree.evaluate(x) == renum.evaluate(x)
+        nodes = []
+        _random_tree(rng, 4, points, nodes)
+        for node, values in nodes:
+            # from_num_den re-normalizes through the general path
+            renum = qf.from_num_den(node.numerator(), node.denominator())
+            assert renum == node and hash(renum) == hash(node)
+            assert [node.evaluate(x) for x in points] == values
 
 
 def test_denominator_normalization_invariants():
     rng = random.Random(11)
+    points = sample_points(seed=4)
     for _ in range(100):
-        tree = _random_tree(rng, 3)
+        tree, _ = _random_tree(rng, 3, points, [])
         if tree.is_zero():
             continue
         den = tree.denominator()
@@ -153,3 +200,25 @@ def test_denominator_normalization_invariants():
         assert len(g) == 1
         from math import gcd
         assert gcd(qf.p_content(num), qf.p_content(den)) == 1
+
+
+def _strip_by_division(u, f):
+    # reference: repeated trial division
+    n = 0
+    while len(u) >= len(f):
+        d = qf.p_div_exact(u, f)
+        if d is None:
+            break
+        u, n = d, n + 1
+    return u, n
+
+
+@pytest.mark.parametrize("f", [qf.FM, qf.FP, qf.F2], ids=["q-1", "q+1", "q^2+1"])
+@given(coeffs=st.lists(st.integers(-6, 6), min_size=1, max_size=10),
+       power=st.integers(0, 3))
+def test_strip_root_test_matches_trial_division(f, coeffs, power):
+    u = qf.p_trim(coeffs)
+    assume(u)
+    for _ in range(power):
+        u = qf.p_mul(u, f)
+    assert qf._strip(u, f) == _strip_by_division(u, f)
