@@ -8,7 +8,7 @@ from .rewrite import (OverlapReport, RuleApplication, apply_rule, check_overlap,
                       enumerate_overlaps, measure_decreases, normal_form,
                       rule_application)
 from .series import (Report, TruncSeries, appendixA_series, check_gf_relations,
-                     check_prop41_decompositions, exact_divide, gf, series_arith)
+                     check_prop41_decompositions, exact_divide, gf)
 from .central import (CentralElement, check_central, check_dolan_grady,
                       check_matrix_factorization, ddown_transform, delta_n,
                       down_transform, recover_generators, subst_ST, z_bar, z_n,

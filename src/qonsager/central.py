@@ -18,7 +18,7 @@ from typing import Callable, Dict, List
 from . import qfield, rewrite, series
 from .qfield import QRat
 from .series import Report, TruncSeries
-from .words import (Family, Generator, NCPoly, commutator, g_, gt_,
+from .words import (Family, Generator, NCPoly, commutator, dagger, g_, gt_,
                     q_commutator, sigma, wm, wp)
 
 
@@ -132,34 +132,16 @@ def z_series(order: int, reduce: bool = True) -> TruncSeries:
 
 
 def z_series_alt(form: int, order: int) -> TruncSeries:
-    """The three alternative assemblies of the central series (form 1..3)."""
-    m = order + 3
-    swm = subst_ST(Family.Wminus, "S", "times_ST_arg", m)
-    swp = subst_ST(Family.Wplus, "S", "times_ST_arg", m)
-    twm = subst_ST(Family.Wminus, "T", "times_ST_arg", m)
-    twp = subst_ST(Family.Wplus, "T", "times_ST_arg", m)
-    q = qfield.q_pow
-    inv = ((q(2) - q(-2)) ** 2).inverse()
-    if form == 1:
-        z = ((swp * twm).shift("t", -1) + (swm * twp).shift("t", 1)
-             - q(2) * (swp * twp) - q(-2) * (swm * twm)
-             + inv * (subst_ST(Family.Gtilde, "S", "plain", m)
-                      * subst_ST(Family.G, "T", "plain", m)))
-    elif form == 2:
-        z = ((twp * swm).shift("t", -1) + (twm * swp).shift("t", 1)
-             - q(2) * (twm * swm) - q(-2) * (twp * swp)
-             + inv * (subst_ST(Family.G, "T", "plain", m)
-                      * subst_ST(Family.Gtilde, "S", "plain", m)))
-    elif form == 3:
-        z = ((twm * swp).shift("t", -1) + (twp * swm).shift("t", 1)
-             - q(2) * (twp * swp) - q(-2) * (twm * swm)
-             + inv * (subst_ST(Family.Gtilde, "T", "plain", m)
-                      * subst_ST(Family.G, "S", "plain", m)))
-    else:
+    """The three alternative assemblies of the central series (form 1..3).
+
+    Form 1 is the image of the z_series assembly under sigma, form 2 its
+    image under dagger and form 3 its image under sigma after dagger; each
+    is mapped in the free algebra and then reduced to normal form.
+    """
+    maps = {1: sigma, 2: dagger, 3: lambda p: sigma(dagger(p))}
+    if form not in maps:
         raise ValueError("form must be 1, 2 or 3")
-    z = TruncSeries(("t",), (order,), (0,),
-                    {e: p for e, p in z.coeffs.items() if e[0] <= order})
-    return z.normal_form()
+    return z_series(order, reduce=False).map_coeffs(maps[form]).normal_form()
 
 
 def z_series_pbw_form(order: int) -> TruncSeries:
@@ -309,9 +291,7 @@ def delta_n(n: int) -> NCPoly:
     """The classical central elements; a scalar multiple of the new ones."""
     if n < 1:
         raise ValueError("n >= 1 required")
-    scale = (qfield.of(-2) * (qfield.Q - qfield.q_pow(-1))
-             / (qfield.q_pow(n) + qfield.q_pow(-n)))
-    return z_n(n).as_poly * scale
+    return z_n(n).as_poly * delta_scale(n)
 
 
 def delta_scale(n: int) -> QRat:
@@ -361,18 +341,10 @@ def recover_generators(N: int, zs=None) -> Dict[Generator, NCPoly]:
     }
 
     def elem(family: Family, k: int) -> NCPoly:
-        if family == Family.G and k == 0:
-            return NCPoly.scalar(qfield.g0_const())
-        if family == Family.Gtilde and k == 0:
-            return NCPoly.scalar(qfield.g0_const())
-        if family == Family.G:
-            g = g_(k)
-        elif family == Family.Gtilde:
-            g = gt_(k)
-        elif family == Family.Wplus:
-            g = wp(k + 1)
-        else:
-            g = wm(k)
+        letter = series.family_element(family, k)
+        if letter.is_scalar():
+            return letter
+        [(g,)] = letter.terms
         try:
             return table[g]
         except KeyError:
@@ -402,9 +374,10 @@ def recover_generators(N: int, zs=None) -> Dict[Generator, NCPoly]:
     return table
 
 
-def check_recovery(N: int) -> Report:
+def check_recovery(N: int, table: Dict[Generator, NCPoly]) -> Report:
+    """Check that table, as built by recover_generators(N), gives back
+    every generator up to level N."""
     report = Report(f"recover-{N}")
-    table = recover_generators(N)
     for n in range(1, N + 1):
         for g in (g_(n), gt_(n), wm(n), wp(n + 1)):
             ok = table[g] == NCPoly.gen(g)

@@ -17,7 +17,7 @@ from typing import List, Optional, Tuple
 
 from . import __version__, central, dims, qfield, rewrite, series
 from .series import Report
-from .words import Family, Generator, NCPoly, render_poly, symbol_from_subscript
+from .words import Family, NCPoly, render_poly, symbol_from_subscript
 
 
 class ParseError(ValueError):
@@ -43,16 +43,21 @@ def _tokenize(text: str) -> List[Tuple[str, int]]:
     return tokens
 
 
-# AST nodes: ("add", l, r) ("sub", l, r) ("mul", l, r) ("div", l, r)
-#            ("neg", x) ("scalar", QRat) ("gen", Generator)
-ExprAst = tuple
+# Deepest parenthesis nesting accepted; each level takes three stack
+# frames of the recursive descent, so this stays far below the
+# interpreter's recursion limit.
+MAX_PAREN_DEPTH = 200
 
 
 class _Parser:
+    """Recursive descent that evaluates as it parses: sums and products
+    fold left to right in loops, and only parentheses recurse."""
+
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> Optional[str]:
         return self.tokens[self.i][0] if self.i < len(self.tokens) else None
@@ -70,31 +75,36 @@ class _Parser:
         self.i += 1
         return tok
 
-    def parse(self) -> ExprAst:
-        node = self.expr()
+    def parse(self) -> NCPoly:
+        value = self.expr()
         if self.i < len(self.tokens):
             raise ParseError(f"trailing input {self.peek()!r}", self.pos())
-        return node
+        return value
 
-    def expr(self) -> ExprAst:
+    def expr(self) -> NCPoly:
         if self.peek() == "-":
             self.take()
-            node: ExprAst = ("neg", self.term())
+            value = -self.term()
         else:
-            node = self.term()
+            value = self.term()
         while self.peek() in ("+", "-"):
             op = self.take()
             rhs = self.term()
-            node = ("add" if op == "+" else "sub", node, rhs)
-        return node
+            value = value + rhs if op == "+" else value - rhs
+        return value
 
-    def term(self) -> ExprAst:
-        node = self.factor()
+    def term(self) -> NCPoly:
+        value = self.factor()
         while self.peek() in ("*", "/"):
             op = self.take()
             rhs = self.factor()
-            node = ("mul" if op == "*" else "div", node, rhs)
-        return node
+            if op == "*":
+                value = value * rhs
+            elif rhs.is_scalar():
+                value = value * rhs.scalar_part().inverse()
+            else:
+                raise ParseError("division by a non-scalar expression", 0)
+        return value
 
     def _signed_int(self) -> int:
         sign = 1
@@ -109,13 +119,18 @@ class _Parser:
                              self.tokens[self.i - 1][1])
         return sign * int(tok)
 
-    def factor(self) -> ExprAst:
+    def factor(self) -> NCPoly:
         tok = self.peek()
         if tok == "(":
+            if self.depth == MAX_PAREN_DEPTH:
+                raise ParseError(f"parentheses nested deeper than "
+                                 f"{MAX_PAREN_DEPTH}", self.pos())
             self.take()
-            node = self.expr()
+            self.depth += 1
+            value = self.expr()
+            self.depth -= 1
             self.take(")")
-            return node
+            return value
         if tok in ("W", "G", "Gt"):
             fam = self.take()
             self.take("[")
@@ -124,57 +139,29 @@ class _Parser:
             self.take("]")
             if fam in ("G", "Gt") and n < 0:
                 raise ParseError(f"{fam}[{n}]: negative subscript", pos)
-            sym = symbol_from_subscript(fam, n)
-            if isinstance(sym, Generator):
-                return ("gen", sym)
-            return ("scalar", sym)
+            return NCPoly.symbol(symbol_from_subscript(fam, n))
         if tok == "q":
             self.take()
             if self.peek() == "^":
                 self.take()
-                return ("scalar", qfield.q_pow(self._signed_int()))
-            return ("scalar", qfield.Q)
+                return NCPoly.scalar(qfield.q_pow(self._signed_int()))
+            return NCPoly.scalar(qfield.Q)
         if tok == "[":
             self.take()
             n = self._signed_int()
             self.take("]")
             self.take("q")
-            return ("scalar", qfield.q_int(n))
+            return NCPoly.scalar(qfield.q_int(n))
         if tok is not None and tok.isdigit():
             self.take()
-            return ("scalar", qfield.of(int(tok)))
+            return NCPoly.scalar(qfield.of(int(tok)))
         raise ParseError(f"unexpected token {tok!r}", self.pos())
 
 
-def parse_expr(text: str) -> ExprAst:
-    return _Parser(text).parse()
-
-
-def elaborate(node: ExprAst) -> NCPoly:
-    """Evaluate an AST to a free-algebra element (left-to-right products)."""
-    kind = node[0]
-    if kind == "scalar":
-        return NCPoly.scalar(node[1])
-    if kind == "gen":
-        return NCPoly.gen(node[1])
-    if kind == "neg":
-        return -elaborate(node[1])
-    left, right = elaborate(node[1]), elaborate(node[2])
-    if kind == "add":
-        return left + right
-    if kind == "sub":
-        return left - right
-    if kind == "mul":
-        return left * right
-    if kind == "div":
-        if not right.is_scalar():
-            raise ParseError("division by a non-scalar expression", 0)
-        return left * right.scalar_part().inverse()
-    raise ValueError(f"bad AST node {kind!r}")
-
-
 def parse_to_poly(text: str) -> NCPoly:
-    return elaborate(parse_expr(text))
+    """Parse an expression into a free-algebra element (left-to-right
+    products)."""
+    return _Parser(text).parse()
 
 
 # -- suite plumbing -----------------------------------------------------------
@@ -224,17 +211,23 @@ def run_relation_suite(bound: int) -> Report:
 # -- command handlers ----------------------------------------------------------
 
 
+def _print_json(command: str, parameters: dict, report: Report, **fields):
+    """Print the JSON payload of a command: the common schema plus fields."""
+    payload = {
+        "command": command,
+        "parameters": parameters,
+        "results": [{"name": r.name, "pass": r.passed, "detail": r.detail}
+                    for r in report.results],
+        "version": __version__,
+        **fields,
+    }
+    print(json.dumps(payload, indent=2, sort_keys=True))
+
+
 def _emit(args, command: str, parameters: dict, report: Report,
           extra_lines: Optional[List[str]] = None) -> int:
     if args.format == "json":
-        payload = {
-            "command": command,
-            "parameters": parameters,
-            "results": [{"name": r.name, "pass": r.passed, "detail": r.detail}
-                        for r in report.results],
-            "version": __version__,
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        _print_json(command, parameters, report)
     else:
         for line in extra_lines or []:
             print(line)
@@ -305,19 +298,11 @@ def cmd_zn(args) -> int:
     report = Report("zn")
     report.add(f"routes agree for n={args.n}", agree)
     if args.format == "json":
-        payload = {
-            "command": "zn",
-            "parameters": {"n": args.n},
-            "n": args.n,
-            "term_count": len(direct.as_poly.terms),
-            "max_degree": direct.as_poly.max_degree(),
-            "direct": render_poly(direct.as_poly),
-            "extraction": render_poly(extraction.as_poly),
-            "results": [{"name": r.name, "pass": r.passed, "detail": r.detail}
-                        for r in report.results],
-            "version": __version__,
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        _print_json("zn", {"n": args.n}, report, n=args.n,
+                    term_count=len(direct.as_poly.terms),
+                    max_degree=direct.as_poly.max_degree(),
+                    direct=render_poly(direct.as_poly),
+                    extraction=render_poly(extraction.as_poly))
         return 0 if agree else 1
     print(f"direct:     {render_poly(direct.as_poly)}")
     print(f"extraction: {render_poly(extraction.as_poly)}")
@@ -333,16 +318,8 @@ def cmd_dims(args) -> int:
     for d in range(args.max_degree + 1):
         report.add(f"degree {d}", counts[d] == table[d], str(counts[d]))
     if args.format == "json":
-        payload = {
-            "command": "dims",
-            "parameters": {"max_degree": args.max_degree},
-            "dimensions": counts,
-            "series": table,
-            "results": [{"name": r.name, "pass": r.passed, "detail": r.detail}
-                        for r in report.results],
-            "version": __version__,
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        _print_json("dims", {"max_degree": args.max_degree}, report,
+                    dimensions=counts, series=table)
         return 0 if report.passed else 1
     print("degree:    " + " ".join(f"{d}" for d in range(args.max_degree + 1)))
     print("dimension: " + " ".join(str(c) for c in counts))
@@ -362,28 +339,24 @@ def cmd_series(args) -> int:
     else:
         print(f"unknown series {spec!r}", file=sys.stderr)
         return 2
-    lines = []
+    # a listing, not a check: an empty one is not a failure, so the exit
+    # code is 0 whatever the report holds
+    report = Report("series")
     for e in ts.nonzero_exponents():
         mono = "*".join(f"{v}^{k}" for v, k in zip(ts.vars, e) if k)
-        lines.append(f"[{mono or '1'}] {render_poly(ts.coeffs[e])}")
+        report.add(f"[{mono or '1'}]", True, render_poly(ts.coeffs[e]))
     if args.format == "json":
-        payload = {
-            "command": "series",
-            "parameters": {"name": spec, "order": args.order, "var": args.var},
-            "results": [{"name": line.split(' ', 1)[0], "pass": True,
-                         "detail": line.split(' ', 1)[1]} for line in lines],
-            "version": __version__,
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        _print_json("series", {"name": spec, "order": args.order,
+                               "var": args.var}, report)
         return 0
-    for line in lines:
-        print(line)
+    for r in report.results:
+        print(f"{r.name} {r.detail}")
     return 0
 
 
 def cmd_recover(args) -> int:
-    report = central.check_recovery(args.n)
     table = central.recover_generators(args.n)
+    report = central.check_recovery(args.n, table)
     lines = [f"{g.text()} = {render_poly(p)}" for g, p in sorted(table.items())]
     return _emit(args, "recover", {"n": args.n}, report, extra_lines=lines)
 

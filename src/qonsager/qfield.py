@@ -63,10 +63,6 @@ def p_neg(f):
     return tuple(-c for c in f)
 
 
-def p_sub(f, g):
-    return p_add(f, p_neg(g))
-
-
 def p_mul(f, g):
     if not f or not g:
         return P_ZERO

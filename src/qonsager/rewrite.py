@@ -3,6 +3,9 @@
 Every reducible two-letter word has exactly one rule rewriting it into a
 combination of smaller words; rule bodies are generated from the closed
 index formulas, with subscript-zero G symbols resolving to scalars.
+Rules vi and vii are not written out: they are the images of rules iv and
+v under the antiautomorphism dagger, which reverses words and swaps G with
+Gt, and are generated from them.
 Rewriting strictly decreases the (length, weight) lexicographic measure,
 which is asserted at every step, so termination is a runtime-checked
 fact rather than a step cap.
@@ -18,8 +21,9 @@ from typing import List, Tuple
 
 from . import qfield
 from .qfield import QONE, QRat
-from .words import (Family, Generator, NCPoly, Word, first_descent, g_, gt_,
-                    symbol_from_subscript, wm, word_weight, wp, w_sub)
+from .words import (Family, Generator, NCPoly, Word, dagger_letter,
+                    first_descent, g_, gt_, symbol_from_subscript, wm,
+                    word_weight, wp, w_sub)
 
 
 class RewriteInternalError(RuntimeError):
@@ -70,10 +74,14 @@ _RULE_CACHE: dict = {}
 
 
 def _rule_terms(a: Generator, b: Generator) -> List[Tuple[QRat, Word]]:
+    fa, fb = a.family, b.family
+    if fa == Family.Gtilde and fb in (Family.Wplus, Family.Wminus):
+        # rules vi and vii: the dagger images of rules iv and v
+        return [(c, tuple(dagger_letter(g) for g in reversed(w)))
+                for c, w in _rule_terms(dagger_letter(b), dagger_letter(a))]
     q = qfield.q_pow
     Q2 = q(2) - q(-2)            # q^2 - q^-2
     qm = qfield.Q - q(-1)        # q - q^-1
-    fa, fb = a.family, b.family
     i, j = a.k, b.k
     terms: List[Tuple[QRat, Word]] = []
     if fa == fb:
@@ -126,33 +134,6 @@ def _rule_terms(a: Generator, b: Generator) -> List[Tuple[QRat, Word]]:
         for l in range(1, min(i, j) + 1):
             terms.append(_term(c, symbol_from_subscript("G", i + j + 1 - l),
                                w_sub(l)))
-        return terms
-    if (fa, fb) == (Family.Gtilde, Family.Wplus):
-        c = qfield.Q * qm
-        terms.append((QONE, (wp(j + 1), gt_(i + 1))))
-        for l in range(min(i, j) + 1):
-            terms.append(_term(c, w_sub(l - i - j), symbol_from_subscript("Gt", l)))
-            terms.append(_term(c, wp(l + 1),
-                               symbol_from_subscript("Gt", i + j + 1 - l)))
-            terms.append(_term(-c, w_sub(i + j + 2 - l),
-                               symbol_from_subscript("Gt", l)))
-        for l in range(1, min(i, j) + 1):
-            terms.append(_term(-c, w_sub(1 - l),
-                               symbol_from_subscript("Gt", i + j + 1 - l)))
-        return terms
-    if (fa, fb) == (Family.Gtilde, Family.Wminus):
-        c = q(-1) * qm
-        terms.append((QONE, (wm(j), gt_(i + 1))))
-        for l in range(min(i, j) + 1):
-            terms.append(_term(-c, w_sub(i + j + 1 - l),
-                               symbol_from_subscript("Gt", l)))
-            terms.append(_term(c, w_sub(l - 1 - i - j),
-                               symbol_from_subscript("Gt", l)))
-            terms.append(_term(-c, wm(l),
-                               symbol_from_subscript("Gt", i + j + 1 - l)))
-        for l in range(1, min(i, j) + 1):
-            terms.append(_term(c, w_sub(l),
-                               symbol_from_subscript("Gt", i + j + 1 - l)))
         return terms
     raise RewriteInternalError(f"no rule for pair {a} {b}")
 

@@ -196,20 +196,6 @@ def _mul(x: TruncSeries, y: TruncSeries) -> TruncSeries:
     return TruncSeries(a.vars, order, tuple(floor), coeffs)
 
 
-def series_arith(a: TruncSeries, b: TruncSeries, op: str) -> TruncSeries:
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "commutator":
-        return bracket(a, b)
-    if op == "q_commutator":
-        return q_bracket(a, b)
-    raise ValueError(f"unknown op {op!r}")
-
-
 def bracket(a: TruncSeries, b: TruncSeries) -> TruncSeries:
     return a * b - b * a
 

@@ -180,3 +180,38 @@ def test_worker_env_parallel_suite(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert rc == 0
     assert "4/4 passed" in out
+
+
+def test_long_flat_sum_and_product(capsys):
+    # sums and products fold in loops, so their length is not bounded by
+    # the recursion limit
+    rc = cli.main(["normalize", "+".join(["W[0]"] * 3000)])
+    assert rc == 0
+    assert capsys.readouterr().out.strip() == "(3000)*W[0]"
+    p = cli.parse_to_poly("*".join(["W[0]"] * 3000))
+    assert p == NCPoly.word((wm(0),) * 3000)
+
+
+def test_paren_nesting_limit(capsys):
+    assert cli.parse_to_poly("(" * 200 + "W[1]" + ")" * 200) == NCPoly.gen(wp(1))
+    rc = cli.main(["normalize", "(" * 3000 + "W[1]" + ")" * 3000])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "parse error" in captured.err
+
+
+def test_recover_builds_its_table_once(capsys, monkeypatch):
+    from qonsager import central
+    calls = []
+    build = central.recover_generators
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(central, "recover_generators", counting)
+    rc = cli.main(["recover", "--n", "2"])
+    capsys.readouterr()
+    assert rc == 0
+    assert calls == [(2,)]

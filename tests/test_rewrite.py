@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qonsager import qfield as qf
 from qonsager import rewrite as R
@@ -110,17 +112,32 @@ def test_strategy_independence():
         assert leftmost == randomized, word
 
 
-def test_sigma_dagger_preserve_normal_form_classes():
+# every letter with a subscript of absolute value at most 2; with
+# subscripts up to 3, a hundred words of length 4 take about 100 s
+_LETTERS = [g_(1), g_(2), gt_(1), gt_(2), wm(0), wm(1), wm(2), wp(1), wp(2)]
+
+
+def _with_seeded_examples(test):
+    """Attach the earlier hand-seeded cases as explicit examples."""
     rng = random.Random(11)
     letters = [g_(1), g_(2), wm(0), wm(1), wp(1), wp(2), gt_(1), gt_(2)]
     for _ in range(20):
         word = tuple(rng.choice(letters) for _ in range(rng.randint(1, 3)))
-        p = NCPoly.word(word, qf.q_pow(rng.randint(-2, 2)))
-        nf = R.normal_form(p)
-        # both maps preserve the relation ideal, so the images of p and of
-        # its normal form must land in the same class
-        assert R.normal_form(W.sigma(p)) == R.normal_form(W.sigma(nf))
-        assert R.normal_form(W.dagger(p)) == R.normal_form(W.dagger(nf))
+        test = example(word=word, power=rng.randint(-2, 2))(test)
+    return test
+
+
+@given(word=st.lists(st.sampled_from(_LETTERS), min_size=1, max_size=4).map(tuple),
+       power=st.integers(-2, 2))
+@_with_seeded_examples
+@settings(deadline=None)
+def test_sigma_dagger_preserve_normal_form_classes(word, power):
+    p = NCPoly.word(word, qf.q_pow(power))
+    nf = R.normal_form(p)
+    # both maps preserve the relation ideal, so the images of p and of
+    # its normal form must land in the same class
+    assert R.normal_form(W.sigma(p)) == R.normal_form(W.sigma(nf))
+    assert R.normal_form(W.dagger(p)) == R.normal_form(W.dagger(nf))
 
 
 def test_measure_decreases_examples():

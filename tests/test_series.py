@@ -21,13 +21,13 @@ def test_gf_coefficients():
 
 def test_commutator_with_w0_vanishes():
     w0 = S.constant(NCPoly.gen(wm(0)), ("t",))
-    c = S.series_arith(S.gf(Family.Wminus, "t", 3), w0, "commutator")
+    c = S.bracket(S.gf(Family.Wminus, "t", 3), w0)
     assert c.normal_form().is_zero()
 
 
 def test_q_commutator_of_equal_arguments():
     x = S.gf(Family.Wplus, "t", 2)
-    got = S.series_arith(x, x, "q_commutator")
+    got = S.q_bracket(x, x)
     expected = (x * x) * (qf.Q - qf.q_pow(-1))
     assert (got - expected).is_zero()
 
