@@ -48,6 +48,10 @@ def _tokenize(text: str) -> List[Tuple[str, int]]:
 # interpreter's recursion limit.
 MAX_PAREN_DEPTH = 200
 
+# Largest |n| accepted in q^n and [n]q: a sum builds dense polynomials with
+# about |n| (for [n]q, 2|n|) coefficients.
+MAX_EXPONENT = 10_000
+
 
 class _Parser:
     """Recursive descent that evaluates as it parses: sums and products
@@ -96,14 +100,17 @@ class _Parser:
     def term(self) -> NCPoly:
         value = self.factor()
         while self.peek() in ("*", "/"):
+            pos = self.pos()
             op = self.take()
             rhs = self.factor()
             if op == "*":
                 value = value * rhs
-            elif rhs.is_scalar():
-                value = value * rhs.scalar_part().inverse()
+            elif not rhs.is_scalar():
+                raise ParseError("division by a non-scalar expression", pos)
+            elif rhs.is_zero():
+                raise ParseError("division by zero", pos)
             else:
-                raise ParseError("division by a non-scalar expression", 0)
+                value = value * rhs.scalar_part().inverse()
         return value
 
     def _signed_int(self) -> int:
@@ -118,6 +125,14 @@ class _Parser:
             raise ParseError(f"expected an integer, got {tok!r}",
                              self.tokens[self.i - 1][1])
         return sign * int(tok)
+
+    def _exponent(self) -> int:
+        pos = self.pos()
+        n = self._signed_int()
+        if abs(n) > MAX_EXPONENT:
+            raise ParseError(f"exponent or quantum integer beyond "
+                             f"{MAX_EXPONENT} in absolute value", pos)
+        return n
 
     def factor(self) -> NCPoly:
         tok = self.peek()
@@ -144,11 +159,11 @@ class _Parser:
             self.take()
             if self.peek() == "^":
                 self.take()
-                return NCPoly.scalar(qfield.q_pow(self._signed_int()))
+                return NCPoly.scalar(qfield.q_pow(self._exponent()))
             return NCPoly.scalar(qfield.Q)
         if tok == "[":
             self.take()
-            n = self._signed_int()
+            n = self._exponent()
             self.take("]")
             self.take("q")
             return NCPoly.scalar(qfield.q_int(n))

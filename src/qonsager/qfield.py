@@ -20,13 +20,17 @@ the operands' shape alone:
   prefactors (zero if they cancel);
 * every other result is normalized by `_canon`, which strips a basis
   factor only after a root test shows that it divides: q - 1 and q + 1
-  divide U iff U(1) = 0 and U(-1) = 0, q^2 + 1 iff U(i) = 0.  A general
-  polynomial gcd runs only when V != 1 (denominators such as
-  q^n + q^-n), which is rare.
+  divide U iff U(1) = 0 and U(-1) = 0, q^2 + 1 iff U(i) = 0.  When
+  V = 1, the usual case, only U is normalized; V's sign, content, power
+  of q and basis factors, and the general polynomial gcd, run only when
+  V != 1 (denominators such as q^n + q^-n), which is rare.
 
 The exposed numerator/denominator pair is always fully reduced over
 Z[q] with a positive-leading-coefficient denominator, so equality and
-hashing are structural.  Values are immutable and safe to share.
+hashing are structural.  Values are immutable and safe to share: `QRat`
+refuses attribute assignment and deletion.  `_make` builds each value
+with plain slot stores on `_Slots`, the same layout without that guard,
+and then retags it as `QRat`; pickling rebuilds a value through `_make`.
 """
 
 from __future__ import annotations
@@ -190,31 +194,48 @@ def _mono(a, b, c, d):
     return out
 
 
+_FIELDS = ("p", "r", "a", "b", "c", "d", "u", "v")
+
+
+class _Slots:
+    """QRat's slot layout without the immutability guard (see `_make`)."""
+
+    __slots__ = _FIELDS
+
+
+def _make(p, r, a, b, c, d, u, v):
+    # plain slot stores on the unguarded layout, then a retag as QRat:
+    # a fifth of the cost of eight object.__setattr__ calls
+    self = object.__new__(_Slots)
+    self.p = p
+    self.r = r
+    self.a = a
+    self.b = b
+    self.c = c
+    self.d = d
+    self.u = u
+    self.v = v
+    self.__class__ = QRat
+    return self
+
+
 class QRat:
     """An element of Q(q).  Use module factories; instances are immutable."""
 
-    __slots__ = ("p", "r", "a", "b", "c", "d", "u", "v")
+    __slots__ = _FIELDS
 
     def __init__(self):
         raise TypeError("use qfield factories (of, q_pow, q_int, ...) to build QRat")
 
-    # -- construction ------------------------------------------------
-
-    @staticmethod
-    def _make(p, r, a, b, c, d, u, v):
-        self = object.__new__(QRat)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
-        return self
-
     def __setattr__(self, name, value):
         raise AttributeError("QRat is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("QRat is immutable")
+
+    def __reduce__(self):
+        return _make, (self.p, self.r, self.a, self.b, self.c, self.d, self.u,
+                       self.v)
 
     # -- predicates ---------------------------------------------------
 
@@ -231,9 +252,10 @@ class QRat:
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other):
-        other = _co(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not QRat:
+            other = _co(other)
+            if other is NotImplemented:
+                return NotImplemented
         x, y = self, other
         if x.p == 0:
             return y
@@ -246,13 +268,13 @@ class QRat:
                 return QZERO
             r = x.r * y.r
             g = gcd(p, r)
-            return QRat._make(p // g, r // g, x.a, x.b, x.c, x.d, x.u, x.v)
+            return _make(p // g, r // g, x.a, x.b, x.c, x.d, x.u, x.v)
         a = min(x.a, y.a)
         b = min(x.b, y.b)
         c = min(x.c, y.c)
         d = min(x.d, y.d)
         # t1/den + t2/den over the common factor-basis part, skipping
-        # products with U or V = 1
+        # products with U or V = 1 and scalings by 1
         t1 = _mono(x.a - a, x.b - b, x.c - c, x.d - d)
         t2 = _mono(y.a - a, y.b - b, y.c - c, y.d - d)
         if x.u != P_ONE:
@@ -269,16 +291,21 @@ class QRat:
             den = x.v
         else:
             den = p_mul(x.v, y.v)
-        return _canon(1, x.r * y.r, a, b, c, d,
-                      p_add(p_scale(t1, x.p * y.r), p_scale(t2, y.p * x.r)), den)
+        k1 = x.p * y.r
+        if k1 != 1:
+            t1 = p_scale(t1, k1)
+        k2 = y.p * x.r
+        if k2 != 1:
+            t2 = p_scale(t2, k2)
+        return _canon(1, x.r * y.r, a, b, c, d, p_add(t1, t2), den)
 
     __radd__ = __add__
 
     def __neg__(self):
         if self.p == 0:
             return self
-        return QRat._make(-self.p, self.r, self.a, self.b, self.c, self.d,
-                          self.u, self.v)
+        return _make(-self.p, self.r, self.a, self.b, self.c, self.d, self.u,
+                     self.v)
 
     def __sub__(self, other):
         other = _co(other)
@@ -293,9 +320,10 @@ class QRat:
         return other + (-self)
 
     def __mul__(self, other):
-        other = _co(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not QRat:
+            other = _co(other)
+            if other is NotImplemented:
+                return NotImplemented
         x, y = self, other
         if x.p == 0 or y.p == 0:
             return QZERO
@@ -305,8 +333,8 @@ class QRat:
             p = x.p * y.p
             r = x.r * y.r
             g = gcd(p, r)
-            return QRat._make(p // g, r // g, x.a + y.a, x.b + y.b, x.c + y.c,
-                              x.d + y.d, x.u, x.v)
+            return _make(p // g, r // g, x.a + y.a, x.b + y.b, x.c + y.c,
+                         x.d + y.d, x.u, x.v)
         return _canon(x.p * y.p, x.r * y.r, x.a + y.a, x.b + y.b, x.c + y.c,
                       x.d + y.d, p_mul(x.u, y.u), p_mul(x.v, y.v))
 
@@ -316,8 +344,8 @@ class QRat:
         if self.p == 0:
             raise ZeroDivisionError("inverse of zero in Q(q)")
         sign = 1 if self.p > 0 else -1
-        return QRat._make(sign * self.r, abs(self.p), -self.a, -self.b,
-                          -self.c, -self.d, self.v, self.u)
+        return _make(sign * self.r, abs(self.p), -self.a, -self.b, -self.c,
+                     -self.d, self.v, self.u)
 
     def __truediv__(self, other):
         other = _co(other)
@@ -390,16 +418,31 @@ def _canon(p, r, a, b, c, d, u, v):
         raise ZeroDivisionError("zero denominator in Q(q)")
     if u[-1] < 0:
         u, p = p_neg(u), -p
-    if v[-1] < 0:
-        v, p = p_neg(v), -p
     cu = p_content(u)
     if cu > 1:
         u = tuple(x // cu for x in u)
         p *= cu
-    cv = p_content(v)
-    if cv > 1:
-        v = tuple(x // cv for x in v)
-        r *= cv
+    if v != P_ONE:
+        # V's sign, content, power of q and basis factors; skipped for
+        # V = 1, the common case, where each step is the identity
+        if v[-1] < 0:
+            v, p = p_neg(v), -p
+        cv = p_content(v)
+        if cv > 1:
+            v = tuple(x // cv for x in v)
+            r *= cv
+        z = 0
+        while v[z] == 0:
+            z += 1
+        if z:
+            v = v[z:]
+            a -= z
+        v, n = _strip(v, FM)
+        b -= n
+        v, n = _strip(v, FP)
+        c -= n
+        v, n = _strip(v, F2)
+        d -= n
     g = gcd(p, r)
     if g > 1:
         p //= g
@@ -410,35 +453,23 @@ def _canon(p, r, a, b, c, d, u, v):
     if z:
         u = u[z:]
         a += z
-    z = 0
-    while v[z] == 0:
-        z += 1
-    if z:
-        v = v[z:]
-        a -= z
     u, n = _strip(u, FM)
     b += n
-    v, n = _strip(v, FM)
-    b -= n
     u, n = _strip(u, FP)
     c += n
-    v, n = _strip(v, FP)
-    c -= n
     u, n = _strip(u, F2)
     d += n
-    v, n = _strip(v, F2)
-    d -= n
     if v != P_ONE and u != P_ONE:
         g = p_gcd(u, v)
         if len(g) > 1:
             u = p_div_exact(u, g)
             v = p_div_exact(v, g)
-    return QRat._make(p, r, a, b, c, d, u, v)
+    return _make(p, r, a, b, c, d, u, v)
 
 
-QZERO = QRat._make(0, 1, 0, 0, 0, 0, P_ONE, P_ONE)
-QONE = QRat._make(1, 1, 0, 0, 0, 0, P_ONE, P_ONE)
-Q = QRat._make(1, 1, 1, 0, 0, 0, P_ONE, P_ONE)
+QZERO = _make(0, 1, 0, 0, 0, 0, P_ONE, P_ONE)
+QONE = _make(1, 1, 0, 0, 0, 0, P_ONE, P_ONE)
+Q = _make(1, 1, 1, 0, 0, 0, P_ONE, P_ONE)
 
 
 def _co(x):
@@ -470,7 +501,7 @@ def q_pow(n: int) -> QRat:
     """q^n for any integer n (q^-n is the honest fraction 1/q^n)."""
     if n == 0:
         return QONE
-    return QRat._make(1, 1, n, 0, 0, 0, P_ONE, P_ONE)
+    return _make(1, 1, n, 0, 0, 0, P_ONE, P_ONE)
 
 
 def from_num_den(num, den) -> QRat:

@@ -133,15 +133,23 @@ def word_degree(w: Word) -> int:
     return sum(a.degree() for a in w)
 
 
+# letter -> its Weight; word_weight runs on every rewrite candidate, and a
+# letter's weight never changes
+_LETTER_WEIGHT: dict = {}
+
+
 def word_weight(w: Word) -> Weight:
-    n = len(w)
+    m = len(w)
     a = b = c = 0
-    for i, letter in enumerate(w):
-        m = n - i
-        lw = letter.weight()
-        a += m * lw.a
-        b += m * lw.b
-        c += m * lw.c
+    for letter in w:
+        lw = _LETTER_WEIGHT.get(letter)
+        if lw is None:
+            lw = _LETTER_WEIGHT[letter] = letter.weight()
+        la, lb, lc = lw
+        a += m * la
+        b += m * lb
+        c += m * lc
+        m -= 1
     return Weight(a, b, c)
 
 

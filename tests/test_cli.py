@@ -215,3 +215,36 @@ def test_recover_builds_its_table_once(capsys, monkeypatch):
     capsys.readouterr()
     assert rc == 0
     assert calls == [(2,)]
+
+
+@pytest.mark.parametrize("text,message", [
+    ("1/0", "division by zero (at column 2)"),
+    ("W[0]/(q-q)", "division by zero (at column 5)"),
+    ("W[1] + q / W[0]", "division by a non-scalar expression (at column 10)"),
+])
+def test_bad_division_is_parse_error_at_the_slash(capsys, text, message):
+    rc = cli.main(["normalize", text])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_exponent_limit(capsys, monkeypatch):
+    cap = cli.MAX_EXPONENT
+    assert cli.parse_to_poly(f"q^{cap}") == NCPoly.scalar(qf.q_pow(cap))
+    assert cli.parse_to_poly(f"[-{cap}]q") == NCPoly.scalar(qf.q_int(-cap))
+
+    # refused before any Q(q) arithmetic starts
+    def no_arithmetic(n):
+        raise AssertionError("reached Q(q) arithmetic")
+
+    monkeypatch.setattr(qf, "q_pow", no_arithmetic)
+    monkeypatch.setattr(qf, "q_int", no_arithmetic)
+    for text in (f"q^{cap + 1} + 1", f"q^-{cap + 1}", f"[{cap + 1}]q",
+                 f"W[1]*[-{cap + 1}]q"):
+        rc = cli.main(["normalize", text])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert "parse error" in captured.err

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -222,3 +224,102 @@ def test_strip_root_test_matches_trial_division(f, coeffs, power):
     for _ in range(power):
         u = qf.p_mul(u, f)
     assert qf._strip(u, f) == _strip_by_division(u, f)
+
+
+# -- field axioms as properties ------------------------------------------
+
+AXIOM_POINTS = (Fraction(3, 2), Fraction(-5, 7))
+
+# Leaves cover every shape the operators branch on: factor-basis monomials
+# (q^k and rationals), U != 1 ([n]q) and V != 1 ((q^k + q^-k)^-1).
+_leaves = st.one_of(
+    st.integers(-6, 6).map(qf.q_pow),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5)).map(qf.of),
+    st.integers(-5, 5).map(qf.q_int),
+    st.integers(1, 3).map(lambda k: (qf.q_pow(k) + qf.q_pow(-k)).inverse()),
+)
+
+
+def _combine(args):
+    x, op, y = args
+    return x + y if op == "+" else x - y if op == "-" else x * y
+
+
+_values = st.recursive(
+    _leaves,
+    lambda inner: st.tuples(inner, st.sampled_from("+-*"), inner).map(_combine),
+    max_leaves=3)
+
+
+def _values_at(x):
+    return [x.evaluate(t) for t in AXIOM_POINTS]
+
+
+def _assert_canonical(got, expected):
+    """got is in canonical form and takes the expected values."""
+    num, den = got.numerator(), got.denominator()
+    assert got == qf.from_num_den(num, den)
+    assert got == qf.from_num_den(qf.p_neg(num), qf.p_neg(den))
+    assert _values_at(got) == expected
+
+
+@given(x=_values, y=_values, z=_values)
+def test_addition_is_commutative_and_associative(x, y, z):
+    xv, yv, zv = _values_at(x), _values_at(y), _values_at(z)
+    assert x + y == y + x
+    left, right = (x + y) + z, x + (y + z)
+    assert left == right
+    _assert_canonical(x + y, [a + b for a, b in zip(xv, yv)])
+    _assert_canonical(left, [a + b + c for a, b, c in zip(xv, yv, zv)])
+
+
+@given(x=_values, y=_values, z=_values)
+def test_multiplication_is_commutative_and_associative(x, y, z):
+    xv, yv, zv = _values_at(x), _values_at(y), _values_at(z)
+    assert x * y == y * x
+    left, right = (x * y) * z, x * (y * z)
+    assert left == right
+    _assert_canonical(x * y, [a * b for a, b in zip(xv, yv)])
+    _assert_canonical(left, [a * b * c for a, b, c in zip(xv, yv, zv)])
+
+
+@given(x=_values, y=_values, z=_values)
+def test_multiplication_distributes_over_addition(x, y, z):
+    xv, yv, zv = _values_at(x), _values_at(y), _values_at(z)
+    left, right = x * (y + z), x * y + x * z
+    assert left == right
+    _assert_canonical(left, [a * (b + c) for a, b, c in zip(xv, yv, zv)])
+
+
+@given(x=_values)
+def test_additive_and_multiplicative_inverses(x):
+    assert x + (-x) == qf.QZERO
+    _assert_canonical(-x, [-a for a in _values_at(x)])
+    assume(not x.is_zero())
+    assert x * x.inverse() == qf.QONE
+    _assert_canonical(x.inverse(), [1 / a for a in _values_at(x)])
+
+
+def test_values_are_immutable():
+    x = qf.q_int(3)
+    assert type(x) is qf.QRat and not hasattr(x, "__dict__")
+    for name in ("p", "r", "a", "b", "c", "d", "u", "v"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, getattr(x, name))
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+    with pytest.raises(AttributeError):
+        x.extra = 1
+    assert x == qf.q_int(3)
+
+
+@pytest.mark.parametrize("x", [
+    qf.QZERO, qf.q_pow(-3) * qf.of(Fraction(5, 2)), qf.q_int(3),
+    (qf.q_pow(2) + qf.q_pow(-2)).inverse()],
+    ids=["zero", "monomial", "[3]q", "V!=1"])
+def test_pickle_round_trip(x):
+    for y in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x)):
+        assert type(y) is qf.QRat
+        assert y == x and hash(y) == hash(x)
+        with pytest.raises(AttributeError):
+            y.p = 0
