@@ -1,7 +1,9 @@
 """Command-line front end: expression normalization and the check suites.
 
 Exit codes: 0 all requested checks pass, 1 a check failed or none ran,
-2 usage or parse error (a negative size or bound is a usage error).
+2 usage or parse error (a negative size or bound is a usage error),
+3 internal error: an invariant of the kernel failed, which is a bug and
+not a fault of the input; stderr then starts with "internal error:".
 JSON output follows the schema
 {command, parameters, results: [{name, pass, detail}], version}.
 """
@@ -48,8 +50,9 @@ def _tokenize(text: str) -> List[Tuple[str, int]]:
 # interpreter's recursion limit.
 MAX_PAREN_DEPTH = 200
 
-# Largest |n| accepted in q^n and [n]q: a sum builds dense polynomials with
-# about |n| (for [n]q, 2|n|) coefficients.
+# Largest |n| accepted in q^n, [n]q and letter subscripts: a sum builds
+# dense polynomials with about |n| (for [n]q, 2|n|) coefficients, and the
+# rule for W[i]*G[j] has min(i, j) + 1 groups of terms.
 MAX_EXPONENT = 10_000
 
 
@@ -154,6 +157,9 @@ class _Parser:
             self.take("]")
             if fam in ("G", "Gt") and n < 0:
                 raise ParseError(f"{fam}[{n}]: negative subscript", pos)
+            if abs(n) > MAX_EXPONENT:
+                raise ParseError(f"{fam}[{n}]: subscript beyond {MAX_EXPONENT} "
+                                 f"in absolute value", pos)
             return NCPoly.symbol(symbol_from_subscript(fam, n))
         if tok == "q":
             self.take()
@@ -257,13 +263,12 @@ def _emit(args, command: str, parameters: dict, report: Report,
 
 def cmd_normalize(args) -> int:
     text = sys.stdin.read() if args.expr == "-" else args.expr
-    poly = parse_to_poly(text)
-    nf = rewrite.normal_form(poly)
-    report = Report("normalize")
-    report.add("normalize", True, render_poly(nf))
+    rendered = render_poly(rewrite.normal_form(parse_to_poly(text)))
     if args.format == "json":
+        report = Report("normalize")
+        report.add("normalize", True, rendered)
         return _emit(args, "normalize", {"expr": args.expr}, report)
-    print(render_poly(nf))
+    print(rendered)
     return 0
 
 
@@ -442,9 +447,12 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, IndexError, KeyError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (KeyError, IndexError, rewrite.RewriteInternalError) as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -194,6 +194,17 @@ def _mono(a, b, c, d):
     return out
 
 
+def _expand(k, b, c, d, w):
+    """k * (q-1)^b * (q+1)^c * (q^2+1)^d * w, with b, c, d >= 0, as a Z[q]
+    tuple; the product by w = 1 and the scaling by k = 1 are skipped."""
+    f = _mono(0, b, c, d)
+    if w != P_ONE:
+        f = p_mul(f, w)
+    if k != 1:
+        f = p_scale(f, k)
+    return f
+
+
 _FIELDS = ("p", "r", "a", "b", "c", "d", "u", "v")
 
 
@@ -386,14 +397,12 @@ class QRat:
 
     def numerator(self):
         """The numerator of the reduced fraction, as a Z[q] tuple."""
-        return p_scale(p_mul(_mono(max(self.a, 0), max(self.b, 0),
-                                   max(self.c, 0), max(self.d, 0)), self.u),
-                       self.p)
+        return (0,) * max(self.a, 0) + _expand(
+            self.p, max(self.b, 0), max(self.c, 0), max(self.d, 0), self.u)
 
     def denominator(self):
-        return p_scale(p_mul(_mono(max(-self.a, 0), max(-self.b, 0),
-                                   max(-self.c, 0), max(-self.d, 0)), self.v),
-                       self.r)
+        return (0,) * max(-self.a, 0) + _expand(
+            self.r, max(-self.b, 0), max(-self.c, 0), max(-self.d, 0), self.v)
 
     def numerator_content(self):
         return abs(self.p)
@@ -509,6 +518,9 @@ def from_num_den(num, den) -> QRat:
     return _canon(1, 1, 0, 0, 0, 0, p_trim(num), p_trim(den))
 
 
+# bounded: the parser accepts |n| up to 10,000, and [n]q then holds a
+# polynomial of degree about 2|n|
+@lru_cache(maxsize=128)
 def q_int(n: int) -> QRat:
     """The quantum integer [n]_q = (q^n - q^-n)/(q - q^-1)."""
     if n == 0:
@@ -516,11 +528,13 @@ def q_int(n: int) -> QRat:
     return (q_pow(n) - q_pow(-n)) / (Q - q_pow(-1))
 
 
+@lru_cache(maxsize=None)
 def rho_const() -> QRat:
     """The structure constant -(q^2 - q^-2)^2 of the defining relations."""
     return -((q_pow(2) - q_pow(-2)) ** 2)
 
 
+@lru_cache(maxsize=None)
 def g0_const() -> QRat:
     """The scalar value shared by the two degree-zero G-symbols."""
     return -(Q - q_pow(-1)) * q_int(2) ** 2
@@ -529,7 +543,8 @@ def g0_const() -> QRat:
 # -- rendering --------------------------------------------------------------
 
 
-def poly_text(f) -> str:
+def poly_text(f, shift: int = 0) -> str:
+    """f * q^shift as text, highest power first."""
     if not f:
         return "0"
     parts = []
@@ -537,11 +552,14 @@ def poly_text(f) -> str:
         c = f[i]
         if c == 0:
             continue
-        if i == 0:
-            mono = str(abs(c))
+        e = i + shift
+        m = -c if c < 0 else c
+        if e == 0:
+            mono = str(m)
+        elif m == 1:
+            mono = "q" if e == 1 else f"q^{e}"
         else:
-            head = "" if abs(c) == 1 else f"{abs(c)}*"
-            mono = f"{head}q" if i == 1 else f"{head}q^{i}"
+            mono = f"{m}*q" if e == 1 else f"{m}*q^{e}"
         if not parts:
             parts.append(mono if c > 0 else f"-{mono}")
         else:
@@ -550,11 +568,17 @@ def poly_text(f) -> str:
 
 
 def scalar_text(x: QRat) -> str:
-    """Render x so that the CLI scalar grammar parses it back exactly."""
-    num = x.numerator()
-    den = x.denominator()
-    if den == P_ONE:
-        return f"({poly_text(num)})"
-    if den[-1] == 1 and not any(den[:-1]):
-        return f"({poly_text(num)})*q^-{len(den) - 1}"
-    return f"({poly_text(num)})/({poly_text(den)})"
+    """Render x so that the CLI scalar grammar parses it back exactly.
+
+    The text is read off the factored form: the powers of q become an
+    exponent shift of `poly_text`, and the denominator is 1 or a power of q
+    exactly when r = 1, V = 1 and b, c, d >= 0.
+    """
+    a, b, c, d = x.a, x.b, x.c, x.d
+    num = poly_text(_expand(x.p, max(b, 0), max(c, 0), max(d, 0), x.u),
+                    max(a, 0))
+    if x.r == 1 and x.v == P_ONE and b >= 0 and c >= 0 and d >= 0:
+        return f"({num})" if a >= 0 else f"({num})*q^-{-a}"
+    den = poly_text(_expand(x.r, max(-b, 0), max(-c, 0), max(-d, 0), x.v),
+                    max(-a, 0))
+    return f"({num})/({den})"

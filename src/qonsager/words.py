@@ -421,10 +421,21 @@ def defining_relations(kmax: int, lmax=None):
 # -- rendering ----------------------------------------------------------------
 
 
+# letter -> its text; render_word runs on every term of every rendered
+# element, and a letter's text never changes
+_LETTER_TEXT: dict = {}
+
+
 def render_word(w: Word) -> str:
     if not w:
         return "1"
-    return "*".join(g.text() for g in w)
+    texts = []
+    for letter in w:
+        t = _LETTER_TEXT.get(letter)
+        if t is None:
+            t = _LETTER_TEXT[letter] = letter.text()
+        texts.append(t)
+    return "*".join(texts)
 
 
 def render_poly(p: NCPoly) -> str:
@@ -433,11 +444,10 @@ def render_poly(p: NCPoly) -> str:
     parts = []
     for w in sorted(p.terms):
         c = p.terms[w]
-        s = qfield.scalar_text(c)
         if not w:
-            parts.append(s)
+            parts.append(qfield.scalar_text(c))
         elif c.is_one():
             parts.append(render_word(w))
         else:
-            parts.append(f"{s}*{render_word(w)}")
+            parts.append(f"{qfield.scalar_text(c)}*{render_word(w)}")
     return " + ".join(parts)

@@ -1,7 +1,10 @@
 import json
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qonsager import cli
 from qonsager import qfield as qf
@@ -248,3 +251,54 @@ def test_exponent_limit(capsys, monkeypatch):
         assert rc == 2
         assert captured.out == ""
         assert "parse error" in captured.err
+
+
+def test_subscript_limit(capsys):
+    cap = cli.MAX_EXPONENT
+    rc = cli.main(["normalize", f"W[{cap}]"])
+    assert rc == 0
+    assert capsys.readouterr().out.strip() == f"W[{cap}]"
+    for text in (f"W[{cap + 1}]", f"W[-{cap + 1}]", f"G[{cap + 1}]",
+                 f"Gt[{cap + 1}]"):
+        rc = cli.main(["normalize", text])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        column = text.index("[") + 2
+        assert (f"subscript beyond {cap} in absolute value "
+                f"(at column {column})") in captured.err
+
+
+@pytest.mark.parametrize("error,code,prefix", [
+    (rewrite.RewriteInternalError("no rule for pair"), 3, "internal error:"),
+    (KeyError("recursion touched G[1] before recovery"), 3, "internal error:"),
+    (IndexError("list index out of range"), 3, "internal error:"),
+    (ValueError("bad value"), 2, "error:"),
+], ids=["RewriteInternalError", "KeyError", "IndexError", "ValueError"])
+def test_internal_errors_have_their_own_exit_code(capsys, monkeypatch, error,
+                                                  code, prefix):
+    def failing(poly):
+        raise error
+
+    monkeypatch.setattr(rewrite, "normal_form", failing)
+    rc = cli.main(["normalize", "W[1]*W[0]"])
+    captured = capsys.readouterr()
+    assert rc == code
+    assert captured.out == ""
+    assert captured.err.startswith(prefix)
+
+
+_COEFFS = [qf.QONE, -qf.QONE, qf.q_pow(-2), qf.of(Fraction(-3, 4)),
+           qf.q_int(3), qf.q_int(-2) * qf.q_pow(5), qf.g0_const(),
+           (qf.q_pow(2) + qf.q_pow(-2)).inverse(),
+           qf.of(Fraction(7, 2)) * (qf.Q - qf.q_pow(-1)).inverse()]
+_LETTERS = [g_(1), g_(2), wm(0), wm(1), wp(1), wp(2), gt_(1), gt_(2)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(terms=st.lists(st.tuples(st.lists(st.sampled_from(_LETTERS), max_size=3),
+                                st.sampled_from(_COEFFS)),
+                      min_size=1, max_size=4))
+def test_render_parse_round_trip_on_normal_forms(terms):
+    nf = rewrite.normal_form(NCPoly([(tuple(w), c) for w, c in terms]))
+    assert cli.parse_to_poly(render_poly(nf)) == nf

@@ -323,3 +323,55 @@ def test_pickle_round_trip(x):
         assert y == x and hash(y) == hash(x)
         with pytest.raises(AttributeError):
             y.p = 0
+
+
+# The renderer as it was before it read its text off the factored form:
+# dense numerator and denominator tuples, zero-padded for the power of q.
+# It is the reference the current one must match byte for byte.
+def _reference_poly_text(f):
+    if not f:
+        return "0"
+    parts = []
+    for i in range(len(f) - 1, -1, -1):
+        c = f[i]
+        if c == 0:
+            continue
+        if i == 0:
+            mono = str(abs(c))
+        else:
+            head = "" if abs(c) == 1 else f"{abs(c)}*"
+            mono = f"{head}q" if i == 1 else f"{head}q^{i}"
+        if not parts:
+            parts.append(mono if c > 0 else f"-{mono}")
+        else:
+            parts.append(f"+ {mono}" if c > 0 else f"- {mono}")
+    return " ".join(parts)
+
+
+def _reference_num_den(x):
+    num = qf.p_scale(qf.p_mul(qf._mono(max(x.a, 0), max(x.b, 0), max(x.c, 0),
+                                       max(x.d, 0)), x.u), x.p)
+    den = qf.p_scale(qf.p_mul(qf._mono(max(-x.a, 0), max(-x.b, 0),
+                                       max(-x.c, 0), max(-x.d, 0)), x.v), x.r)
+    return num, den
+
+
+def _reference_scalar_text(x):
+    num, den = _reference_num_den(x)
+    if den == qf.P_ONE:
+        return f"({_reference_poly_text(num)})"
+    if den[-1] == 1 and not any(den[:-1]):
+        return f"({_reference_poly_text(num)})*q^-{len(den) - 1}"
+    return f"({_reference_poly_text(num)})/({_reference_poly_text(den)})"
+
+
+@given(x=_values, k=st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5)))
+def test_scalar_text_matches_reference_and_parses_back(x, k):
+    from qonsager import cli
+    from qonsager.words import NCPoly
+
+    for y in (x, x * qf.of(k)):
+        assert (y.numerator(), y.denominator()) == _reference_num_den(y)
+        text = qf.scalar_text(y)
+        assert text == _reference_scalar_text(y)
+        assert cli.parse_to_poly(text) == NCPoly.scalar(y)
