@@ -105,18 +105,22 @@ def subst_ST(family: Family, which: str, weight: str, order: int) -> TruncSeries
     return TruncSeries(("t",), (order,), (0,), coeffs)
 
 
+def _st_bundle(m: int):
+    """The series that Z(t) and its matrix factorization are built from,
+    to order m: S*W-(S), S*W+(S), T*W-(T), T*W+(T), G(S), Gt(S), G(T),
+    Gt(T)."""
+    return ([subst_ST(fam, which, "times_ST_arg", m)
+             for which in ("S", "T") for fam in (Family.Wminus, Family.Wplus)]
+            + [subst_ST(fam, which, "plain", m)
+               for which in ("S", "T") for fam in (Family.G, Family.Gtilde)])
+
+
 # -- Z(t) and the elements Z_n ------------------------------------------------
 
 
 def z_series(order: int, reduce: bool = True) -> TruncSeries:
     """The central generating function, coefficients in PBW normal form."""
-    m = order + 3
-    swm = subst_ST(Family.Wminus, "S", "times_ST_arg", m)
-    swp = subst_ST(Family.Wplus, "S", "times_ST_arg", m)
-    twm = subst_ST(Family.Wminus, "T", "times_ST_arg", m)
-    twp = subst_ST(Family.Wplus, "T", "times_ST_arg", m)
-    gs = subst_ST(Family.G, "S", "plain", m)
-    gtt = subst_ST(Family.Gtilde, "T", "plain", m)
+    swm, swp, twm, twp, gs, _, _, gtt = _st_bundle(order + 3)
     q = qfield.q_pow
     inv = ((q(2) - q(-2)) ** 2).inverse()
     z = ((swm * twp).shift("t", -1)
@@ -390,17 +394,9 @@ def check_recovery(N: int, table: Dict[Generator, NCPoly]) -> Report:
 
 
 def _matrix_pair(order: int):
-    m = order + 4
+    swm, swp, twm, twp, gs, gts, g_T, gt_T = _st_bundle(order + 4)
     q = qfield.q_pow
     inv = (q(2) - q(-2)).inverse()
-    swm = subst_ST(Family.Wminus, "S", "times_ST_arg", m)
-    swp = subst_ST(Family.Wplus, "S", "times_ST_arg", m)
-    twm = subst_ST(Family.Wminus, "T", "times_ST_arg", m)
-    twp = subst_ST(Family.Wplus, "T", "times_ST_arg", m)
-    gs = subst_ST(Family.G, "S", "plain", m)
-    gts = subst_ST(Family.Gtilde, "S", "plain", m)
-    g_T = subst_ST(Family.G, "T", "plain", m)
-    gt_T = subst_ST(Family.Gtilde, "T", "plain", m)
     left = [
         [swp.shift("t", 1) * q(-1) - swm * qfield.Q, gs * inv],
         [gts * inv, swp.shift("t", -1) * qfield.Q - swm * q(-1)],

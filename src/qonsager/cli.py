@@ -74,8 +74,7 @@ class _Parser:
 
     def take(self, expected: Optional[str] = None) -> str:
         if self.i >= len(self.tokens):
-            raise ParseError(f"unexpected end of input, expected {expected}",
-                             len(self.text))
+            raise ParseError("unexpected end of input", len(self.text))
         tok, pos = self.tokens[self.i]
         if expected is not None and tok != expected:
             raise ParseError(f"expected {expected!r}, got {tok!r}", pos)
@@ -173,7 +172,9 @@ class _Parser:
             self.take("]")
             self.take("q")
             return NCPoly.scalar(qfield.q_int(n))
-        if tok is not None and tok.isdigit():
+        if tok is None:
+            raise ParseError("unexpected end of input", self.pos())
+        if tok.isdigit():
             self.take()
             return NCPoly.scalar(qfield.of(int(tok)))
         raise ParseError(f"unexpected token {tok!r}", self.pos())
@@ -447,12 +448,14 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
+    except (KeyError, IndexError, RuntimeError, series.DivisibilityError) as exc:
+        # RuntimeError includes RewriteInternalError and FloorUnderflowError;
+        # DivisibilityError is a ValueError that no user input reaches
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (KeyError, IndexError, rewrite.RewriteInternalError) as exc:
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

@@ -7,6 +7,14 @@ intersection of the known windows; a product of series known to orders
 o1, o2 with floors f1, f2 is exact up to min(o1 + f2, o2 + f1).  All
 window bookkeeping is automatic, so identities checked coefficientwise
 are exact wherever a coefficient is reported at all.
+
+Eight of the named combinations A..S are not written out: B, F, G, I,
+M, N, Q and S are the images of A, E, D, H, L, K, P and R under the
+automorphism sigma, which swaps W- with W+ and G with Gt, and are
+generated from them.  The weighted sums of rules vi and vii are not
+written out either: they are the images of those of rules iv and v under
+the antiautomorphism dagger, which reverses words and swaps G with Gt,
+and are generated from them.
 """
 
 from __future__ import annotations
@@ -16,7 +24,8 @@ from typing import Dict, List, Tuple
 
 from . import qfield, rewrite
 from .qfield import QRat
-from .words import Family, NCPoly, g_, gt_, wm, wp
+from .words import (Family, NCPoly, dagger, g_, gt_, sigma,
+                    symbol_from_subscript, wm, wp)
 
 INF = 10 ** 9
 _VAR_RANK = {"r": 0, "s": 1, "t": 2, "x": 3}
@@ -313,11 +322,15 @@ def _divide_by_scalar_series(a: TruncSeries, d: TruncSeries) -> TruncSeries:
     if not exps:
         raise ZeroDivisionError("division by the zero series")
     val = exps[0][0]
-    length = d.order[0] - val
-    if length > 10 ** 6:
-        ia = a.vars.index(var) if var in a.vars else None
-        span = 4 if ia is None or a.order[ia] > 10 ** 6 else a.order[ia] - a.floor[ia]
-        length = max(span, 0) + 4
+    # the inverse is needed to the divisor's order, or, for a divisor known
+    # exactly, to the dividend's span; windows near INF are unbounded
+    ia = a.vars.index(var) if var in a.vars else None
+    if d.order[0] < INF // 2:
+        length = d.order[0] - val
+    elif ia is not None and a.order[ia] < INF // 2:
+        length = max(a.order[ia] - a.floor[ia], 0)
+    else:
+        raise ValueError(f"dividend and divisor are both unbounded in {var}")
     unit = [d.coeffs.get((n + val,), NCPoly.zero()).scalar_part()
             for n in range(length + 1)]
     for e in exps:
@@ -340,33 +353,33 @@ def _divide_by_scalar_series(a: TruncSeries, d: TruncSeries) -> TruncSeries:
 # -- the named two-variable combinations --------------------------------------
 
 
-def appendixA_series(name: str, s: str = "s", t: str = "t",
-                     order: int = 4) -> TruncSeries:
+def _gf_env(order: int):
+    return {
+        "Wm_s": gf(Family.Wminus, "s", order),
+        "Wm_t": gf(Family.Wminus, "t", order),
+        "Wp_s": gf(Family.Wplus, "s", order),
+        "Wp_t": gf(Family.Wplus, "t", order),
+        "G_s": gf(Family.G, "s", order),
+        "G_t": gf(Family.G, "t", order),
+        "Gt_s": gf(Family.Gtilde, "s", order),
+        "Gt_t": gf(Family.Gtilde, "t", order),
+    }
+
+
+def appendixA_series(name: str, order: int = 4) -> TruncSeries:
     """One of the named A..S combinations of generating functions.
 
     Built in the free algebra; no quotient relations are applied.
     """
-    builders = _APPENDIX_A_BUILDERS
-    if name not in builders:
+    if name in _SIGMA_SOURCE:
+        return appendixA_series(_SIGMA_SOURCE[name], order).map_coeffs(sigma)
+    if name not in _APPENDIX_A_BUILDERS:
         raise ValueError(f"unknown series name {name!r}")
-    Wm_s, Wm_t = gf(Family.Wminus, s, order), gf(Family.Wminus, t, order)
-    Wp_s, Wp_t = gf(Family.Wplus, s, order), gf(Family.Wplus, t, order)
-    G_s, G_t = gf(Family.G, s, order), gf(Family.G, t, order)
-    Gt_s, Gt_t = gf(Family.Gtilde, s, order), gf(Family.Gtilde, t, order)
-    env = {
-        "Wm_s": Wm_s, "Wm_t": Wm_t, "Wp_s": Wp_s, "Wp_t": Wp_t,
-        "G_s": G_s, "G_t": G_t, "Gt_s": Gt_s, "Gt_t": Gt_t,
-        "s": s, "t": t,
-    }
-    return builders[name](env)
+    return _APPENDIX_A_BUILDERS[name](_gf_env(order))
 
 
 def _aA(env):
     return bracket(env["Wm_s"], env["Wm_t"])
-
-
-def _aB(env):
-    return bracket(env["Wp_s"], env["Wp_t"])
 
 
 def _aC(env):
@@ -374,31 +387,17 @@ def _aC(env):
 
 
 def _aD(env):
-    return (bracket(env["Wm_s"], env["G_t"]).shift(env["s"], 1)
-            + bracket(env["G_s"], env["Wm_t"]).shift(env["t"], 1))
+    return (bracket(env["Wm_s"], env["G_t"]).shift("s", 1)
+            + bracket(env["G_s"], env["Wm_t"]).shift("t", 1))
 
 
 def _aE(env):
-    return (bracket(env["Wm_s"], env["Gt_t"]).shift(env["s"], 1)
-            + bracket(env["Gt_s"], env["Wm_t"]).shift(env["t"], 1))
-
-
-def _aF(env):
-    return (bracket(env["Wp_s"], env["G_t"]).shift(env["s"], 1)
-            + bracket(env["G_s"], env["Wp_t"]).shift(env["t"], 1))
-
-
-def _aG(env):
-    return (bracket(env["Wp_s"], env["Gt_t"]).shift(env["s"], 1)
-            + bracket(env["Gt_s"], env["Wp_t"]).shift(env["t"], 1))
+    return (bracket(env["Wm_s"], env["Gt_t"]).shift("s", 1)
+            + bracket(env["Gt_s"], env["Wm_t"]).shift("t", 1))
 
 
 def _aH(env):
     return bracket(env["G_s"], env["G_t"])
-
-
-def _aI(env):
-    return bracket(env["Gt_s"], env["Gt_t"])
 
 
 def _aJ(env):
@@ -407,83 +406,48 @@ def _aJ(env):
 
 def _aK(env):
     return (q_bracket(env["Wm_s"], env["G_t"]) - q_bracket(env["Wm_t"], env["G_s"])
-            - q_bracket(env["Wp_s"], env["G_t"]).shift(env["s"], 1)
-            + q_bracket(env["Wp_t"], env["G_s"]).shift(env["t"], 1))
+            - q_bracket(env["Wp_s"], env["G_t"]).shift("s", 1)
+            + q_bracket(env["Wp_t"], env["G_s"]).shift("t", 1))
 
 
 def _aL(env):
     return (q_bracket(env["G_s"], env["Wp_t"]) - q_bracket(env["G_t"], env["Wp_s"])
-            - q_bracket(env["G_s"], env["Wm_t"]).shift(env["t"], 1)
-            + q_bracket(env["G_t"], env["Wm_s"]).shift(env["s"], 1))
-
-
-def _aM(env):
-    return (q_bracket(env["Gt_s"], env["Wm_t"]) - q_bracket(env["Gt_t"], env["Wm_s"])
-            - q_bracket(env["Gt_s"], env["Wp_t"]).shift(env["t"], 1)
-            + q_bracket(env["Gt_t"], env["Wp_s"]).shift(env["s"], 1))
-
-
-def _aN(env):
-    return (q_bracket(env["Wp_s"], env["Gt_t"]) - q_bracket(env["Wp_t"], env["Gt_s"])
-            - q_bracket(env["Wm_s"], env["Gt_t"]).shift(env["s"], 1)
-            + q_bracket(env["Wm_t"], env["Gt_s"]).shift(env["t"], 1))
+            - q_bracket(env["G_s"], env["Wm_t"]).shift("t", 1)
+            + q_bracket(env["G_t"], env["Wm_s"]).shift("s", 1))
 
 
 def _aP(env):
-    s, t = env["s"], env["t"]
     rho_b = (qfield.rho_const() * qfield.q_int(2)).inverse()
-    head = (bracket(env["G_s"], env["Gt_t"]).shift(t, -1)
-            - bracket(env["G_t"], env["Gt_s"]).shift(s, -1)) * rho_b
+    head = (bracket(env["G_s"], env["Gt_t"]).shift("t", -1)
+            - bracket(env["G_t"], env["Gt_s"]).shift("s", -1)) * rho_b
     return (head
             - q_bracket(env["Wm_t"], env["Wp_s"])
             + q_bracket(env["Wm_s"], env["Wp_t"])
-            - q_bracket(env["Wp_t"], env["Wm_s"]).shift(s, 1).shift(t, 1)
-            + q_bracket(env["Wp_s"], env["Wm_t"]).shift(s, 1).shift(t, 1)
-            - q_bracket(env["Wm_s"], env["Wm_t"]).shift(t, 1)
-            + q_bracket(env["Wm_t"], env["Wm_s"]).shift(s, 1)
-            - q_bracket(env["Wp_s"], env["Wp_t"]).shift(s, 1)
-            + q_bracket(env["Wp_t"], env["Wp_s"]).shift(t, 1))
-
-
-def _aQ(env):
-    s, t = env["s"], env["t"]
-    rho_b = (qfield.rho_const() * qfield.q_int(2)).inverse()
-    head = (bracket(env["Gt_s"], env["G_t"]).shift(t, -1)
-            - bracket(env["Gt_t"], env["G_s"]).shift(s, -1)) * rho_b
-    return (head
-            - q_bracket(env["Wp_t"], env["Wm_s"])
-            + q_bracket(env["Wp_s"], env["Wm_t"])
-            - q_bracket(env["Wm_t"], env["Wp_s"]).shift(s, 1).shift(t, 1)
-            + q_bracket(env["Wm_s"], env["Wp_t"]).shift(s, 1).shift(t, 1)
-            - q_bracket(env["Wp_s"], env["Wp_t"]).shift(t, 1)
-            + q_bracket(env["Wp_t"], env["Wp_s"]).shift(s, 1)
-            - q_bracket(env["Wm_s"], env["Wm_t"]).shift(s, 1)
-            + q_bracket(env["Wm_t"], env["Wm_s"]).shift(t, 1))
+            - q_bracket(env["Wp_t"], env["Wm_s"]).shift("s", 1).shift("t", 1)
+            + q_bracket(env["Wp_s"], env["Wm_t"]).shift("s", 1).shift("t", 1)
+            - q_bracket(env["Wm_s"], env["Wm_t"]).shift("t", 1)
+            + q_bracket(env["Wm_t"], env["Wm_s"]).shift("s", 1)
+            - q_bracket(env["Wp_s"], env["Wp_t"]).shift("s", 1)
+            + q_bracket(env["Wp_t"], env["Wp_s"]).shift("t", 1))
 
 
 def _aR(env):
-    s, t = env["s"], env["t"]
     c = qfield.q_int(2) * qfield.rho_const()
     return (q_bracket(env["G_s"], env["Gt_t"]) - q_bracket(env["G_t"], env["Gt_s"])
-            - c * bracket(env["Wm_t"], env["Wp_s"]).shift(t, 1)
-            + c * bracket(env["Wm_s"], env["Wp_t"]).shift(s, 1))
-
-
-def _aS(env):
-    s, t = env["s"], env["t"]
-    c = qfield.q_int(2) * qfield.rho_const()
-    return (q_bracket(env["Gt_s"], env["G_t"]) - q_bracket(env["Gt_t"], env["G_s"])
-            - c * bracket(env["Wp_t"], env["Wm_s"]).shift(t, 1)
-            + c * bracket(env["Wp_s"], env["Wm_t"]).shift(s, 1))
+            - c * bracket(env["Wm_t"], env["Wp_s"]).shift("t", 1)
+            + c * bracket(env["Wm_s"], env["Wp_t"]).shift("s", 1))
 
 
 _APPENDIX_A_BUILDERS = {
-    "A": _aA, "B": _aB, "C": _aC, "D": _aD, "E": _aE, "F": _aF, "G": _aG,
-    "H": _aH, "I": _aI, "J": _aJ, "K": _aK, "L": _aL, "M": _aM, "N": _aN,
-    "P": _aP, "Q": _aQ, "R": _aR, "S": _aS,
+    "A": _aA, "C": _aC, "D": _aD, "E": _aE, "H": _aH, "J": _aJ, "K": _aK,
+    "L": _aL, "P": _aP, "R": _aR,
 }
 
-APPENDIX_A_NAMES = tuple(_APPENDIX_A_BUILDERS)
+# The sigma image and its source: B = sigma(A), F = sigma(E), and so on.
+_SIGMA_SOURCE = {"B": "A", "F": "E", "G": "D", "I": "H", "M": "L", "N": "K",
+                 "Q": "P", "S": "R"}
+
+APPENDIX_A_NAMES = tuple(sorted((*_APPENDIX_A_BUILDERS, *_SIGMA_SOURCE)))
 
 
 # -- verification suites ------------------------------------------------------
@@ -564,26 +528,20 @@ def check_gf_relations(order: int) -> Report:
     return report
 
 
-def _gf_env(order: int):
-    return {
-        "Wm_s": gf(Family.Wminus, "s", order),
-        "Wm_t": gf(Family.Wminus, "t", order),
-        "Wp_s": gf(Family.Wplus, "s", order),
-        "Wp_t": gf(Family.Wplus, "t", order),
-        "G_s": gf(Family.G, "s", order),
-        "G_t": gf(Family.G, "t", order),
-        "Gt_s": gf(Family.Gtilde, "s", order),
-        "Gt_t": gf(Family.Gtilde, "t", order),
-    }
-
-
 def _smt(ts: TruncSeries) -> TruncSeries:
     """(s - t) times ts."""
     return ts.shift("s", 1) - ts.shift("t", 1)
 
 
+# Rules vi and vii and the rules iv and v whose dagger images they are.
+_DAGGER_SOURCE = {"vi": "iv", "vii": "v"}
+
+
 def _ws_parts(rule: str, env):
     """The weighted sum of a reduction rule as (plain, numerator-over-(s-t))."""
+    if rule in _DAGGER_SOURCE:
+        plain, num = _ws_parts(_DAGGER_SOURCE[rule], env)
+        return plain, num.map_coeffs(dagger)
     q = qfield.q_pow
     qm = qfield.Q - q(-1)
     Q2 = q(2) - q(-2)
@@ -600,36 +558,20 @@ def _ws_parts(rule: str, env):
         x = env["Wm_s"] * env["Wp_t"] - env["Wm_t"] * env["Wp_s"]
         num = (x.shift("s", 2).shift("t", 2) - x.shift("s", 1).shift("t", 1)) * c
         return plain, num
-    if rule in ("iv", "vi"):
+    t1 = env["G_t"] * env["Wm_s"]
+    t2 = env["G_s"] * env["Wm_t"]
+    t3 = env["G_t"] * env["Wp_s"]
+    t4 = env["G_s"] * env["Wp_t"]
+    if rule == "iv":
         # coefficient names a', A', A, a on the four ordered products
         c1, c2, c3 = qfield.Q * qm, -(qfield.Q * qm), -(qfield.Q * qm)
-        if rule == "iv":
-            t1 = env["G_t"] * env["Wm_s"]
-            t2 = env["G_s"] * env["Wm_t"]
-            t3 = env["G_t"] * env["Wp_s"]
-            t4 = env["G_s"] * env["Wp_t"]
-        else:
-            t1 = env["Wm_s"] * env["Gt_t"]
-            t2 = env["Wm_t"] * env["Gt_s"]
-            t3 = env["Wp_s"] * env["Gt_t"]
-            t4 = env["Wp_t"] * env["Gt_s"]
         num = (t1.shift("s", 2) * c1
                + t2.shift("s", 1).shift("t", 1) * c2
                + t3.shift("s", 1) * c3
                + t4.shift("s", 1) * (q(2)) - t4.shift("t", 1))
         return zero(("s", "t")), num
-    if rule in ("v", "vii"):
+    if rule == "v":
         c1 = q(-1) * qm
-        if rule == "v":
-            t1 = env["G_t"] * env["Wm_s"]
-            t2 = env["G_s"] * env["Wm_t"]
-            t3 = env["G_t"] * env["Wp_s"]
-            t4 = env["G_s"] * env["Wp_t"]
-        else:
-            t1 = env["Wm_s"] * env["Gt_t"]
-            t2 = env["Wm_t"] * env["Gt_s"]
-            t3 = env["Wp_s"] * env["Gt_t"]
-            t4 = env["Wp_t"] * env["Gt_s"]
         num = (t1.shift("s", 1) * c1
                + t2.shift("s", 1) * q(-2) - t2.shift("t", 1)
                - t3.shift("s", 2) * c1
@@ -652,7 +594,6 @@ def _rule_lhs(rule: str, env) -> TruncSeries:
 def check_prop41_decompositions(order: int) -> Report:
     """The six weighted-sum proof identities, in the free algebra, plus the
     coefficient-extraction consistency of the GF rules with the index rules."""
-    from . import rewrite as rw
     report = Report("prop41")
     env = _gf_env(order)
     rho = qfield.rho_const()
@@ -697,49 +638,32 @@ def check_prop41_decompositions(order: int) -> Report:
     for rule in ("ii", "iii", "iv", "v", "vi", "vii"):
         plain, num = _ws_parts(rule, big)
         ws = plain + exact_divide(num, "s-t")
-        ok = True
-        detail = ""
-        for es in range(bound + 2 if rule in ("iii", "iv", "v", "vi", "vii") else bound + 1):
-            for et in range(bound + 1):
-                got = ws.coeff(s=es, t=et)
-                expected = _expected_pair_poly(rule, es, et, rw)
-                if expected is None:
-                    continue
-                if got != expected:
-                    ok = False
-                    detail = f"mismatch at s^{es} t^{et}"
-                    break
-            if not ok:
-                break
-        report.add(f"extraction-{rule}", ok, detail)
+        pairs = ((es, et) for es in range(bound + (1 if rule == "ii" else 2))
+                 for et in range(bound + 1))
+        bad = next(((es, et) for es, et in pairs if ws.coeff(s=es, t=et)
+                    != _expected_pair_poly(rule, es, et)), None)
+        report.add(f"extraction-{rule}", bad is None,
+                   "" if bad is None else f"mismatch at s^{bad[0]} t^{bad[1]}")
     return report
 
 
-def _expected_pair_poly(rule: str, es: int, et: int, rw):
+def _expected_pair_poly(rule: str, es: int, et: int):
     """What the coefficient of s^es t^et of a weighted sum must equal."""
-    from .words import symbol_from_subscript
     if rule == "ii":
-        a, b = wp(es + 1), wm(et)
-        return rw.apply_rule(a, b)
+        return rewrite.apply_rule(wp(es + 1), wm(et))
     if rule == "iii":
         if es >= 1 and et >= 1:
-            return rw.apply_rule(gt_(es), g_(et))
+            return rewrite.apply_rule(gt_(es), g_(et))
         return (NCPoly.symbol(symbol_from_subscript("Gt", es))
                 * NCPoly.symbol(symbol_from_subscript("G", et)))
     if rule == "iv":
         if es >= 1:
-            return rw.apply_rule(wp(et + 1), g_(es))
+            return rewrite.apply_rule(wp(et + 1), g_(es))
         return NCPoly.gen(wp(et + 1)) * qfield.g0_const()
     if rule == "v":
         if es >= 1:
-            return rw.apply_rule(wm(et), g_(es))
+            return rewrite.apply_rule(wm(et), g_(es))
         return NCPoly.gen(wm(et)) * qfield.g0_const()
-    if rule == "vi":
-        if es >= 1:
-            return rw.apply_rule(gt_(es), wp(et + 1))
-        return NCPoly.gen(wp(et + 1)) * qfield.g0_const()
-    if rule == "vii":
-        if es >= 1:
-            return rw.apply_rule(gt_(es), wm(et))
-        return NCPoly.gen(wm(et)) * qfield.g0_const()
+    if rule in _DAGGER_SOURCE:
+        return dagger(_expected_pair_poly(_DAGGER_SOURCE[rule], es, et))
     raise ValueError(rule)

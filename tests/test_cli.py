@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from qonsager import cli
 from qonsager import qfield as qf
-from qonsager import rewrite
+from qonsager import rewrite, series
 from qonsager.words import NCPoly, g_, gt_, render_poly, wm, wp
 
 
@@ -274,7 +274,13 @@ def test_subscript_limit(capsys):
     (KeyError("recursion touched G[1] before recovery"), 3, "internal error:"),
     (IndexError("list index out of range"), 3, "internal error:"),
     (ValueError("bad value"), 2, "error:"),
-], ids=["RewriteInternalError", "KeyError", "IndexError", "ValueError"])
+    (series.FloorUnderflowError("product exponent (-3,) underflows"), 3,
+     "internal error:"),
+    (RuntimeError("insufficient margin building the central series"), 3,
+     "internal error:"),
+    (series.DivisibilityError("not divisible by (s - t)"), 3, "internal error:"),
+], ids=["RewriteInternalError", "KeyError", "IndexError", "ValueError",
+        "FloorUnderflowError", "RuntimeError", "DivisibilityError"])
 def test_internal_errors_have_their_own_exit_code(capsys, monkeypatch, error,
                                                   code, prefix):
     def failing(poly):
@@ -286,6 +292,19 @@ def test_internal_errors_have_their_own_exit_code(capsys, monkeypatch, error,
     assert rc == code
     assert captured.out == ""
     assert captured.err.startswith(prefix)
+
+
+@pytest.mark.parametrize("text,column", [
+    ("", 1), ("W[1] +", 7), ("(", 2), ("W[", 3), ("q^", 3), ("[2]", 4),
+], ids=["empty", "dangling-plus", "open-paren", "open-subscript", "caret",
+        "quantum-integer"])
+def test_end_of_input_parse_error(capsys, text, column):
+    rc = cli.main(["normalize", text])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == (f"parse error: unexpected end of input "
+                            f"(at column {column})\n")
 
 
 _COEFFS = [qf.QONE, -qf.QONE, qf.q_pow(-2), qf.of(Fraction(-3, 4)),

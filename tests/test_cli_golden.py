@@ -45,6 +45,14 @@ GOLDEN = [
      "98aa736038bb832300e611968f60be4753caca31e97cf2b4a8e7cb48ad3935a3"),
     (['recover', '--n', '2'], 0,
      "68162575c9cb508d296949507dea7b6af050e948aafcc2ad1f6a5932b6d86b2a"),
+    (['series', 'B', '--order', '2'], 0,
+     "9085e3deb813ead15b2a055438459b8104712e26db3cb5c77d55ab7a6ce5893b"),
+    (['series', 'Q', '--order', '2'], 0,
+     "ba0568cb16d53ee7e1d7c98ab79a4ed230a716120c6693d7644f87c22b6ce97e"),
+    (['series', 'S', '--order', '2'], 0,
+     "cedafd6ed1343e8c9be571c782fe466484566a436f418b289d31c28c2ec0f9ea"),
+    (['check', 'prop41', '--order', '3'], 0,
+     "081a5a7a2fb5441f8a95a38b676e5990a510287f83ae0fb7278b451bd9f73a10"),
 ]
 
 
