@@ -12,6 +12,7 @@ recovers all alternating generators from the two degree-one ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from math import comb
 from typing import Callable, Dict, List
 
@@ -23,15 +24,8 @@ from .words import (Family, Generator, NCPoly, commutator, dagger, g_, gt_,
 
 
 def down_transform(a: Callable[[int], NCPoly], n: int) -> NCPoly:
-    """The alternating binomial resummation with binomials C(n-1-l, l)."""
-    if n == 0:
-        return a(0)
-    inv2sq = qfield.q_int(2) ** -2
-    out = NCPoly.zero()
-    for l in range((n - 1) // 2 + 1):
-        c = qfield.of((-1) ** l * comb(n - 1 - l, l)) * inv2sq ** l
-        out = out + a(n - 2 * l) * c
-    return out
+    """The resummation with binomials C(n-1-l, l): ddown of the shifted a."""
+    return ddown_transform(lambda k: a(k + 1), n - 1) if n else a(0)
 
 
 def ddown_transform(a: Callable[[int], NCPoly], n: int) -> NCPoly:
@@ -44,15 +38,19 @@ def ddown_transform(a: Callable[[int], NCPoly], n: int) -> NCPoly:
     return out
 
 
-def _seq(family: Family) -> Callable[[int], NCPoly]:
-    return lambda n: series.family_element(family, n)
+def _seq(family: Family, elem=series.family_element) -> Callable[[int], NCPoly]:
+    return lambda n: elem(family, n)
+
+
+def _w_dd(m: int, elem=series.family_element) -> NCPoly:
+    if m <= 0:
+        return ddown_transform(_seq(Family.Wminus, elem), -m)
+    return ddown_transform(_seq(Family.Wplus, elem), m - 1)
 
 
 def w_ddown(m: int) -> NCPoly:
     """The double-down W element with signed subscript m."""
-    if m <= 0:
-        return ddown_transform(_seq(Family.Wminus), -m)
-    return ddown_transform(_seq(Family.Wplus), m - 1)
+    return _w_dd(m)
 
 
 def g_down(n: int) -> NCPoly:
@@ -128,11 +126,16 @@ def z_series(order: int, reduce: bool = True) -> TruncSeries:
          - q(2) * (swm * twm)
          - q(-2) * (swp * twp)
          + inv * (gs * gtt))
-    if z.order[0] < order:
-        raise RuntimeError("insufficient margin building the central series")
-    z = TruncSeries(("t",), (order,), (0,),
-                    {e: p for e, p in z.coeffs.items() if e[0] <= order})
+    z = _window(z, order, "central series")
     return z.normal_form() if reduce else z
+
+
+def _window(z: TruncSeries, order: int, what: str) -> TruncSeries:
+    """z cut to the exponents 0..order, which it must know in full."""
+    if z.order[0] < order:
+        raise RuntimeError(f"insufficient margin building the {what}")
+    return TruncSeries(("t",), (order,), (0,),
+                       {e: p for e, p in z.coeffs.items() if e[0] <= order})
 
 
 def z_series_alt(form: int, order: int) -> TruncSeries:
@@ -149,36 +152,22 @@ def z_series_alt(form: int, order: int) -> TruncSeries:
 
 
 def z_series_pbw_form(order: int) -> TruncSeries:
-    """The assembly whose last term carries the divided G-difference."""
-    m = 2 * order + 8
-    g_S = subst_ST(Family.G, "S", "plain", m)
-    gt_S = subst_ST(Family.Gtilde, "S", "plain", m)
-    g_T = subst_ST(Family.G, "T", "plain", m)
-    gt_T = subst_ST(Family.Gtilde, "T", "plain", m)
-    st = st_series("S", m) * st_series("T", m)
+    """The assembly whose last term carries the divided G-difference:
+    ST [t^-1 W-(S)W+(T) + t W-(T)W+(S) - q^2 W-(S)W-(T) - q^-2 W+(S)W+(T)
+    + (t G(T)Gt(S) - t^-1 G(S)Gt(T)) / ((S - T)(q^2 - q^-2)[2]^2)]."""
+    m = order + 3
+    swm, swp, twm, twp, gs, gts, g_T, gt_T = _st_bundle(m)
+    S, T = st_series("S", m), st_series("T", m)
     q = qfield.q_pow
-    Q2 = q(2) - q(-2)
-    ec = (Q2 * qfield.q_int(2) ** 2).inverse()
-    u = (g_T * gt_S).shift("t", 1) - (g_S * gt_T).shift("t", -1)
-    smt = st_series("S", m) - st_series("T", m)
-    gpart = series.exact_divide(u, smt) * ec
-    # assemble: ST * [ t^-1 W-(S)W+(T) + t W-(T)W+(S) - q^2 W-(S)W-(T)
-    #                  - q^-2 W+(S)W+(T) + gpart ]
-    wm_s = subst_ST(Family.Wminus, "S", "plain", m)
-    wp_s = subst_ST(Family.Wplus, "S", "plain", m)
-    wm_t = subst_ST(Family.Wminus, "T", "plain", m)
-    wp_t = subst_ST(Family.Wplus, "T", "plain", m)
-    inner = ((wm_s * wp_t).shift("t", -1)
-             + (wm_t * wp_s).shift("t", 1)
-             - q(2) * (wm_s * wm_t)
-             - q(-2) * (wp_s * wp_t)
-             + gpart)
-    z = st * inner
-    if z.order[0] < order:
-        raise RuntimeError("insufficient margin building the PBW-form series")
-    z = TruncSeries(("t",), (order,), (0,),
-                    {e: p for e, p in z.coeffs.items() if 0 <= e[0] <= order})
-    return z.normal_form()
+    ec = ((q(2) - q(-2)) * qfield.q_int(2) ** 2).inverse()
+    u = (g_T * gts).shift("t", 1) - (gs * gt_T).shift("t", -1)
+    gpart = series.exact_divide(u, S - T) * ec
+    z = ((swm * twp).shift("t", -1)
+         + (twm * swp).shift("t", 1)
+         - q(2) * (swm * twm)
+         - q(-2) * (swp * twp)
+         + (S * T) * gpart)
+    return _window(z, order, "PBW-form series").normal_form()
 
 
 @dataclass(frozen=True)
@@ -188,23 +177,33 @@ class CentralElement:
     route: str
 
 
-def z_n_direct_poly(n: int) -> NCPoly:
-    """The closed five-sum formula, reduced to normal form."""
+def _five_sum(n: int, elem, g_range) -> NCPoly:
+    """The four W sums and the G sum over g_range of the closed Z_n
+    formula, unreduced; elem(family, k) supplies the letter polynomials."""
     q = qfield.q_pow
     q2 = qfield.q_int(2)
     inv = ((q(2) - q(-2)) ** 2).inverse()
+    w = partial(_w_dd, elem=elem)
     out = NCPoly.zero()
     for k in range(n):
-        out = out + (w_ddown(-k) * w_ddown(n - k)) * (q2 * q(n - 1 - 2 * k))
+        out = out + (w(-k) * w(n - k)) * (q2 * q(n - 1 - 2 * k))
     for k in range(n - 2):
-        out = out + (w_ddown(n - 2 - k) * w_ddown(-k)) * (q2.inverse() * q(2 * k - n + 3))
+        out = out + (w(n - 2 - k) * w(-k)) * (q2.inverse() * q(2 * k - n + 3))
     for k in range(n - 1):
-        out = out - (w_ddown(-k) * w_ddown(k - n + 2)) * q(n - 2 * k)
+        out = out - (w(-k) * w(k - n + 2)) * q(n - 2 * k)
     for k in range(n - 1):
-        out = out - (w_ddown(k + 1) * w_ddown(n - k - 1)) * q(n - 2 * k - 4)
-    for k in range(n + 1):
-        out = out + (g_down(k) * gt_down(n - k)) * (inv * q(n - 2 * k))
-    return rewrite.normal_form(out)
+        out = out - (w(k + 1) * w(n - k - 1)) * q(n - 2 * k - 4)
+    g, gt = _seq(Family.G, elem), _seq(Family.Gtilde, elem)
+    for k in g_range:
+        pair = down_transform(g, k) * down_transform(gt, n - k)
+        out = out + pair * (inv * q(n - 2 * k))
+    return out
+
+
+def z_n_direct_poly(n: int) -> NCPoly:
+    """The closed five-sum formula, reduced to normal form."""
+    return rewrite.normal_form(
+        _five_sum(n, series.family_element, range(n + 1)))
 
 
 def z_n(n: int, route: str = "direct") -> CentralElement:
@@ -248,42 +247,17 @@ def z_bar_expanded_poly(n: int, elem=None) -> NCPoly:
     """The expanded formula for the adjusted element, in lower-index letters.
 
     elem(family, k) supplies the letter polynomials; the default uses the
-    true letters.  The recursion passes recovered polynomials instead.
+    true letters.  The recursion passes recovered polynomials instead, so
+    the G sum stops short of G_n and Gt_n, which it has yet to recover.
     """
     if n < 1:
         raise ValueError("n >= 1 required")
     if elem is None:
         elem = series.family_element
     q = qfield.q_pow
-    q2 = qfield.q_int(2)
     qm = qfield.Q - q(-1)
-    inv = ((q(2) - q(-2)) ** 2).inverse()
-    inv2sq = q2 ** -2
-
-    def wplus_dd(m):
-        # ddown over the plus family with subscript m >= 1
-        return ddown_transform(lambda k: elem(Family.Wplus, k), m - 1)
-
-    def wminus_dd(k):
-        return ddown_transform(lambda j: elem(Family.Wminus, j), k)
-
-    def gdown(k):
-        return down_transform(lambda j: elem(Family.G, j), k)
-
-    def gtdown(k):
-        return down_transform(lambda j: elem(Family.Gtilde, j), k)
-
-    out = NCPoly.zero()
-    for k in range(n):
-        out = out + (wminus_dd(k) * wplus_dd(n - k)) * (q2 * q(n - 1 - 2 * k))
-    for k in range(n - 2):
-        out = out + (wplus_dd(n - 2 - k) * wminus_dd(k)) * (q2.inverse() * q(2 * k - n + 3))
-    for k in range(n - 1):
-        out = out - (wminus_dd(k) * wminus_dd(n - 2 - k)) * q(n - 2 * k)
-    for k in range(n - 1):
-        out = out - (wplus_dd(k + 1) * wplus_dd(n - k - 1)) * q(n - 2 * k - 4)
-    for k in range(1, n):
-        out = out + (gdown(k) * gtdown(n - k)) * (inv * q(n - 2 * k))
+    inv2sq = qfield.q_int(2) ** -2
+    out = _five_sum(n, elem, range(1, n))
     for l in range(1, (n - 1) // 2 + 1):
         c = qfield.of((-1) ** l * comb(n - 1 - l, l)) * inv2sq ** l
         out = out - elem(Family.G, n - 2 * l) * (c * q(-n) * qm.inverse())
@@ -304,14 +278,9 @@ def delta_scale(n: int) -> QRat:
 
 
 def generators_up_to(index_bound: int) -> List[Generator]:
-    """The first index_bound members of each of the four families."""
-    gens: List[Generator] = []
-    for k in range(index_bound):
-        gens.append(wm(k))
-        gens.append(wp(k + 1))
-        gens.append(g_(k + 1))
-        gens.append(gt_(k + 1))
-    return gens
+    """The first index_bound letters of each family, index-major: W-, W+, G, Gt."""
+    return [g for k in range(index_bound)
+            for g in (wm(k), wp(k + 1), g_(k + 1), gt_(k + 1))]
 
 
 def check_central(n: int, index_bound: int = 6) -> Report:

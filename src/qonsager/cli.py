@@ -449,8 +449,8 @@ def main(argv=None) -> int:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     except (KeyError, IndexError, RuntimeError, series.DivisibilityError) as exc:
-        # RuntimeError includes RewriteInternalError and FloorUnderflowError;
-        # DivisibilityError is a ValueError that no user input reaches
+        # RuntimeError includes RewriteInternalError, FloorUnderflowError and
+        # WindowError; DivisibilityError is a ValueError no user input reaches
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

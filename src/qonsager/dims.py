@@ -9,7 +9,7 @@ from __future__ import annotations
 from typing import List
 
 from .series import Report
-from .words import Generator, Word, g_, gt_, wm, wp
+from .words import Family, Generator, Word
 
 IntSeries = List[int]
 
@@ -59,24 +59,9 @@ def hilbert_Oq(order: int) -> IntSeries:
 
 def letters_up_to_degree(d: int) -> List[Generator]:
     """All letters of degree <= d, in the canonical order."""
-    out: List[Generator] = []
-    k = 0
-    while 2 * k + 2 <= d:
-        out.append(g_(k + 1))
-        k += 1
-    k = 0
-    while 2 * k + 1 <= d:
-        out.append(wm(k))
-        k += 1
-    k = 0
-    while 2 * k + 1 <= d:
-        out.append(wp(k + 1))
-        k += 1
-    k = 0
-    while 2 * k + 2 <= d:
-        out.append(gt_(k + 1))
-        k += 1
-    return out
+    # a letter's degree exceeds its index, so k < d covers every family
+    return sorted(g for g in (Generator(f, k) for f in Family for k in range(d))
+                  if g.degree() <= d)
 
 
 def enumerate_irreducible(d: int) -> List[Word]:

@@ -9,6 +9,8 @@ Gt, and are generated from them.
 Rewriting strictly decreases the (length, weight) lexicographic measure,
 which is asserted at every step, so termination is a runtime-checked
 fact rather than a step cap.
+Every left side has two letters, so the ambiguities are the overlaps: the
+C(4(b + 1), 3) strictly decreasing triples of letters with indices <= b.
 
 The rule and normal-form caches are plain process-local dicts keyed by
 immutable values; concurrent workers each build their own.
@@ -17,6 +19,7 @@ immutable values; concurrent workers each build their own.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import List, Tuple
 
 from . import qfield
@@ -306,56 +309,17 @@ def check_overlap(w: Word) -> OverlapReport:
 
 
 def enumerate_overlaps(bound: int) -> List[Word]:
-    """All overlap ambiguities of the four types with indices <= bound.
+    """All overlap ambiguities with letter indices <= bound.
 
-    There are no inclusion ambiguities, so this is the complete list the
+    Every rule has a two-letter left side, so there are no inclusion
+    ambiguities, and the overlaps are exactly the strictly decreasing
+    letter triples: C(4(bound + 1), 3) of them, the complete list the
     diamond lemma requires at the given index bound.
     """
     if bound < 0:
         raise ValueError("bound must be >= 0")
-    rng = range(bound + 1)
-    out: List[Word] = []
-    for i in rng:
-        for j in rng:
-            for k in rng:
-                out.append((wp(i + 1), wm(j), g_(k + 1)))
-                out.append((gt_(i + 1), wm(j), g_(k + 1)))
-                out.append((gt_(i + 1), wp(j + 1), g_(k + 1)))
-                out.append((gt_(i + 1), wp(j + 1), wm(k)))
-    for i in rng:
-        for j in rng:
-            if i <= j:
-                continue
-            for k in rng:
-                out.append((wm(i), wm(j), g_(k + 1)))
-                out.append((wp(i + 1), wp(j + 1), g_(k + 1)))
-                out.append((gt_(i + 1), gt_(j + 1), g_(k + 1)))
-                out.append((wp(i + 1), wp(j + 1), wm(k)))
-                out.append((gt_(i + 1), gt_(j + 1), wm(k)))
-                out.append((gt_(i + 1), gt_(j + 1), wp(k + 1)))
-    for j in rng:
-        for k in rng:
-            if j <= k:
-                continue
-            for i in rng:
-                out.append((wm(i), g_(j + 1), g_(k + 1)))
-                out.append((wp(i + 1), g_(j + 1), g_(k + 1)))
-                out.append((gt_(i + 1), g_(j + 1), g_(k + 1)))
-                out.append((wp(i + 1), wm(j), wm(k)))
-                out.append((gt_(i + 1), wm(j), wm(k)))
-                out.append((gt_(i + 1), wp(j + 1), wp(k + 1)))
-    for i in rng:
-        for j in rng:
-            for k in rng:
-                if not (i > j > k):
-                    continue
-                out.append((g_(i + 1), g_(j + 1), g_(k + 1)))
-                out.append((wm(i), wm(j), wm(k)))
-                out.append((wp(i + 1), wp(j + 1), wp(k + 1)))
-                out.append((gt_(i + 1), gt_(j + 1), gt_(k + 1)))
-    for w in out:
-        assert w[0] > w[1] and w[1] > w[2]
-    return out
+    letters = [Generator(f, k) for f in Family for k in range(bound + 1)]
+    return list(combinations(sorted(letters, reverse=True), 3))
 
 
 def clear_caches():

@@ -40,6 +40,10 @@ class DivisibilityError(ValueError):
     """An exact division left a nonzero remainder."""
 
 
+class WindowError(RuntimeError):
+    """A coefficient lies outside its series' window; internal error."""
+
+
 def _rank(v: str) -> int:
     try:
         return _VAR_RANK[v]
@@ -60,7 +64,7 @@ class TruncSeries:
                 continue
             for x, f, o in zip(e, floor, order):
                 if x < f or x > o:
-                    raise ValueError(f"exponent {e} outside window")
+                    raise WindowError(f"exponent {e} outside window")
             clean[e] = p
         self.vars = tuple(vars)
         self.order = tuple(order)

@@ -68,12 +68,6 @@ class Weight(NamedTuple):
     def add(self, other: "Weight") -> "Weight":
         return Weight(self.a + other.a, self.b + other.b, self.c + other.c)
 
-    def scale(self, n: int) -> "Weight":
-        return Weight(n * self.a, n * self.b, n * self.c)
-
-
-WEIGHT_ZERO = Weight(0, 0, 0)
-
 
 def g_(n: int) -> Generator:
     if n < 1:

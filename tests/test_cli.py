@@ -279,8 +279,10 @@ def test_subscript_limit(capsys):
     (RuntimeError("insufficient margin building the central series"), 3,
      "internal error:"),
     (series.DivisibilityError("not divisible by (s - t)"), 3, "internal error:"),
+    (series.WindowError("exponent (5,) outside window"), 3, "internal error:"),
 ], ids=["RewriteInternalError", "KeyError", "IndexError", "ValueError",
-        "FloorUnderflowError", "RuntimeError", "DivisibilityError"])
+        "FloorUnderflowError", "RuntimeError", "DivisibilityError",
+        "WindowError"])
 def test_internal_errors_have_their_own_exit_code(capsys, monkeypatch, error,
                                                   code, prefix):
     def failing(poly):

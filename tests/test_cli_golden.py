@@ -53,6 +53,12 @@ GOLDEN = [
      "cedafd6ed1343e8c9be571c782fe466484566a436f418b289d31c28c2ec0f9ea"),
     (['check', 'prop41', '--order', '3'], 0,
      "081a5a7a2fb5441f8a95a38b676e5990a510287f83ae0fb7278b451bd9f73a10"),
+    (['check', 'ambiguities', '--bound', '2'], 0,
+     "22541f392c9751db637d0a3bc10e1d959ebb0a2b7c8793379fc4d3a7668fde4b"),
+    (['recover', '--n', '4'], 0,
+     "8dfcfd3373592ed9363adca300c594c5d9030ddc109a30edb059e829463c79b3"),
+    (['dims', '--max-degree', '10'], 0,
+     "b69230217b065d6ed98146be9c3add7aefb9ee4f329f0e6ef985503036205968"),
 ]
 
 

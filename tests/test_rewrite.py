@@ -100,21 +100,32 @@ def test_degree_filtration():
         assert all(W.word_degree(u) <= d for u in nf.words())
 
 
-def test_strategy_independence():
-    letters = [g_(k + 1) for k in range(4)] + [wm(k) for k in range(4)] + \
-              [wp(k + 1) for k in range(4)] + [gt_(k + 1) for k in range(4)]
-    for seed in range(20):
-        rng = random.Random(100 + seed)
-        word = tuple(rng.choice(letters) for _ in range(rng.randint(2, 4)))
-        p = NCPoly.word(word)
-        leftmost = R.normal_form(p)
-        randomized = R.reduce_with_strategy(p, rng)
-        assert leftmost == randomized, word
-
-
 # every letter with a subscript of absolute value at most 2; with
 # subscripts up to 3, a hundred words of length 4 take about 100 s
 _LETTERS = [g_(1), g_(2), gt_(1), gt_(2), wm(0), wm(1), wm(2), wp(1), wp(2)]
+
+
+def _with_seeded_strategy_words(test):
+    """Attach the earlier hand-seeded words, subscripts up to 4."""
+    letters = [g_(k + 1) for k in range(4)] + [wm(k) for k in range(4)] + \
+              [wp(k + 1) for k in range(4)] + [gt_(k + 1) for k in range(4)]
+    for seed in range(100, 120):
+        rng = random.Random(seed)
+        word = tuple(rng.choice(letters) for _ in range(rng.randint(2, 4)))
+        test = example(word=word, seed=seed)(test)
+    return test
+
+
+@given(word=st.lists(st.sampled_from(_LETTERS), max_size=4).map(tuple),
+       seed=st.integers(0, 2 ** 32 - 1))
+@_with_seeded_strategy_words
+@settings(deadline=None)
+def test_strategy_independence(word, seed):
+    p = NCPoly.word(word)
+    leftmost = R.normal_form(p)
+    assert R.reduce_with_strategy(p, random.Random(seed)) == leftmost
+    assert R.normal_form(leftmost) == leftmost
+    assert all(W.is_irreducible(u) for u in leftmost.words())
 
 
 def _with_seeded_examples(test):

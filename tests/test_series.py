@@ -166,6 +166,21 @@ DAGGER_TABLE = {"A": "A", "B": "B", "C": "C", "D": "E", "E": "D", "F": "G",
                 "M": "K", "N": "L", "P": "Q", "Q": "P", "R": "R", "S": "S"}
 
 
+def test_sigma_images_match_builders_on_swapped_families():
+    # sigma swaps W- with W+ and G with Gt, so each sigma image is its
+    # source's builder applied to the swapped generating functions; no
+    # call to sigma is made here
+    swap = {"Wm": "Wp", "Wp": "Wm", "G": "Gt", "Gt": "G"}
+    env = S._gf_env(3)
+    swapped = {key: env[f"{swap[fam]}_{var}"]
+               for key in env for fam, var in [key.split("_")]}
+    for name, src in S._SIGMA_SOURCE.items():
+        got = S.appendixA_series(name, 3)
+        want = S._APPENDIX_A_BUILDERS[src](swapped)
+        assert (got.order, got.floor) == (want.order, want.floor), name
+        assert got.coeffs == want.coeffs, name
+
+
 def test_symmetry_maps_permute_named_series():
     # the automorphism permutes the named combinations; the
     # antiautomorphism permutes and negates them
@@ -222,3 +237,10 @@ def test_floor_underflow_is_detected():
     a = S.TruncSeries(("t",), (3,), (-2,), {(-2,): one})
     with pytest.raises(S.FloorUnderflowError):
         a.shift("t", -1)
+
+
+def test_out_of_window_exponent_is_an_internal_error():
+    one = NCPoly.one()
+    for e in ((4,), (-1,)):
+        with pytest.raises(S.WindowError, match="outside window"):
+            S.TruncSeries(("t",), (3,), (0,), {e: one})
