@@ -190,10 +190,14 @@ def parse_to_poly(text: str) -> NCPoly:
 
 
 def _worker_count() -> int:
+    """ONSAGER_WORKERS (default 1), capped at the CPU count."""
     try:
-        return max(1, int(os.environ.get("ONSAGER_WORKERS", "1")))
+        n = int(os.environ.get("ONSAGER_WORKERS", "1"))
     except ValueError:
-        return 1
+        n = 0
+    if n < 1:
+        raise ValueError("ONSAGER_WORKERS must be a positive integer")
+    return min(n, os.cpu_count() or 1)
 
 
 def _overlap_agrees(w):
@@ -202,9 +206,9 @@ def _overlap_agrees(w):
 
 
 def run_ambiguity_suite(bound: int) -> Report:
+    workers = _worker_count()
     report = Report("ambiguities")
     overlaps = rewrite.enumerate_overlaps(bound)
-    workers = _worker_count()
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:

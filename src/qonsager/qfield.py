@@ -23,7 +23,10 @@ the operands' shape alone:
   divide U iff U(1) = 0 and U(-1) = 0, q^2 + 1 iff U(i) = 0.  When
   V = 1, the usual case, only U is normalized; V's sign, content, power
   of q and basis factors, and the general polynomial gcd, run only when
-  V != 1 (denominators such as q^n + q^-n), which is rare.
+  V != 1 (denominators such as q^n + q^-n), which is rare;
+* a sum of many values (`qdot`) adds the prefactors of equal shapes,
+  meets the rest over one common factor-basis denominator and is
+  canonicalized once.
 
 The exposed numerator/denominator pair is always fully reduced over
 Z[q] with a positive-leading-coefficient denominator, so equality and
@@ -36,7 +39,7 @@ and then retags it as `QRat`; pickling rebuilds a value through `_make`.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import gcd, lcm
 
 # Dense integer polynomials in q, low degree first, no trailing zeros.
@@ -474,6 +477,60 @@ def _canon(p, r, a, b, c, d, u, v):
             u = p_div_exact(u, g)
             v = p_div_exact(v, g)
     return _make(p, r, a, b, c, d, u, v)
+
+
+def qdot(cs, xs) -> QRat:
+    """The exact value of sum(c * x) over zip(cs, xs), canonicalized once.
+
+    Terms of one shape (a, b, c, d, U, V) add only their prefactors; the
+    remaining groups meet over one factor-basis denominator: the minimal
+    exponents, the lcm of the r's and the product of the distinct V's.
+    The canonical form is unique, so the result equals the binary fold.
+    """
+    groups: dict = {}
+    for x, y in zip(cs, xs):
+        if y.u != P_ONE or y.v != P_ONE:
+            if x.u == P_ONE and x.v == P_ONE:
+                x, y = y, x
+            else:
+                x, y = x * y, QONE
+        # x * y on the fields: y is a factor-basis monomial
+        key = (x.a + y.a, x.b + y.b, x.c + y.c, x.d + y.d, x.u, x.v)
+        p, r = x.p * y.p, x.r * y.r
+        g = groups.get(key)
+        if g is None:
+            groups[key] = [p, r]
+        elif g[1] == r:
+            g[0] += p
+        else:
+            g[0] = g[0] * r + p * g[1]
+            g[1] *= r
+    live = [(key, g) for key, g in groups.items() if g[0]]
+    if not live:
+        return QZERO
+    if len(live) == 1:
+        key, (p, r) = live[0]
+        g = gcd(p, r)
+        return _make(p // g, r // g, *key)
+    ka, kb, kc, kd, _, kv = zip(*[key for key, _ in live])
+    a, b, c, d = min(ka), min(kb), min(kc), min(kd)
+    rr = lcm(*[r for _, (_, r) in live])
+    vs = [v for v in dict.fromkeys(kv) if v != P_ONE]
+    den = reduce(p_mul, vs, P_ONE)
+    num = []
+    for (ta, tb, tc, td, u, v), (p, r) in live:
+        t = _mono(ta - a, tb - b, tc - c, td - d)
+        if u != P_ONE:
+            t = p_mul(t, u)
+        for w in vs:
+            if w != v:
+                t = p_mul(t, w)
+        k = p * (rr // r)
+        if len(t) > len(num):
+            num += [0] * (len(t) - len(num))
+        for i, x in enumerate(t):
+            num[i] += k * x
+    return _canon(1, rr, a, b, c, d, p_trim(num), den)
 
 
 QZERO = _make(0, 1, 0, 0, 0, 0, P_ONE, P_ONE)

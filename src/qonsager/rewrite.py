@@ -12,6 +12,8 @@ fact rather than a step cap.
 Every left side has two letters, so the ambiguities are the overlaps: the
 C(4(b + 1), 3) strictly decreasing triples of letters with indices <= b.
 
+`_combine` makes each normal-form coefficient in one step: one product for
+a single contribution, one `qfield.qdot` for several.
 The rule and normal-form caches are plain process-local dicts keyed by
 immutable values; concurrent workers each build their own.
 """
@@ -23,7 +25,7 @@ from itertools import combinations
 from typing import List, Tuple
 
 from . import qfield
-from .qfield import QONE, QRat
+from .qfield import QONE, QRat, qdot
 from .words import (Family, Generator, NCPoly, Word, dagger_letter,
                     first_descent, g_, gt_, symbol_from_subscript, wm,
                     word_weight, wp, w_sub)
@@ -185,6 +187,29 @@ def measure_decreases(host: Word, position: int, app: RuleApplication) -> bool:
 _NF_CACHE: dict = {}
 
 
+def _combine(scaled) -> dict:
+    """The nonzero terms of sum(c * nf) over the list of (c, nf) pairs: one
+    product per word reached once, one `qdot` per word reached again."""
+    nfs = [nf for _, nf in scaled]
+    if len(set().union(*nfs)) == sum(map(len, nfs)):
+        # no word is reached twice, and a product of nonzero values is nonzero
+        return {u: c * cu for c, nf in scaled for u, cu in nf.items()}
+    parts: dict = {}
+    for c, nf in scaled:
+        for u, cu in nf.items():
+            part = parts.get(u)
+            if part is None:
+                parts[u] = [c, cu]
+            else:
+                part += (c, cu)
+    acc: dict = {}
+    for u, part in parts.items():
+        s = part[0] * part[1] if len(part) == 2 else qdot(part[::2], part[1::2])
+        if s.p:
+            acc[u] = s
+    return acc
+
+
 def _word_nf(w: Word) -> dict:
     """Normal form of a single word as a terms dict (memoized)."""
     cached = _NF_CACHE.get(w)
@@ -217,33 +242,16 @@ def _word_nf(w: Word) -> dict:
         if missing:
             stack.extend(missing)
             continue
-        acc: dict = {}
-        for candidate, c in expansion:
-            for u, cu in _NF_CACHE[candidate].items():
-                prev = acc.get(u)
-                s = c * cu if prev is None else prev + c * cu
-                if s.is_zero():
-                    acc.pop(u, None)
-                else:
-                    acc[u] = s
-        _NF_CACHE[top] = acc
+        _NF_CACHE[top] = _combine([(c, _NF_CACHE[candidate])
+                                   for candidate, c in expansion])
         stack.pop()
     return _NF_CACHE[w]
 
 
 def normal_form(p: NCPoly) -> NCPoly:
     """The unique PBW expansion of p: every word non-decreasing in the order."""
-    acc: dict = {}
-    for w, c in p.terms.items():
-        for u, cu in _word_nf(w).items():
-            prev = acc.get(u)
-            s = c * cu if prev is None else prev + c * cu
-            if s.is_zero():
-                acc.pop(u, None)
-            else:
-                acc[u] = s
     out = NCPoly.__new__(NCPoly)
-    out.terms = acc
+    out.terms = _combine([(c, _word_nf(w)) for w, c in p.terms.items()])
     return out
 
 
@@ -252,7 +260,9 @@ def reduce_with_strategy(p: NCPoly, rng) -> NCPoly:
     step.
 
     Test oracle for strategy independence: the confluent system reaches
-    the same normal form whatever order the sites are eliminated in.
+    the same normal form whatever order the sites are eliminated in.  It
+    keeps the binary `prev + c * cu` fold, so it does not share
+    `qfield.qdot` with `normal_form`.
     """
     terms = dict(p.terms)
     worklist = [w for w in terms if first_descent(w) is not None]

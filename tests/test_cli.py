@@ -1,6 +1,10 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -183,6 +187,36 @@ def test_worker_env_parallel_suite(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert rc == 0
     assert "4/4 passed" in out
+
+
+def test_worker_count_is_capped_and_validated(capsys, monkeypatch):
+    # _worker_count only reads the environment; no pool is started here
+    monkeypatch.delenv("ONSAGER_WORKERS", raising=False)
+    assert cli._worker_count() == 1
+    monkeypatch.setenv("ONSAGER_WORKERS", "100000")
+    assert cli._worker_count() == (os.cpu_count() or 1)
+    monkeypatch.setenv("ONSAGER_WORKERS", "1")
+    assert cli._worker_count() == 1
+    for bad in ("abc", "0", "-3", "2.5", ""):
+        monkeypatch.setenv("ONSAGER_WORKERS", bad)
+        with pytest.raises(ValueError, match="positive integer"):
+            cli._worker_count()
+    monkeypatch.setenv("ONSAGER_WORKERS", "abc")
+    rc = cli.main(["check", "ambiguities", "--bound", "0"])
+    assert rc == 2
+    assert "ONSAGER_WORKERS must be a positive integer" in capsys.readouterr().err
+
+
+def test_python_dash_m_runs_the_cli():
+    env = {**os.environ, "PYTHONPATH": "src"}
+    env.pop("ONSAGER_WORKERS", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "qonsager", "--format", "json", "check",
+         "ambiguities", "--bound", "0"],
+        cwd=Path(__file__).resolve().parent.parent, env=env,
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["command"] == "check ambiguities"
 
 
 def test_long_flat_sum_and_product(capsys):

@@ -59,6 +59,8 @@ GOLDEN = [
      "8dfcfd3373592ed9363adca300c594c5d9030ddc109a30edb059e829463c79b3"),
     (['dims', '--max-degree', '10'], 0,
      "b69230217b065d6ed98146be9c3add7aefb9ee4f329f0e6ef985503036205968"),
+    (['normalize', 'Gt[2]*W[2]*W[-1]*G[2]'], 0,
+     "b39d9f1f93b7244694130f25afd0d59d545766cacf4207083f47b1efb7605c88"),
 ]
 
 

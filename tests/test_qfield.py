@@ -4,10 +4,15 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qonsager import qfield as qf
+
+try:
+    import sympy
+except ImportError:  # a test-only oracle, not a dependency
+    sympy = None
 
 
 def sample_points(seed=0, n=5):
@@ -298,6 +303,82 @@ def test_additive_and_multiplicative_inverses(x):
     assume(not x.is_zero())
     assert x * x.inverse() == qf.QONE
     _assert_canonical(x.inverse(), [1 / a for a in _values_at(x)])
+
+
+def _fields(x):
+    return (x.p, x.r, x.a, x.b, x.c, x.d, x.u, x.v)
+
+
+def _fold(cs, xs):
+    s = qf.QZERO
+    for c, x in zip(cs, xs):
+        s = s + c * x
+    return s
+
+
+_V2 = (qf.q_pow(2) + qf.q_pow(-2)).inverse()
+_V3 = (qf.q_pow(3) + qf.q_pow(-3)).inverse()
+_HALF = qf.of(Fraction(1, 2))
+_THIRD = qf.of(Fraction(-1, 3))
+
+
+def _dot_lists(pairs, mirror):
+    # mirror appends the negation of every term: the whole list cancels
+    if mirror:
+        pairs = pairs + [(c, -x) for c, x in pairs]
+    return [c for c, _ in pairs], [x for _, x in pairs]
+
+
+# hand-picked lists: cancellation of every term, monomials of one shape with
+# different r's, two distinct V != 1 leaves, U != 1 terms that cancel beside
+# others, and shapes whose sum is zero only after canonicalization
+_DOT_EXAMPLES = [
+    ([(qf.QONE, _V2), (qf.QONE, -_V2)], False),
+    ([(_HALF, qf.q_int(2))], True),
+    ([(_HALF, qf.q_pow(2)), (_THIRD, qf.q_pow(2)), (qf.QONE, qf.Q)], False),
+    ([(_HALF, _V2), (_THIRD, _V3), (qf.q_int(2), _V2 * _V3)], False),
+    ([(_V2, qf.q_int(3)), (_HALF, qf.q_int(2)), (-_V2, qf.q_int(3))], False),
+    ([(qf.Q, qf.QONE), (qf.QONE, qf.QONE), (-qf.QONE, qf.q_int(2) * qf.Q)],
+     False),
+]
+
+
+def _dot_cases(test):
+    """Run test on lists of 0-6 random terms and on the hand-picked lists."""
+    for pairs, mirror in _DOT_EXAMPLES:
+        test = example(pairs=pairs, mirror=mirror)(test)
+    return given(pairs=st.lists(st.tuples(_values, _values), max_size=6),
+                 mirror=st.booleans())(test)
+
+
+@_dot_cases
+def test_qdot_equals_binary_fold(pairs, mirror):
+    cs, xs = _dot_lists(pairs, mirror)
+    got = qf.qdot(cs, xs)
+    assert _fields(got) == _fields(_fold(cs, xs))
+    if mirror:
+        assert _fields(got) == _fields(qf.QZERO)
+    expected = [sum((c.evaluate(t) * x.evaluate(t) for c, x in zip(cs, xs)),
+                    Fraction(0)) for t in AXIOM_POINTS]
+    _assert_canonical(got, expected)
+
+
+def _sympy_value(x, q):
+    num, den = x.numerator(), x.denominator()
+    return (sum(c * q ** i for i, c in enumerate(num))
+            / sum(c * q ** i for i, c in enumerate(den)))
+
+
+@pytest.mark.skipif(sympy is None, reason="sympy is a test-only oracle")
+@settings(max_examples=40, deadline=None)
+@_dot_cases
+def test_qdot_matches_sympy(pairs, mirror):
+    cs, xs = _dot_lists(pairs, mirror)
+    q = sympy.Symbol("q")
+    got = sympy.cancel(_sympy_value(qf.qdot(cs, xs), q))
+    expected = sympy.cancel(sum((_sympy_value(c, q) * _sympy_value(x, q)
+                                 for c, x in zip(cs, xs)), sympy.Integer(0)))
+    assert got == expected
 
 
 def test_values_are_immutable():
