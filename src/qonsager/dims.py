@@ -69,6 +69,7 @@ def enumerate_irreducible(d: int) -> List[Word]:
     if d < 0:
         raise ValueError("degree must be >= 0")
     letters = letters_up_to_degree(d)
+    degrees = [g.degree() for g in letters]
     out: List[Word] = []
     word: List[Generator] = []
 
@@ -77,7 +78,7 @@ def enumerate_irreducible(d: int) -> List[Word]:
             out.append(tuple(word))
             return
         for i in range(start, len(letters)):
-            deg = letters[i].degree()
+            deg = degrees[i]
             if deg > remaining:
                 continue
             word.append(letters[i])

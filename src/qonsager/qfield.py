@@ -26,7 +26,13 @@ the operands' shape alone:
   V != 1 (denominators such as q^n + q^-n), which is rare;
 * a sum of many values (`qdot`) adds the prefactors of equal shapes,
   meets the rest over one common factor-basis denominator and is
-  canonicalized once.
+  canonicalized once;
+* the polynomial steps are memoized by shape: `_shape` factors each
+  (U, V) pair and `_mono` expands each basis monomial times a cofactor
+  once, while the prefactor and exponent arithmetic stays outside the
+  key.  Only pairs of at most `_MEMO_CAP` (64) coefficients enter, at
+  most 4,096 entries each; larger ones run the same functions unmemoized.
+  `rewrite.clear_caches` empties both memos.
 
 The exposed numerator/denominator pair is always fully reduced over
 Z[q] with a positive-leading-coefficient denominator, so equality and
@@ -184,9 +190,17 @@ def _strip(u, f):
     return u, n
 
 
-@lru_cache(maxsize=None)
-def _mono(a, b, c, d):
-    # q^a * (q-1)^b * (q+1)^c * (q^2+1)^d with all exponents >= 0
+# Bounds of the polynomial memos (see the module docstring).  The largest
+# (U, V) pair of the benchmark suites has 30 coefficients, and bound 5 of the
+# ambiguity suite fills about 640 `_shape` entries; inputs such as [10000]q
+# run through __wrapped__ instead, so no memo entry grows with them.
+_MEMO_CAP = 64
+_MEMO_SIZE = 4096
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _mono(a, b, c, d, w=P_ONE):
+    # q^a * (q-1)^b * (q+1)^c * (q^2+1)^d * w with all exponents >= 0
     out = (1,) if a == 0 else tuple([0] * a + [1])
     for _ in range(b):
         out = p_mul(out, FM)
@@ -194,15 +208,18 @@ def _mono(a, b, c, d):
         out = p_mul(out, FP)
     for _ in range(d):
         out = p_mul(out, F2)
+    if w != P_ONE:
+        out = p_mul(out, w)
     return out
 
 
 def _expand(k, b, c, d, w):
     """k * (q-1)^b * (q+1)^c * (q^2+1)^d * w, with b, c, d >= 0, as a Z[q]
-    tuple; the product by w = 1 and the scaling by k = 1 are skipped."""
-    f = _mono(0, b, c, d)
-    if w != P_ONE:
-        f = p_mul(f, w)
+    tuple; the scaling by k = 1 is skipped."""
+    if len(w) <= _MEMO_CAP:
+        f = _mono(0, b, c, d, w)
+    else:
+        f = _mono.__wrapped__(0, b, c, d, w)
     if k != 1:
         f = p_scale(f, k)
     return f
@@ -428,55 +445,73 @@ def _canon(p, r, a, b, c, d, u, v):
         return QZERO
     if not v:
         raise ZeroDivisionError("zero denominator in Q(q)")
+    if len(u) + len(v) <= _MEMO_CAP:
+        k, m, da, db, dc, dd, u, v = _shape(u, v)
+    else:
+        k, m, da, db, dc, dd, u, v = _shape.__wrapped__(u, v)
+    p *= k
+    r *= m
+    g = gcd(p, r)
+    if g > 1:
+        p //= g
+        r //= g
+    return _make(p, r, a + da, b + db, c + dc, d + dd, u, v)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _shape(u, v):
+    """The canonical form of U/V for nonzero Z[q] tuples u and v.
+
+    Returns (k, m, da, db, dc, dd, U, V) with
+    u/v = (k/m) * q^da * (q-1)^db * (q+1)^dc * (q^2+1)^dd * U/V,
+    where U and V are canonical as in the module docstring: sign and
+    content go to k and m, the powers of q and the basis factors, found
+    by root tests, to the exponents, and the general gcd cancels.
+    """
+    k = m = 1
+    da = db = dc = dd = 0
     if u[-1] < 0:
-        u, p = p_neg(u), -p
+        u, k = p_neg(u), -1
     cu = p_content(u)
     if cu > 1:
         u = tuple(x // cu for x in u)
-        p *= cu
+        k *= cu
     if v != P_ONE:
         # V's sign, content, power of q and basis factors; skipped for
         # V = 1, the common case, where each step is the identity
         if v[-1] < 0:
-            v, p = p_neg(v), -p
-        cv = p_content(v)
-        if cv > 1:
-            v = tuple(x // cv for x in v)
-            r *= cv
+            v, k = p_neg(v), -k
+        m = p_content(v)
+        if m > 1:
+            v = tuple(x // m for x in v)
         z = 0
         while v[z] == 0:
             z += 1
         if z:
             v = v[z:]
-            a -= z
-        v, n = _strip(v, FM)
-        b -= n
-        v, n = _strip(v, FP)
-        c -= n
-        v, n = _strip(v, F2)
-        d -= n
-    g = gcd(p, r)
-    if g > 1:
-        p //= g
-        r //= g
+            da = -z
+        v, db = _strip(v, FM)
+        v, dc = _strip(v, FP)
+        v, dd = _strip(v, F2)
+        db, dc, dd = -db, -dc, -dd
     z = 0
     while u[z] == 0:
         z += 1
     if z:
         u = u[z:]
-        a += z
+        da += z
     u, n = _strip(u, FM)
-    b += n
+    db += n
     u, n = _strip(u, FP)
-    c += n
+    dc += n
     u, n = _strip(u, F2)
-    d += n
+    dd += n
     if v != P_ONE and u != P_ONE:
         g = p_gcd(u, v)
         if len(g) > 1:
             u = p_div_exact(u, g)
             v = p_div_exact(v, g)
-    return _make(p, r, a, b, c, d, u, v)
+    return k, m, da, db, dc, dd, u, v
 
 
 def qdot(cs, xs) -> QRat:

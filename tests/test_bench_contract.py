@@ -3,9 +3,10 @@ keep a kernel refactor from breaking traced runs while tier-1 passes."""
 
 import importlib
 import importlib.util
+from fractions import Fraction
 from pathlib import Path
 
-from qonsager import qfield, series, words
+from qonsager import cli, qfield, rewrite, series, words
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -40,3 +41,31 @@ def test_traced_functions_exist():
 def test_mono_cache_can_be_cleared():
     # each benchmark pass empties the _mono cache
     assert callable(qfield._mono.cache_clear)
+
+
+def _memo_sizes():
+    return qfield._shape.cache_info().currsize, qfield._mono.cache_info().currsize
+
+
+def test_values_above_the_memo_cap_leave_the_memos_alone():
+    big = qfield.q_int(5000)
+    w = qfield.q_pow(2) + qfield.q_pow(-2)
+    inv = w.inverse()
+    before = _memo_sizes()
+    x = big * inv
+    num = x.numerator()   # U has about 10,000 coefficients
+    assert _memo_sizes() == before
+    assert len(x.u) > qfield._MEMO_CAP
+    # exact: the product divides back, and the value is right at a point
+    assert qfield.from_num_den(num, x.denominator()) == x
+    assert x * w == big
+    t = Fraction(3, 2)
+    assert x.evaluate(t) == big.evaluate(t) * inv.evaluate(t)
+
+
+def test_clear_caches_empties_the_polynomial_memos():
+    poly = cli.parse_to_poly("1/(q^2 + q^-2)*[3]q*W[1]*G[2]")
+    words.render_poly(rewrite.normal_form(poly))
+    assert min(_memo_sizes()) > 0
+    rewrite.clear_caches()
+    assert _memo_sizes() == (0, 0)

@@ -61,6 +61,9 @@ GOLDEN = [
      "b69230217b065d6ed98146be9c3add7aefb9ee4f329f0e6ef985503036205968"),
     (['normalize', 'Gt[2]*W[2]*W[-1]*G[2]'], 0,
      "b39d9f1f93b7244694130f25afd0d59d545766cacf4207083f47b1efb7605c88"),
+    (['normalize',
+      '1/(q^2 + q^-2)*[3]q*W[1]*G[2] + (q^2+1)/(q^4+1)*Gt[1]*W[0]'], 0,
+     "ded594b982ee3caa4352f5841075a35cc108d0bf3925e376afe4e99177d98a87"),
 ]
 
 

@@ -1,4 +1,5 @@
 import copy
+import operator
 import pickle
 import random
 from fractions import Fraction
@@ -260,12 +261,12 @@ def _values_at(x):
     return [x.evaluate(t) for t in AXIOM_POINTS]
 
 
-def _assert_canonical(got, expected):
-    """got is in canonical form and takes the expected values."""
+def _assert_canonical(got, expected, points=AXIOM_POINTS):
+    """got is in canonical form and takes the expected values at points."""
     num, den = got.numerator(), got.denominator()
     assert got == qf.from_num_den(num, den)
     assert got == qf.from_num_den(qf.p_neg(num), qf.p_neg(den))
-    assert _values_at(got) == expected
+    assert [got.evaluate(t) for t in points] == expected
 
 
 @given(x=_values, y=_values, z=_values)
@@ -296,13 +297,23 @@ def test_multiplication_distributes_over_addition(x, y, z):
     _assert_canonical(left, [a * (b + c) for a, b, c in zip(xv, yv, zv)])
 
 
+# A nonzero x may vanish at an axiom point ((2q - 3)/2 does at 3/2), so the
+# inverse is checked at the first two points of this list where x is not 0.
+INVERSE_POINTS = AXIOM_POINTS + (Fraction(2, 3), Fraction(7, 4),
+                                 Fraction(-4, 3), Fraction(5, 9),
+                                 Fraction(-9, 2), Fraction(11, 5))
+
+
+@example(x=qf.Q - qf.of(Fraction(3, 2)))
 @given(x=_values)
 def test_additive_and_multiplicative_inverses(x):
     assert x + (-x) == qf.QZERO
     _assert_canonical(-x, [-a for a in _values_at(x)])
     assume(not x.is_zero())
     assert x * x.inverse() == qf.QONE
-    _assert_canonical(x.inverse(), [1 / a for a in _values_at(x)])
+    points = [t for t in INVERSE_POINTS if x.evaluate(t)][:2]
+    assert len(points) == 2
+    _assert_canonical(x.inverse(), [1 / x.evaluate(t) for t in points], points)
 
 
 def _fields(x):
@@ -379,6 +390,78 @@ def test_qdot_matches_sympy(pairs, mirror):
     expected = sympy.cancel(sum((_sympy_value(c, q) * _sympy_value(x, q)
                                  for c, x in zip(cs, xs)), sympy.Integer(0)))
     assert got == expected
+
+
+_BINARY_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+               "/": operator.truediv}
+
+
+@pytest.mark.skipif(sympy is None, reason="sympy is a test-only oracle")
+@settings(max_examples=40, deadline=None)
+@given(x=_values, y=_values, op=st.sampled_from(sorted(_BINARY_OPS)))
+def test_binary_operators_match_sympy(x, y, op):
+    assume(op != "/" or not y.is_zero())
+    q = sympy.Symbol("q")
+    got = sympy.cancel(_sympy_value(_BINARY_OPS[op](x, y), q))
+    expected = sympy.cancel(_BINARY_OPS[op](_sympy_value(x, q),
+                                            _sympy_value(y, q)))
+    assert got == expected
+
+
+# Raw (U, V) pairs for `_canon`: a random core times a common factor, powers
+# of the basis factors and of q, a content and a sign, so every step of
+# `_shape` has work to do.
+_BASIS = (qf.FM, qf.FP, qf.F2)
+_cores = st.lists(st.integers(-5, 5), min_size=1, max_size=5).map(
+    qf.p_trim).filter(bool)
+
+
+@st.composite
+def _raw_pair(draw):
+    common = draw(_cores)
+    out = []
+    for _ in range(2):
+        f = qf.p_mul(draw(_cores), common)
+        for basis in _BASIS:
+            for _ in range(draw(st.integers(0, 2))):
+                f = qf.p_mul(f, basis)
+        f = (0,) * draw(st.integers(0, 3)) + f
+        out.append(qf.p_scale(f, draw(st.sampled_from([1, 2, 6, -1, -4]))))
+    return tuple(out)
+
+
+def _unmemoized_canon(*args):
+    memo = qf._shape
+    qf._shape = memo.__wrapped__
+    try:
+        return qf._canon(*args)
+    finally:
+        qf._shape = memo
+
+
+@settings(deadline=None)
+@given(uv=_raw_pair(), p=st.integers(-12, 12).filter(bool),
+       r=st.integers(1, 12), e=st.lists(st.integers(-3, 3), min_size=4,
+                                        max_size=4))
+def test_memoized_canon_equals_unmemoized(uv, p, r, e):
+    u, v = uv
+    args = (p, r, *e, u, v)
+    expected = _fields(_unmemoized_canon(*args))
+    assert _fields(qf._canon(*args)) == expected
+    got = qf._canon(*args)   # a memo hit
+    assert _fields(got) == expected
+    # the form is canonical and takes the value of its input
+    assert got.u[-1] > 0 and got.u[0] != 0 and qf.p_content(got.u) == 1
+    assert got.v[-1] > 0 and got.v[0] != 0 and qf.p_content(got.v) == 1
+    for basis in _BASIS:
+        assert not qf._divides(basis, got.u)
+        assert not qf._divides(basis, got.v)
+    assert len(qf.p_gcd(got.u, got.v)) == 1
+    for t in INVERSE_POINTS:
+        if qf.p_eval(v, t):
+            scale = Fraction(p, r) * t ** e[0] * (t - 1) ** e[1]
+            scale *= (t + 1) ** e[2] * (t * t + 1) ** e[3]
+            assert got.evaluate(t) == scale * qf.p_eval(u, t) / qf.p_eval(v, t)
 
 
 def test_values_are_immutable():
