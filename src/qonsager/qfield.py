@@ -193,7 +193,8 @@ def _strip(u, f):
 # Bounds of the polynomial memos (see the module docstring).  The largest
 # (U, V) pair of the benchmark suites has 30 coefficients, and bound 5 of the
 # ambiguity suite fills about 640 `_shape` entries; inputs such as [10000]q
-# run through __wrapped__ instead, so no memo entry grows with them.
+# run through __wrapped__ instead, so no U, V or cofactor entry grows with
+# them.
 _MEMO_CAP = 64
 _MEMO_SIZE = 4096
 

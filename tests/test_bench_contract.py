@@ -44,7 +44,8 @@ def test_mono_cache_can_be_cleared():
 
 
 def _memo_sizes():
-    return qfield._shape.cache_info().currsize, qfield._mono.cache_info().currsize
+    return (qfield._shape.cache_info().currsize,
+            qfield._mono.cache_info().currsize)
 
 
 def test_values_above_the_memo_cap_leave_the_memos_alone():
@@ -56,7 +57,7 @@ def test_values_above_the_memo_cap_leave_the_memos_alone():
     num = x.numerator()   # U has about 10,000 coefficients
     assert _memo_sizes() == before
     assert len(x.u) > qfield._MEMO_CAP
-    # exact: the product divides back, and the value is right at a point
+    # exact: the pair round-trips, w cancels, and the value is right at a point
     assert qfield.from_num_den(num, x.denominator()) == x
     assert x * w == big
     t = Fraction(3, 2)
