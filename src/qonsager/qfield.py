@@ -16,7 +16,7 @@ the operands' shape alone:
   rational prefactors; the other operand's U/V carry over unchanged,
   because they are already canonical and a monomial brings no new
   polynomial factor, so no normalization runs;
-* a sum of two values with equal exponents, U and V adds only the
+* a sum of values of one shape (exponents, U and V) adds only the
   prefactors (zero if they cancel);
 * every other result is normalized by `_canon`, which strips a basis
   factor only after a root test shows that it divides: q - 1 and q + 1
@@ -24,15 +24,19 @@ the operands' shape alone:
   V = 1, the usual case, only U is normalized; V's sign, content, power
   of q and basis factors, and the general polynomial gcd, run only when
   V != 1 (denominators such as q^n + q^-n), which is rare;
-* a sum of many values (`qdot`) adds the prefactors of equal shapes,
-  meets the rest over one common factor-basis denominator and is
-  canonicalized once;
+* values of several shapes (two in `+`, many in `qdot`, many sums at
+  once in `lincomb`) meet in `_meet` over one common factor-basis
+  denominator and are canonicalized once;
 * the polynomial steps are memoized by shape: `_shape` factors each
   (U, V) pair and `_mono` expands each basis monomial times a cofactor
   once, while the prefactor and exponent arithmetic stays outside the
-  key.  Only pairs of at most `_MEMO_CAP` (64) coefficients enter, at
-  most 4,096 entries each; larger ones run the same functions unmemoized.
-  `rewrite.clear_caches` empties both memos.
+  key.  `_meet`, the common-denominator step of a sum of several shapes,
+  is keyed by each shape's exponents relative to the first shape's, U, V
+  and integer weight p * (lcm of the r's / r) over the content of all
+  the weights.  Only expansions of at most `_MEMO_CAP` (64) coefficients
+  enter; the memos hold 4,096 entries each, `_meet` 8,192 (bound 6 of
+  the ambiguity suite meets about 4,300 shapes).  Larger ones run the
+  same functions unmemoized.  `rewrite.clear_caches` empties the memos.
 
 The exposed numerator/denominator pair is always fully reduced over
 Z[q] with a positive-leading-coefficient denominator, so equality and
@@ -61,15 +65,6 @@ def p_trim(cs):
     while n and cs[n - 1] == 0:
         n -= 1
     return tuple(cs[:n])
-
-
-def p_add(f, g):
-    if len(f) < len(g):
-        f, g = g, f
-    out = list(f)
-    for i, c in enumerate(g):
-        out[i] += c
-    return p_trim(out)
 
 
 def p_neg(f):
@@ -191,12 +186,11 @@ def _strip(u, f):
 
 
 # Bounds of the polynomial memos (see the module docstring).  The largest
-# (U, V) pair of the benchmark suites has 30 coefficients, and bound 5 of the
-# ambiguity suite fills about 640 `_shape` entries; inputs such as [10000]q
-# run through __wrapped__ instead, so no U, V or cofactor entry grows with
-# them.
+# (U, V) pair of the benchmark suites has 30 coefficients; inputs such as
+# [10000]q run through __wrapped__ instead, so no entry grows with them.
 _MEMO_CAP = 64
 _MEMO_SIZE = 4096
+_MEET_SIZE = 8192
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
@@ -217,7 +211,7 @@ def _mono(a, b, c, d, w=P_ONE):
 def _expand(k, b, c, d, w):
     """k * (q-1)^b * (q+1)^c * (q^2+1)^d * w, with b, c, d >= 0, as a Z[q]
     tuple; the scaling by k = 1 is skipped."""
-    if len(w) <= _MEMO_CAP:
+    if b + c + 2 * d + len(w) <= _MEMO_CAP:
         f = _mono(0, b, c, d, w)
     else:
         f = _mono.__wrapped__(0, b, c, d, w)
@@ -293,43 +287,12 @@ class QRat:
             return y
         if y.p == 0:
             return x
-        if (x.a == y.a and x.b == y.b and x.c == y.c and x.d == y.d
-                and x.u == y.u and x.v == y.v):
-            p = x.p * y.r + y.p * x.r
-            if p == 0:
-                return QZERO
-            r = x.r * y.r
-            g = gcd(p, r)
-            return _make(p // g, r // g, x.a, x.b, x.c, x.d, x.u, x.v)
-        a = min(x.a, y.a)
-        b = min(x.b, y.b)
-        c = min(x.c, y.c)
-        d = min(x.d, y.d)
-        # t1/den + t2/den over the common factor-basis part, skipping
-        # products with U or V = 1 and scalings by 1
-        t1 = _mono(x.a - a, x.b - b, x.c - c, x.d - d)
-        t2 = _mono(y.a - a, y.b - b, y.c - c, y.d - d)
-        if x.u != P_ONE:
-            t1 = p_mul(t1, x.u)
-        if y.u != P_ONE:
-            t2 = p_mul(t2, y.u)
-        if y.v != P_ONE:
-            t1 = p_mul(t1, y.v)
-        if x.v != P_ONE:
-            t2 = p_mul(t2, x.v)
-        if x.v == P_ONE:
-            den = y.v
-        elif y.v == P_ONE:
-            den = x.v
-        else:
-            den = p_mul(x.v, y.v)
-        k1 = x.p * y.r
-        if k1 != 1:
-            t1 = p_scale(t1, k1)
-        k2 = y.p * x.r
-        if k2 != 1:
-            t2 = p_scale(t2, k2)
-        return _canon(1, x.r * y.r, a, b, c, d, p_add(t1, t2), den)
+        # one shape adds only the prefactors; two meet in `_sum`
+        kx = (x.a, x.b, x.c, x.d, x.u, x.v)
+        ky = (y.a, y.b, y.c, y.d, y.u, y.v)
+        if kx == ky:
+            return _sum({kx: [x.p * y.r + y.p * x.r, x.r * y.r]})
+        return _sum({kx: [x.p, x.r], ky: [y.p, y.r]})
 
     __radd__ = __add__
 
@@ -425,9 +388,6 @@ class QRat:
         return (0,) * max(-self.a, 0) + _expand(
             self.r, max(-self.b, 0), max(-self.c, 0), max(-self.d, 0), self.v)
 
-    def numerator_content(self):
-        return abs(self.p)
-
     def evaluate(self, q0: Fraction) -> Fraction:
         """Evaluate at a rational point q0 (not 0 or a root of q^2 - 1)."""
         q0 = Fraction(q0)
@@ -447,9 +407,13 @@ def _canon(p, r, a, b, c, d, u, v):
     if not v:
         raise ZeroDivisionError("zero denominator in Q(q)")
     if len(u) + len(v) <= _MEMO_CAP:
-        k, m, da, db, dc, dd, u, v = _shape(u, v)
-    else:
-        k, m, da, db, dc, dd, u, v = _shape.__wrapped__(u, v)
+        return _scale(p, r, a, b, c, d, _shape(u, v))
+    return _scale(p, r, a, b, c, d, _shape.__wrapped__(u, v))
+
+
+def _scale(p, r, a, b, c, d, shape):
+    """(p/r) * q^a * (q-1)^b * (q+1)^c * (q^2+1)^d times a `_shape` result."""
+    k, m, da, db, dc, dd, u, v = shape
     p *= k
     r *= m
     g = gcd(p, r)
@@ -515,58 +479,123 @@ def _shape(u, v):
     return k, m, da, db, dc, dd, u, v
 
 
-def qdot(cs, xs) -> QRat:
-    """The exact value of sum(c * x) over zip(cs, xs), canonicalized once.
+def lincomb(scaled) -> dict:
+    """The nonzero entries of sum(c * t) over the (c, t) pairs, where each
+    t maps keys to nonzero values: one grouping pass for every key at once.
 
-    Terms of one shape (a, b, c, d, U, V) add only their prefactors; the
-    remaining groups meet over one factor-basis denominator: the minimal
-    exponents, the lcm of the r's and the product of the distinct V's.
-    The canonical form is unique, so the result equals the binary fold.
+    A key reached once gets the product c * t[key] (t[key] itself for
+    c = 1).  A key reached again collects its terms by shape (a, b, c, d,
+    U, V), adding only prefactors, and `_sum` finishes the groups.  A
+    factor-basis monomial c multiplies on the fields; any other c first
+    multiplies with `__mul__`.
     """
-    groups: dict = {}
-    for x, y in zip(cs, xs):
-        if y.u != P_ONE or y.v != P_ONE:
-            if x.u == P_ONE and x.v == P_ONE:
-                x, y = y, x
-            else:
-                x, y = x * y, QONE
-        # x * y on the fields: y is a factor-basis monomial
-        key = (x.a + y.a, x.b + y.b, x.c + y.c, x.d + y.d, x.u, x.v)
-        p, r = x.p * y.p, x.r * y.r
-        g = groups.get(key)
-        if g is None:
-            groups[key] = [p, r]
-        elif g[1] == r:
-            g[0] += p
+    acc: dict = {}
+    shared = []   # the keys reached more than once
+    for c, t in scaled:
+        if c.u == P_ONE and c.v == P_ONE:
+            items = t.items()
         else:
-            g[0] = g[0] * r + p * g[1]
-            g[1] *= r
+            items = [(key, c * x) for key, x in t.items()]
+            c = QONE
+        one = c.is_one()
+        cp, cr, ca, cb, cc, cd = c.p, c.r, c.a, c.b, c.c, c.d
+        for key, x in items:
+            prev = acc.get(key)
+            if prev is None:
+                if one:
+                    acc[key] = x
+                else:
+                    p, r = x.p * cp, x.r * cr
+                    g = gcd(p, r)
+                    acc[key] = _make(p // g, r // g, x.a + ca, x.b + cb,
+                                     x.c + cc, x.d + cd, x.u, x.v)
+                continue
+            if type(prev) is not dict:
+                shared.append(key)
+                prev = acc[key] = {(prev.a, prev.b, prev.c, prev.d, prev.u,
+                                    prev.v): [prev.p, prev.r]}
+            shape = (x.a + ca, x.b + cb, x.c + cc, x.d + cd, x.u, x.v)
+            p, r = x.p * cp, x.r * cr
+            g = prev.get(shape)
+            if g is None:
+                prev[shape] = [p, r]
+            elif g[1] == r:
+                g[0] += p
+            else:
+                g[0] = g[0] * r + p * g[1]
+                g[1] *= r
+    for key in shared:
+        s = _sum(acc[key])
+        if s.p:
+            acc[key] = s
+        else:
+            del acc[key]
+    return acc
+
+
+def qdot(cs, xs) -> QRat:
+    """The exact value of sum(c * x) over zip(cs, xs), canonicalized once
+    by `lincomb`; the canonical form is unique, so it equals the fold."""
+    return lincomb([(c, {0: x}) for c, x in zip(cs, xs)
+                    if c.p and x.p]).get(0, QZERO)
+
+
+def _sum(groups) -> QRat:
+    """The sum of the groups {(a, b, c, d, U, V): [p, r]}, met in `_meet`
+    relative to the first group's exponents, the lcm of the r's and the
+    content of the integer weights."""
     live = [(key, g) for key, g in groups.items() if g[0]]
-    if not live:
-        return QZERO
-    if len(live) == 1:
+    if len(live) < 2:
+        if not live:
+            return QZERO
         key, (p, r) = live[0]
         g = gcd(p, r)
         return _make(p // g, r // g, *key)
-    ka, kb, kc, kd, _, kv = zip(*[key for key, _ in live])
-    a, b, c, d = min(ka), min(kb), min(kc), min(kd)
+    a, b, c, d, _, _ = live[0][0]
     rr = lcm(*[r for _, (_, r) in live])
+    ws = [p * (rr // r) for _, (p, r) in live]
+    n = gcd(*ws)
+    terms = tuple([(ta - a, tb - b, tc - c, td - d, u, v, w // n)
+                   for ((ta, tb, tc, td, u, v), _), w in zip(live, ws)])
+    try:
+        shape = _meet(terms)
+    except _Unmemoized as big:
+        shape = big.args[0]
+    if shape is None:
+        return QZERO
+    return _scale(n, rr, a, b, c, d, shape)
+
+
+class _Unmemoized(Exception):
+    """Carries a `_meet` result too long to keep in the memo."""
+
+
+@lru_cache(maxsize=_MEET_SIZE)
+def _meet(terms):
+    """The `_shape` of sum(w * q^a (q-1)^b (q+1)^c (q^2+1)^d * U/V) over
+    the (a, b, c, d, U, V, w) terms, or None when the sum is zero."""
+    ka, kb, kc, kd, _, kv, _ = zip(*terms)
+    ma, mb, mc, md = min(ka), min(kb), min(kc), min(kd)
     vs = [v for v in dict.fromkeys(kv) if v != P_ONE]
     den = reduce(p_mul, vs, P_ONE)
     num = []
-    for (ta, tb, tc, td, u, v), (p, r) in live:
-        t = _mono(ta - a, tb - b, tc - c, td - d)
-        if u != P_ONE:
-            t = p_mul(t, u)
+    for ta, tb, tc, td, u, v, k in terms:
+        t = _mono.__wrapped__(ta - ma, tb - mb, tc - mc, td - md, u)
         for w in vs:
             if w != v:
                 t = p_mul(t, w)
-        k = p * (rr // r)
         if len(t) > len(num):
             num += [0] * (len(t) - len(num))
         for i, x in enumerate(t):
             num[i] += k * x
-    return _canon(1, rr, a, b, c, d, p_trim(num), den)
+    num = p_trim(num)
+    shape = None
+    if num:
+        k, m, da, db, dc, dd, u, v = _shape.__wrapped__(num, den)
+        shape = k, m, da + ma, db + mb, dc + mc, dd + md, u, v
+    if len(num) + len(den) > _MEMO_CAP:
+        raise _Unmemoized(shape)
+    return shape
 
 
 QZERO = _make(0, 1, 0, 0, 0, 0, P_ONE, P_ONE)

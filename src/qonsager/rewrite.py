@@ -12,8 +12,10 @@ fact rather than a step cap.
 Every left side has two letters, so the ambiguities are the overlaps: the
 C(4(b + 1), 3) strictly decreasing triples of letters with indices <= b.
 
-`_combine` makes each normal-form coefficient in one step: one product for
-a single contribution, one `qfield.qdot` for several.
+`_word_nf` visits each word once: its expansion (descent, rule, candidate
+words and their measure check) waits on its stack frame until the
+candidates are filled.  `_combine` (`qfield.lincomb`) then groups the terms
+by (word, shape) in one pass and canonicalizes each coefficient once.
 The rule and normal-form caches are plain process-local dicts keyed by
 immutable values; concurrent workers each build their own.
 """
@@ -25,7 +27,7 @@ from itertools import combinations
 from typing import List, Tuple
 
 from . import qfield
-from .qfield import QONE, QRat, qdot
+from .qfield import QONE, QRat, lincomb as _combine
 from .words import (Family, Generator, NCPoly, Word, dagger_letter,
                     first_descent, g_, gt_, symbol_from_subscript, wm,
                     word_weight, wp, w_sub)
@@ -187,61 +189,41 @@ def measure_decreases(host: Word, position: int, app: RuleApplication) -> bool:
 _NF_CACHE: dict = {}
 
 
-def _combine(scaled) -> dict:
-    """The nonzero terms of sum(c * nf) over the list of (c, nf) pairs: one
-    product per word reached once, one `qdot` per word reached again."""
-    nfs = [nf for _, nf in scaled]
-    if len(set().union(*nfs)) == sum(map(len, nfs)):
-        # no word is reached twice, and a product of nonzero values is nonzero
-        return {u: c * cu for c, nf in scaled for u, cu in nf.items()}
-    parts: dict = {}
-    for c, nf in scaled:
-        for u, cu in nf.items():
-            part = parts.get(u)
-            if part is None:
-                parts[u] = [c, cu]
-            else:
-                part += (c, cu)
-    acc: dict = {}
-    for u, part in parts.items():
-        s = part[0] * part[1] if len(part) == 2 else qdot(part[::2], part[1::2])
-        if s.p:
-            acc[u] = s
-    return acc
-
-
 def _word_nf(w: Word) -> dict:
     """Normal form of a single word as a terms dict (memoized)."""
     cached = _NF_CACHE.get(w)
     if cached is not None:
         return cached
-    stack = [w]
+    # frames (word, expansion); the expansion is None until the first visit
+    stack = [(w, None)]
     while stack:
-        top = stack[-1]
-        if top in _NF_CACHE:
-            stack.pop()
-            continue
-        pos = first_descent(top)
-        if pos is None:
-            _NF_CACHE[top] = {top: QONE}
-            stack.pop()
-            continue
-        rule = _rule_poly(top[pos], top[pos + 1])
-        prefix, suffix = top[:pos], top[pos + 2:]
-        measure = (len(top), word_weight(top))
-        expansion = []
-        missing = []
-        for u, c in rule.terms.items():
-            candidate = prefix + u + suffix
-            if (len(candidate), word_weight(candidate)) >= measure:
-                raise RewriteInternalError(
-                    f"rewrite step failed to decrease the measure at {top}")
-            expansion.append((candidate, c))
-            if candidate not in _NF_CACHE:
-                missing.append(candidate)
-        if missing:
-            stack.extend(missing)
-            continue
+        top, expansion = stack[-1]
+        if expansion is None:
+            if top in _NF_CACHE:
+                stack.pop()
+                continue
+            pos = first_descent(top)
+            if pos is None:
+                _NF_CACHE[top] = {top: QONE}
+                stack.pop()
+                continue
+            rule = _rule_poly(top[pos], top[pos + 1])
+            prefix, suffix = top[:pos], top[pos + 2:]
+            measure = (len(top), word_weight(top))
+            expansion = []
+            stack[-1] = (top, expansion)
+            depth = len(stack)
+            for u, c in rule.terms.items():
+                candidate = prefix + u + suffix
+                if (len(candidate), word_weight(candidate)) >= measure:
+                    raise RewriteInternalError(
+                        f"rewrite step failed to decrease the measure at {top}")
+                expansion.append((candidate, c))
+                if candidate not in _NF_CACHE:
+                    stack.append((candidate, None))
+            if len(stack) > depth:
+                continue
+        # every candidate is filled: the frames above this one are popped
         _NF_CACHE[top] = _combine([(c, _NF_CACHE[candidate])
                                    for candidate, c in expansion])
         stack.pop()
@@ -337,3 +319,4 @@ def clear_caches():
     _NF_CACHE.clear()
     qfield._shape.cache_clear()
     qfield._mono.cache_clear()
+    qfield._meet.cache_clear()

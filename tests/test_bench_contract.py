@@ -45,14 +45,21 @@ def test_mono_cache_can_be_cleared():
 
 def _memo_sizes():
     return (qfield._shape.cache_info().currsize,
-            qfield._mono.cache_info().currsize)
+            qfield._mono.cache_info().currsize,
+            qfield._meet.cache_info().currsize)
 
 
 def test_values_above_the_memo_cap_leave_the_memos_alone():
-    big = qfield.q_int(5000)
     w = qfield.q_pow(2) + qfield.q_pow(-2)
     inv = w.inverse()
+    # the small steps of [n]q and of the two sums below
+    qfield.Q - qfield.q_pow(-1) + 1, qfield.Q - 1
     before = _memo_sizes()
+    # q^5000 - q^-5000 and q^6000 + 1 expand q^10000 and q^6000, and the
+    # numerator of (q - 1)^70 expands (q - 1)^70
+    big = qfield.q_int.__wrapped__(5000)
+    assert len((qfield.q_pow(6000) + 1).u) == 6001
+    assert len(((qfield.Q - 1) ** 70).numerator()) == 71
     x = big * inv
     num = x.numerator()   # U has about 10,000 coefficients
     assert _memo_sizes() == before
@@ -65,8 +72,10 @@ def test_values_above_the_memo_cap_leave_the_memos_alone():
 
 
 def test_clear_caches_empties_the_polynomial_memos():
-    poly = cli.parse_to_poly("1/(q^2 + q^-2)*[3]q*W[1]*G[2]")
+    rewrite.clear_caches()
+    poly = cli.parse_to_poly(
+        "1/(q^2 + q^-2)*[3]q*W[1]*G[2] + Gt[1]*W[1]*W[0]*G[1]")
     words.render_poly(rewrite.normal_form(poly))
     assert min(_memo_sizes()) > 0
     rewrite.clear_caches()
-    assert _memo_sizes() == (0, 0)
+    assert _memo_sizes() == (0, 0, 0)

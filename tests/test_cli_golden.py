@@ -64,6 +64,11 @@ GOLDEN = [
     (['normalize',
       '1/(q^2 + q^-2)*[3]q*W[1]*G[2] + (q^2+1)/(q^4+1)*Gt[1]*W[0]'], 0,
      "ded594b982ee3caa4352f5841075a35cc108d0bf3925e376afe4e99177d98a87"),
+    (['check', 'ambiguities', '--bound', '3'], 0,
+     "99322e5a654a67598e4322bd10ea1186abc3b8d48c61ce6210d024478b1858a1"),
+    (['normalize', '[3]q*W[1]*G[2] + (q - q^-1)*G[2]*W[1]'
+      ' + 1/(q^2 + q^-2)*W[2]*W[-1]'], 0,
+     "0f7a8b5546003d2171e04c73008b96fb264d148c171811a24d36bc44cb9ed0e0"),
 ]
 
 

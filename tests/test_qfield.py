@@ -354,12 +354,18 @@ _DOT_EXAMPLES = [
 ]
 
 
-def _dot_cases(test):
-    """Run test on lists of 0-6 random terms and on the hand-picked lists."""
+def _dot_cases(test=None, **extra):
+    """Run test on lists of 0-6 random terms and on the hand-picked lists;
+    extra maps further arguments to (strategy, value in the examples)."""
+    if test is None:
+        return lambda t: _dot_cases(t, **extra)
+    fixed = {name: value for name, (_, value) in extra.items()}
     for pairs, mirror in _DOT_EXAMPLES:
-        test = example(pairs=pairs, mirror=mirror)(test)
+        test = example(pairs=pairs, mirror=mirror, **fixed)(test)
     return given(pairs=st.lists(st.tuples(_values, _values), max_size=6),
-                 mirror=st.booleans())(test)
+                 mirror=st.booleans(),
+                 **{name: strategy for name, (strategy, _) in extra.items()}
+                 )(test)
 
 
 @_dot_cases
@@ -372,6 +378,38 @@ def test_qdot_equals_binary_fold(pairs, mirror):
     expected = [sum((c.evaluate(t) * x.evaluate(t) for c, x in zip(cs, xs)),
                     Fraction(0)) for t in AXIOM_POINTS]
     _assert_canonical(got, expected)
+
+
+# one factor-basis monomial q^a (q-1)^b (q+1)^c (q^2+1)^d times a nonzero int
+_scales = st.builds(
+    lambda k, a, b, c, d: qf._make(k, 1, a, b, c, d, qf.P_ONE, qf.P_ONE),
+    st.integers(-6, 6).filter(bool), st.integers(-4, 4), st.integers(-3, 3),
+    st.integers(-3, 3), st.integers(-2, 2))
+
+
+@_dot_cases(scale=(_scales, qf._make(-3, 1, 2, 1, 0, 1, qf.P_ONE, qf.P_ONE)))
+def test_qdot_of_a_rescaled_list_equals_the_fold(pairs, mirror, scale):
+    # the rescaled list meets in `_meet` with other absolute exponents and
+    # another content, so it may hit the memo entry of the first call
+    cs, xs = _dot_lists(pairs, mirror)
+    first = qf.qdot(cs, xs)
+    assert _fields(first) == _fields(_fold(cs, xs))
+    scaled = [c * scale for c in cs]
+    got = qf.qdot(scaled, xs)
+    assert _fields(got) == _fields(_fold(scaled, xs))
+    assert got == first * scale
+
+
+def test_qdot_memo_is_keyed_by_relative_shape():
+    xs = [qf.q_pow(2), qf.Q - qf.QONE, qf.q_int(3), _V2]
+    cs = [qf.of(2), qf.of(-4), qf.of(6), qf.of(2)]
+    scale = qf._make(3, 1, 5, 1, 2, 0, qf.P_ONE, qf.P_ONE)
+    qf._meet.cache_clear()
+    first = qf.qdot(cs, xs)
+    got = qf.qdot([c * scale for c in cs], xs)
+    assert got == first * scale
+    info = qf._meet.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def _sympy_value(x, q):

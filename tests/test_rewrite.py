@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -204,3 +205,78 @@ def test_enumerate_overlaps_counts():
 def test_confluence_small_bound():
     for w in R.enumerate_overlaps(1):
         assert R.check_overlap(w).agrees, w
+
+
+def test_rule_coefficients_are_signed_basis_monomials():
+    # every rule coefficient is +-q^a (q-1)^b (q+1)^c (q^2+1)^d, so the walk
+    # multiplies on the fields and never through QRat.__mul__
+    for a, b in reducible_pairs(6):
+        for c in R.apply_rule(a, b).terms.values():
+            assert (abs(c.p), c.r, c.u, c.v) == (1, 1, qf.P_ONE, qf.P_ONE), \
+                (a, b, c)
+
+
+def test_word_nf_looks_up_one_rule_per_filled_word(monkeypatch, capsys):
+    from qonsager import cli
+    monkeypatch.delenv("ONSAGER_WORKERS", raising=False)
+    R.clear_caches()
+    calls = []
+    rule_poly = R._rule_poly
+
+    def counted(a, b):
+        calls.append((a, b))
+        return rule_poly(a, b)
+
+    monkeypatch.setattr(R, "_rule_poly", counted)
+    assert cli.main(["check", "ambiguities", "--bound", "2"]) == 0
+    capsys.readouterr()
+    filled = [w for w in R._NF_CACHE if W.first_descent(w) is not None]
+    # apply_rule looks up both rules of each overlap once more
+    assert len(calls) == len(filled) + 2 * len(R.enumerate_overlaps(2))
+
+
+# keys shared between the term dicts, and scalars of every shape: 1, unit
+# monomials, [n]q, rationals and V != 1 values
+_KEYS = st.sampled_from("abcd")
+_scalars = st.one_of(
+    st.just(qf.QONE),
+    st.integers(-3, 3).map(qf.q_pow),
+    st.integers(-3, 3).map(lambda k: -(qf.q_pow(k) * (qf.Q - qf.QONE))),
+    st.integers(2, 4).map(qf.q_int),
+    st.builds(lambda n, d: qf.of(Fraction(n, d)),
+              st.integers(-5, 5).filter(bool), st.integers(1, 4)),
+    st.integers(1, 3).map(lambda k: (qf.q_pow(k) + qf.q_pow(-k)).inverse()),
+)
+_coeffs = st.one_of(_scalars, st.integers(-3, 3).map(
+    lambda k: qf.q_pow(k) - qf.QONE)).filter(bool)
+
+
+def _fold(scaled):
+    acc = {}
+    for c, t in scaled:
+        for u, cu in t.items():
+            prev = acc.get(u)
+            s = c * cu if prev is None else prev + c * cu
+            if s.is_zero():
+                acc.pop(u, None)
+            else:
+                acc[u] = s
+    return acc
+
+
+def _fields(x):
+    return (x.p, x.r, x.a, x.b, x.c, x.d, x.u, x.v)
+
+
+@example(scaled=[(qf.QONE, {"a": qf.Q}), (-qf.QONE, {"a": qf.Q})])
+@example(scaled=[(qf.q_int(2), {"a": qf.Q, "b": qf.QONE}),
+                 (qf.Q, {"a": qf.QONE, "b": qf.q_int(2)}),
+                 (qf.QONE, {"b": qf.QONE})])
+@given(scaled=st.lists(st.tuples(
+    _scalars, st.dictionaries(_KEYS, _coeffs, max_size=4)), max_size=5))
+def test_combine_equals_the_binary_fold(scaled):
+    got = R._combine(scaled)
+    expected = _fold(scaled)
+    assert got.keys() == expected.keys()
+    for u, c in expected.items():
+        assert _fields(got[u]) == _fields(c), u
