@@ -284,6 +284,10 @@ def cmd_check(args) -> int:
     bound = args.bound
     if bound is None:
         bound = 6 if suite == "central" else 3
+    if suite == "central" and bound == 0:
+        # no letter has an index below 0, so there is nothing to check
+        raise ValueError("check central needs --bound >= 1: it checks the "
+                         "letters with index below the bound")
     if suite == "relations":
         report = run_relation_suite(bound)
         params = {"bound": bound}
@@ -415,7 +419,10 @@ def build_parser() -> argparse.ArgumentParser:
                                      "dolan-grady", "matrix", "appendix-b",
                                      "prop41"))
     p.add_argument("--bound", type=_non_negative_int, default=None,
-                   help="index bound (default 3; 6 for the central suite)")
+                   help="index bound (default 3; 6 for the central suite): "
+                        "relations and ambiguities take the indices up to "
+                        "and including the bound, central the letters with "
+                        "index k below it, so it needs a bound >= 1")
     p.add_argument("--order", type=_non_negative_int, default=4)
     p.add_argument("--n", type=_non_negative_int, default=4)
     p.set_defaults(func=cmd_check)

@@ -36,7 +36,17 @@ the operands' shape alone:
   the weights.  Only expansions of at most `_MEMO_CAP` (64) coefficients
   enter; the memos hold 4,096 entries each, `_meet` 8,192 (bound 6 of
   the ambiguity suite meets about 4,300 shapes).  Larger ones run the
-  same functions unmemoized.  `rewrite.clear_caches` empties the memos.
+  same functions unmemoized.  `clear_memos` empties the memos;
+* values are hash-consed: `_make`, the one place a value is built, returns
+  the existing object for a canonical field tuple from the value memo, so
+  the normal-form caches hold one object per distinct coefficient (a cold
+  bound-4 ambiguity run stores 248,392 coefficients with 689 distinct
+  values).  A value enters only while the memo holds fewer than 65,536
+  entries (`_VALUES_SIZE`) and only if len(U) + len(V) <= `_MEMO_CAP`;
+  any other value is built unshared.  Identity never carries meaning: the
+  memo is bounded and `clear_memos` empties it (all but QZERO, QONE and
+  Q), so equality and hashing stay structural and no code compares values
+  with `is`.
 
 The exposed numerator/denominator pair is always fully reduced over
 Z[q] with a positive-leading-coefficient denominator, so equality and
@@ -229,7 +239,18 @@ class _Slots:
     __slots__ = _FIELDS
 
 
+# The value memo (see the module docstring): bound 6 of the ambiguity suite
+# builds about 1,800 values, the word Gt[4]*W[4]*W[-3]*G[4] about 14,000.
+_VALUES: dict = {}
+_VALUES_SIZE = 65536
+
+
 def _make(p, r, a, b, c, d, u, v):
+    key = (p, r, a, b, c, d, u, v)
+    try:
+        return _VALUES[key]
+    except KeyError:   # a miss; the caps are checked only here
+        pass
     # plain slot stores on the unguarded layout, then a retag as QRat:
     # a fifth of the cost of eight object.__setattr__ calls
     self = object.__new__(_Slots)
@@ -242,6 +263,8 @@ def _make(p, r, a, b, c, d, u, v):
     self.u = u
     self.v = v
     self.__class__ = QRat
+    if len(_VALUES) < _VALUES_SIZE and len(u) + len(v) <= _MEMO_CAP:
+        _VALUES[key] = self
     return self
 
 
@@ -601,6 +624,19 @@ def _meet(terms):
 QZERO = _make(0, 1, 0, 0, 0, 0, P_ONE, P_ONE)
 QONE = _make(1, 1, 0, 0, 0, 0, P_ONE, P_ONE)
 Q = _make(1, 1, 1, 0, 0, 0, P_ONE, P_ONE)
+# kept in the value memo across clears: a computed 1 is then QONE itself
+_CONSTANTS = {tuple(getattr(x, f) for f in _FIELDS): x
+              for x in (QZERO, QONE, Q)}
+
+
+def clear_memos():
+    """Empty the polynomial memos and the value memo, all but the module
+    constants QZERO, QONE and Q."""
+    _shape.cache_clear()
+    _mono.cache_clear()
+    _meet.cache_clear()
+    _VALUES.clear()
+    _VALUES.update(_CONSTANTS)
 
 
 def _co(x):

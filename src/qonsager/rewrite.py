@@ -317,6 +317,4 @@ def enumerate_overlaps(bound: int) -> List[Word]:
 def clear_caches():
     _RULE_CACHE.clear()
     _NF_CACHE.clear()
-    qfield._shape.cache_clear()
-    qfield._mono.cache_clear()
-    qfield._meet.cache_clear()
+    qfield.clear_memos()

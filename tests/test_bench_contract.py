@@ -3,9 +3,11 @@ keep a kernel refactor from breaking traced runs while tier-1 passes."""
 
 import importlib
 import importlib.util
+import pkgutil
 from fractions import Fraction
 from pathlib import Path
 
+import qonsager
 from qonsager import cli, qfield, rewrite, series, words
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -46,14 +48,20 @@ def test_mono_cache_can_be_cleared():
 def _memo_sizes():
     return (qfield._shape.cache_info().currsize,
             qfield._mono.cache_info().currsize,
-            qfield._meet.cache_info().currsize)
+            qfield._meet.cache_info().currsize,
+            len(qfield._VALUES))
 
 
 def test_values_above_the_memo_cap_leave_the_memos_alone():
+    # from empty memos: a full one would keep its size whatever entered
+    rewrite.clear_caches()
     w = qfield.q_pow(2) + qfield.q_pow(-2)
     inv = w.inverse()
-    # the small steps of [n]q and of the two sums below
+    # the small steps of [n]q and of the two sums below, and the small
+    # values they pass through
     qfield.Q - qfield.q_pow(-1) + 1, qfield.Q - 1
+    (qfield.Q - qfield.q_pow(-1)).inverse(), (qfield.Q - 1) ** 70
+    qfield.q_pow(5000), -qfield.q_pow(-5000), qfield.q_pow(6000)
     before = _memo_sizes()
     # q^5000 - q^-5000 and q^6000 + 1 expand q^10000 and q^6000, and the
     # numerator of (q - 1)^70 expands (q - 1)^70
@@ -63,6 +71,8 @@ def test_values_above_the_memo_cap_leave_the_memos_alone():
     x = big * inv
     num = x.numerator()   # U has about 10,000 coefficients
     assert _memo_sizes() == before
+    assert max(len(y.u) + len(y.v)
+               for y in qfield._VALUES.values()) <= qfield._MEMO_CAP
     assert len(x.u) > qfield._MEMO_CAP
     # exact: the pair round-trips, w cancels, and the value is right at a point
     assert qfield.from_num_den(num, x.denominator()) == x
@@ -78,4 +88,49 @@ def test_clear_caches_empties_the_polynomial_memos():
     words.render_poly(rewrite.normal_form(poly))
     assert min(_memo_sizes()) > 0
     rewrite.clear_caches()
-    assert _memo_sizes() == (0, 0, 0)
+    assert _memo_sizes() == (0, 0, 0, len(qfield._CONSTANTS))
+
+
+# Caches whose entries are fixed values of Q(q), the same in every run: they
+# may outlive clear_caches.
+_CONSTANT_CACHES = {"qfield.q_int", "qfield.rho_const", "qfield.g0_const"}
+
+
+def _kernel_lru_caches():
+    caches = {}
+    for info in pkgutil.iter_modules(qonsager.__path__):
+        if info.name == "__main__":
+            continue   # importing it runs the CLI
+        module = importlib.import_module(f"qonsager.{info.name}")
+        for name, obj in vars(module).items():
+            if (hasattr(obj, "cache_info")
+                    and getattr(obj, "__module__", None) == module.__name__):
+                caches[f"{info.name}.{name}"] = obj
+    return caches
+
+
+def test_clear_caches_empties_every_kernel_memo():
+    # each benchmark step runs from empty caches after rewrite.clear_caches
+    caches = _kernel_lru_caches()
+    assert _CONSTANT_CACHES | {"qfield._shape", "qfield._mono",
+                               "qfield._meet"} <= set(caches)
+    poly = cli.parse_to_poly("1/(q^2 + q^-2)*W[1]*G[2] + Gt[1]*W[1]*W[0]*G[1]")
+    words.render_poly(rewrite.normal_form(poly))
+    rewrite.clear_caches()
+    left = {name: cache.cache_info().currsize
+            for name, cache in caches.items()
+            if name not in _CONSTANT_CACHES}
+    assert left == dict.fromkeys(left, 0)
+    assert rewrite._NF_CACHE == {} and rewrite._RULE_CACHE == {}
+    assert qfield._VALUES == qfield._CONSTANTS
+
+
+def test_normal_forms_hold_one_object_per_coefficient_value():
+    rewrite.clear_caches()
+    for w in rewrite.enumerate_overlaps(2):
+        assert rewrite.check_overlap(w).agrees
+    coeffs = [c for terms in rewrite._NF_CACHE.values()
+              for c in terms.values()]
+    values = set(coeffs)
+    assert len(coeffs) > 10 * len(values)   # the values repeat
+    assert len({id(c) for c in coeffs}) == len(values)

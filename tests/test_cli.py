@@ -181,6 +181,21 @@ def test_check_central_default_bound(capsys):
     assert "24/24 passed" in out
 
 
+def test_check_central_bound_zero_is_usage_error(capsys, monkeypatch):
+    from qonsager import central
+
+    def no_work(*args):
+        raise AssertionError("check central ran before rejecting its bound")
+
+    monkeypatch.setattr(central, "z_n", no_work)
+    monkeypatch.setattr(central, "check_central", no_work)
+    rc = cli.main(["check", "central", "--n", "4", "--bound", "0"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "--bound >= 1" in captured.err
+
+
 def test_worker_env_parallel_suite(capsys, monkeypatch):
     monkeypatch.setenv("ONSAGER_WORKERS", "2")
     rc = cli.main(["check", "ambiguities", "--bound", "0"])

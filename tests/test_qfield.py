@@ -517,14 +517,56 @@ def test_values_are_immutable():
 
 @pytest.mark.parametrize("x", [
     qf.QZERO, qf.q_pow(-3) * qf.of(Fraction(5, 2)), qf.q_int(3),
-    (qf.q_pow(2) + qf.q_pow(-2)).inverse()],
-    ids=["zero", "monomial", "[3]q", "V!=1"])
+    (qf.q_pow(2) + qf.q_pow(-2)).inverse(), qf.q_int(40)],
+    ids=["zero", "monomial", "[3]q", "V!=1", "above the memo cap"])
 def test_pickle_round_trip(x):
     for y in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x)):
         assert type(y) is qf.QRat
         assert y == x and hash(y) == hash(x)
         with pytest.raises(AttributeError):
             y.p = 0
+
+
+# -- the value memo ----------------------------------------------------------
+# Identity is only ever a memory saving: the kernel compares values with ==,
+# so these are the only tests that look at it.
+
+@given(x=_values)
+def test_a_value_rebuilt_from_its_fields_is_equal(x):
+    # through the memo, through the dense pair, and from an emptied memo
+    rebuilt = [qf._make(*_fields(x)),
+               qf.from_num_den(x.numerator(), x.denominator())]
+    qf.clear_memos()
+    rebuilt.append(qf._make(*_fields(x)))
+    for y in rebuilt:
+        assert _fields(y) == _fields(x)
+        assert y == x and hash(y) == hash(x)
+
+
+def test_values_small_enough_for_the_memo_are_shared():
+    x = qf.q_int(3) * _V2
+    assert len(x.u) + len(x.v) <= qf._MEMO_CAP
+    assert qf._make(*_fields(x)) is x
+    assert qf.from_num_den(x.numerator(), x.denominator()) is x
+    assert qf.q_pow(7) is qf.q_pow(7)
+    assert (qf.Q - 1) * (qf.Q + 1) is qf.q_pow(2) - 1
+    # the module constants stay in an emptied memo: a computed 1 is QONE
+    qf.clear_memos()
+    assert _V2 * _V2.inverse() is qf.QONE
+    assert qf.q_pow(3) * qf.q_pow(-2) is qf.Q
+
+
+def test_values_above_the_cap_or_past_a_full_memo_are_built_unshared(
+        monkeypatch):
+    big = qf.q_int(40)
+    assert len(big.u) + len(big.v) > qf._MEMO_CAP
+    again = qf._make(*_fields(big))
+    assert again == big and again is not big
+    qf.clear_memos()
+    monkeypatch.setattr(qf, "_VALUES_SIZE", len(qf._VALUES))
+    x = qf.q_pow(9)
+    assert qf.q_pow(9) == x and qf.q_pow(9) is not x
+    assert qf._VALUES == qf._CONSTANTS
 
 
 # The renderer as it was before it read its text off the factored form:
