@@ -55,6 +55,13 @@ MAX_PAREN_DEPTH = 200
 # rule for W[i]*G[j] has min(i, j) + 1 groups of terms.
 MAX_EXPONENT = 10_000
 
+# Largest --bound accepted by `check ambiguities`, which checks all
+# C(4(b + 1), 3) overlaps: bound 10 (13,244 overlaps) took 68 s and 516 MB
+# peak RSS on 2 vCPUs, and each further step takes about 1.5 times the
+# memory, so bound 12 would pass 1 GB.  A larger bound is refused before
+# the overlap list is built (bound 100,000 would have about 10^16).
+MAX_AMBIGUITY_BOUND = 10
+
 
 class _Parser:
     """Recursive descent that evaluates as it parses: sums and products
@@ -288,6 +295,10 @@ def cmd_check(args) -> int:
         # no letter has an index below 0, so there is nothing to check
         raise ValueError("check central needs --bound >= 1: it checks the "
                          "letters with index below the bound")
+    if suite == "ambiguities" and bound > MAX_AMBIGUITY_BOUND:
+        raise ValueError(f"check ambiguities needs --bound <= "
+                         f"{MAX_AMBIGUITY_BOUND}: it checks all "
+                         f"C(4(bound + 1), 3) overlaps")
     if suite == "relations":
         report = run_relation_suite(bound)
         params = {"bound": bound}
@@ -422,7 +433,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="index bound (default 3; 6 for the central suite): "
                         "relations and ambiguities take the indices up to "
                         "and including the bound, central the letters with "
-                        "index k below it, so it needs a bound >= 1")
+                        "index k below it, so it needs a bound >= 1; "
+                        f"ambiguities accepts at most {MAX_AMBIGUITY_BOUND}")
     p.add_argument("--order", type=_non_negative_int, default=4)
     p.add_argument("--n", type=_non_negative_int, default=4)
     p.set_defaults(func=cmd_check)

@@ -46,7 +46,15 @@ the operands' shape alone:
   any other value is built unshared.  Identity never carries meaning: the
   memo is bounded and `clear_memos` empties it (all but QZERO, QONE and
   Q), so equality and hashing stay structural and no code compares values
-  with `is`.
+  with `is`.  `_make` also stores each value's hash, the hash of its field
+  tuple, so hashing a value costs one slot read;
+* a sum in `lincomb` at a key reached more than once is memoized by its
+  summands: `_SUMS` maps the tuple of the products c * x, in the order
+  they arrived, to their sum (a cold bound-4 ambiguity run looks up
+  128,255 such sums and stores 7,122).  A sum enters only while the
+  memo holds fewer than 65,536 entries (`_SUMS_SIZE`) and only if every
+  summand and the sum have len(U) + len(V) <= `_MEMO_CAP`; any other sum
+  is grouped by shape and met as before.  `clear_memos` empties it.
 
 The exposed numerator/denominator pair is always fully reduced over
 Z[q] with a positive-leading-coefficient denominator, so equality and
@@ -231,12 +239,14 @@ def _expand(k, b, c, d, w):
 
 
 _FIELDS = ("p", "r", "a", "b", "c", "d", "u", "v")
+# the fields and the stored hash of the field tuple
+_SLOTS = _FIELDS + ("_hash",)
 
 
 class _Slots:
     """QRat's slot layout without the immutability guard (see `_make`)."""
 
-    __slots__ = _FIELDS
+    __slots__ = _SLOTS
 
 
 # The value memo (see the module docstring): bound 6 of the ambiguity suite
@@ -262,6 +272,7 @@ def _make(p, r, a, b, c, d, u, v):
     self.d = d
     self.u = u
     self.v = v
+    self._hash = hash(key)
     self.__class__ = QRat
     if len(_VALUES) < _VALUES_SIZE and len(u) + len(v) <= _MEMO_CAP:
         _VALUES[key] = self
@@ -271,7 +282,7 @@ def _make(p, r, a, b, c, d, u, v):
 class QRat:
     """An element of Q(q).  Use module factories; instances are immutable."""
 
-    __slots__ = _FIELDS
+    __slots__ = _SLOTS
 
     def __init__(self):
         raise TypeError("use qfield factories (of, q_pow, q_int, ...) to build QRat")
@@ -397,8 +408,7 @@ class QRat:
                             other.d, other.u, other.v)
 
     def __hash__(self):
-        return hash((self.p, self.r, self.a, self.b, self.c, self.d, self.u,
-                     self.v))
+        return self._hash
 
     # -- views ----------------------------------------------------------
 
@@ -504,13 +514,13 @@ def _shape(u, v):
 
 def lincomb(scaled) -> dict:
     """The nonzero entries of sum(c * t) over the (c, t) pairs, where each
-    t maps keys to nonzero values: one grouping pass for every key at once.
+    t maps keys to nonzero values.
 
     A key reached once gets the product c * t[key] (t[key] itself for
-    c = 1).  A key reached again collects its terms by shape (a, b, c, d,
-    U, V), adding only prefactors, and `_sum` finishes the groups.  A
-    factor-basis monomial c multiplies on the fields; any other c first
-    multiplies with `__mul__`.
+    c = 1).  A key reached again collects its products in a list, and its
+    sum is looked up in the sum memo `_SUMS` by the tuple of the products;
+    `_sum_terms` computes a missing one.  A factor-basis monomial c
+    multiplies on the fields; any other c first multiplies with `__mul__`.
     """
     acc: dict = {}
     shared = []   # the keys reached more than once
@@ -523,37 +533,59 @@ def lincomb(scaled) -> dict:
         one = c.is_one()
         cp, cr, ca, cb, cc, cd = c.p, c.r, c.a, c.b, c.c, c.d
         for key, x in items:
+            if not one:
+                p, r = x.p * cp, x.r * cr
+                g = gcd(p, r)
+                x = _make(p // g, r // g, x.a + ca, x.b + cb, x.c + cc,
+                          x.d + cd, x.u, x.v)
             prev = acc.get(key)
             if prev is None:
-                if one:
-                    acc[key] = x
-                else:
-                    p, r = x.p * cp, x.r * cr
-                    g = gcd(p, r)
-                    acc[key] = _make(p // g, r // g, x.a + ca, x.b + cb,
-                                     x.c + cc, x.d + cd, x.u, x.v)
-                continue
-            if type(prev) is not dict:
-                shared.append(key)
-                prev = acc[key] = {(prev.a, prev.b, prev.c, prev.d, prev.u,
-                                    prev.v): [prev.p, prev.r]}
-            shape = (x.a + ca, x.b + cb, x.c + cc, x.d + cd, x.u, x.v)
-            p, r = x.p * cp, x.r * cr
-            g = prev.get(shape)
-            if g is None:
-                prev[shape] = [p, r]
-            elif g[1] == r:
-                g[0] += p
+                acc[key] = x
+            elif type(prev) is list:
+                prev.append(x)
             else:
-                g[0] = g[0] * r + p * g[1]
-                g[1] *= r
+                shared.append(key)
+                acc[key] = [prev, x]
     for key in shared:
-        s = _sum(acc[key])
+        terms = tuple(acc[key])
+        try:
+            s = _SUMS[terms]
+        except KeyError:   # a miss; the caps are checked only here
+            s = _sum_terms(terms)
         if s.p:
             acc[key] = s
         else:
             del acc[key]
     return acc
+
+
+# The sum memo (see the module docstring): bound 6 of the ambiguity suite
+# stores about 15,000 sums, the word Gt[4]*W[4]*W[-3]*G[4] about 28,000.
+_SUMS: dict = {}
+_SUMS_SIZE = 65536
+
+
+def _sum_terms(terms) -> QRat:
+    """The sum of the values in terms, grouped by shape (a, b, c, d, U, V)
+    and finished by `_sum`; stored in `_SUMS` under the caps."""
+    groups: dict = {}
+    small = True
+    for x in terms:
+        small = small and len(x.u) + len(x.v) <= _MEMO_CAP
+        shape = (x.a, x.b, x.c, x.d, x.u, x.v)
+        g = groups.get(shape)
+        if g is None:
+            groups[shape] = [x.p, x.r]
+        elif g[1] == x.r:
+            g[0] += x.p
+        else:
+            g[0] = g[0] * x.r + x.p * g[1]
+            g[1] *= x.r
+    s = _sum(groups)
+    if (small and len(_SUMS) < _SUMS_SIZE
+            and len(s.u) + len(s.v) <= _MEMO_CAP):
+        _SUMS[terms] = s
+    return s
 
 
 def qdot(cs, xs) -> QRat:
@@ -630,11 +662,12 @@ _CONSTANTS = {tuple(getattr(x, f) for f in _FIELDS): x
 
 
 def clear_memos():
-    """Empty the polynomial memos and the value memo, all but the module
-    constants QZERO, QONE and Q."""
+    """Empty the polynomial memos, the sum memo and the value memo, all but
+    the module constants QZERO, QONE and Q."""
     _shape.cache_clear()
     _mono.cache_clear()
     _meet.cache_clear()
+    _SUMS.clear()
     _VALUES.clear()
     _VALUES.update(_CONSTANTS)
 

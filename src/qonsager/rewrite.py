@@ -14,8 +14,9 @@ C(4(b + 1), 3) strictly decreasing triples of letters with indices <= b.
 
 `_word_nf` visits each word once: its expansion (descent, rule, candidate
 words and their measure check) waits on its stack frame until the
-candidates are filled.  `_combine` (`qfield.lincomb`) then groups the terms
-by (word, shape) in one pass and canonicalizes each coefficient once.
+candidates are filled.  `_combine` (`qfield.lincomb`) then collects the
+terms by word in one pass; a word's coefficient is a memo lookup by its
+summands, or on a miss is grouped by shape and canonicalized once.
 The rule and normal-form caches are plain process-local dicts keyed by
 immutable values; concurrent workers each build their own.
 """

@@ -49,6 +49,7 @@ def _memo_sizes():
     return (qfield._shape.cache_info().currsize,
             qfield._mono.cache_info().currsize,
             qfield._meet.cache_info().currsize,
+            len(qfield._SUMS),
             len(qfield._VALUES))
 
 
@@ -70,9 +71,20 @@ def test_values_above_the_memo_cap_leave_the_memos_alone():
     assert len(((qfield.Q - 1) ** 70).numerator()) == 71
     x = big * inv
     num = x.numerator()   # U has about 10,000 coefficients
+    # sums in `lincomb` whose summands exceed the cap: one shape, big
+    # summands with a small sum, and two shapes that meet
+    one = qfield.QONE
+    assert qfield.qdot([one, one], [big, big]) == big + big
+    assert qfield.qdot([one] * 3, [big, one, -big]) == one
+    wide = qfield.qdot([one] * 3, [big, qfield.q_pow(6000), big])
+    assert len(wide.u) > qfield._MEMO_CAP
     assert _memo_sizes() == before
     assert max(len(y.u) + len(y.v)
                for y in qfield._VALUES.values()) <= qfield._MEMO_CAP
+    assert max((len(y.u) + len(y.v)
+                for terms, s in qfield._SUMS.items()
+                for y in terms + (s,)), default=0) <= qfield._MEMO_CAP
+    assert wide == big + big + qfield.q_pow(6000)
     assert len(x.u) > qfield._MEMO_CAP
     # exact: the pair round-trips, w cancels, and the value is right at a point
     assert qfield.from_num_den(num, x.denominator()) == x
@@ -88,7 +100,7 @@ def test_clear_caches_empties_the_polynomial_memos():
     words.render_poly(rewrite.normal_form(poly))
     assert min(_memo_sizes()) > 0
     rewrite.clear_caches()
-    assert _memo_sizes() == (0, 0, 0, len(qfield._CONSTANTS))
+    assert _memo_sizes() == (0, 0, 0, 0, len(qfield._CONSTANTS))
 
 
 # Caches whose entries are fixed values of Q(q), the same in every run: they
@@ -122,6 +134,7 @@ def test_clear_caches_empties_every_kernel_memo():
             if name not in _CONSTANT_CACHES}
     assert left == dict.fromkeys(left, 0)
     assert rewrite._NF_CACHE == {} and rewrite._RULE_CACHE == {}
+    assert qfield._SUMS == {}
     assert qfield._VALUES == qfield._CONSTANTS
 
 

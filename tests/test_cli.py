@@ -196,6 +196,30 @@ def test_check_central_bound_zero_is_usage_error(capsys, monkeypatch):
     assert "--bound >= 1" in captured.err
 
 
+def test_check_ambiguities_above_the_bound_cap_is_usage_error(capsys,
+                                                             monkeypatch):
+    small = rewrite.enumerate_overlaps(0)
+
+    def no_work(*args):
+        raise AssertionError("check ambiguities ran before rejecting its bound")
+
+    monkeypatch.setattr(rewrite, "enumerate_overlaps", no_work)
+    monkeypatch.setattr(rewrite, "check_overlap", no_work)
+    for bound in (cli.MAX_AMBIGUITY_BOUND + 1, 100_000):
+        rc = cli.main(["check", "ambiguities", "--bound", str(bound)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert f"--bound <= {cli.MAX_AMBIGUITY_BOUND}" in captured.err
+    # the cap itself is accepted (run here on the four bound-0 overlaps)
+    monkeypatch.undo()
+    monkeypatch.setattr(rewrite, "enumerate_overlaps", lambda bound: small)
+    rc = cli.main(["check", "ambiguities", "--bound",
+                   str(cli.MAX_AMBIGUITY_BOUND)])
+    assert rc == 0
+    assert "4/4 passed" in capsys.readouterr().out
+
+
 def test_worker_env_parallel_suite(capsys, monkeypatch):
     monkeypatch.setenv("ONSAGER_WORKERS", "2")
     rc = cli.main(["check", "ambiguities", "--bound", "0"])

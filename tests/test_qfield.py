@@ -412,6 +412,48 @@ def test_qdot_memo_is_keyed_by_relative_shape():
     assert (info.misses, info.hits) == (1, 1)
 
 
+# lincomb over maps with a few keys; the key "z" also receives c * x and
+# c * (-x) for each pair of `cancel`, so its sum is zero
+_nonzero = _values.filter(bool)
+_terms = st.dictionaries(st.sampled_from("abc"), _nonzero, max_size=3)
+
+
+@given(pairs=st.lists(st.tuples(st.one_of(_scales, _nonzero), _terms),
+                      max_size=6),
+       cancel=st.lists(st.tuples(_nonzero, _nonzero), max_size=2),
+       rnd=st.randoms(use_true_random=False))
+def test_lincomb_equals_the_binary_fold(pairs, cancel, rnd):
+    scaled = (pairs + [(c, {"z": x}) for c, x in cancel]
+              + [(c, {"z": -x}) for c, x in cancel])
+    fold = {}
+    for c, t in scaled:
+        for key, x in t.items():
+            fold[key] = fold.get(key, qf.QZERO) + c * x
+    expected = {key: _fields(s) for key, s in fold.items() if s}
+    assert "z" not in expected
+
+    def fields(acc):
+        return {key: _fields(s) for key, s in acc.items()}
+
+    qf.clear_memos()
+    assert fields(qf.lincomb(scaled)) == expected   # cold
+    size = len(qf._SUMS)
+    assert fields(qf.lincomb(scaled)) == expected   # warm: memo hits
+    assert len(qf._SUMS) == size
+    qf.clear_memos()
+    assert fields(qf.lincomb(scaled)) == expected
+    rnd.shuffle(scaled)
+    assert fields(qf.lincomb(scaled)) == expected
+
+
+def test_sums_past_a_full_memo_are_computed_but_not_stored(monkeypatch):
+    qf.clear_memos()
+    monkeypatch.setattr(qf, "_SUMS_SIZE", 0)
+    cs, xs = [qf.QONE, _HALF, qf.Q], [qf.q_int(3), _V2, qf.q_int(3)]
+    assert _fields(qf.qdot(cs, xs)) == _fields(_fold(cs, xs))
+    assert qf._SUMS == {}
+
+
 def _sympy_value(x, q):
     num, den = x.numerator(), x.denominator()
     return (sum(c * q ** i for i, c in enumerate(num))
@@ -567,6 +609,24 @@ def test_values_above_the_cap_or_past_a_full_memo_are_built_unshared(
     x = qf.q_pow(9)
     assert qf.q_pow(9) == x and qf.q_pow(9) is not x
     assert qf._VALUES == qf._CONSTANTS
+
+
+def test_the_stored_hash_is_the_hash_of_the_fields(monkeypatch):
+    shared, big = qf.q_int(3) * _V2, qf.q_int(40)
+    assert shared is qf._make(*_fields(shared))
+    qf.clear_memos()
+    monkeypatch.setattr(qf, "_VALUES_SIZE", len(qf._VALUES))
+    unshared = qf.q_pow(9)   # built past a full memo
+    values = [shared, big, unshared]
+    values += [pickle.loads(pickle.dumps(x)) for x in values]
+    values += [qf._make(*_fields(x)) for x in values]
+    for x in values:
+        assert hash(x) == hash(_fields(x))
+        for y in values:
+            assert (x == y) == (_fields(x) == _fields(y))
+            if x == y:
+                assert hash(x) == hash(y)
+    assert len(set(values)) == 3
 
 
 # The renderer as it was before it read its text off the factored form:
