@@ -62,6 +62,12 @@ MAX_EXPONENT = 10_000
 # the overlap list is built (bound 100,000 would have about 10^16).
 MAX_AMBIGUITY_BOUND = 10
 
+# Largest --bound accepted by `check relations`, whose relation list grows
+# with the square of the bound: bound 24 took 2.8 s and 57 MB peak RSS,
+# bound 40 11 s and 176 MB, bound 64 33 s and 618 MB.  A larger bound is
+# refused before the list is built (bound 100,000 ran out of memory).
+MAX_RELATION_BOUND = 64
+
 
 class _Parser:
     """Recursive descent that evaluates as it parses: sums and products
@@ -299,6 +305,10 @@ def cmd_check(args) -> int:
         raise ValueError(f"check ambiguities needs --bound <= "
                          f"{MAX_AMBIGUITY_BOUND}: it checks all "
                          f"C(4(bound + 1), 3) overlaps")
+    if suite == "relations" and bound > MAX_RELATION_BOUND:
+        raise ValueError(f"check relations needs --bound <= "
+                         f"{MAX_RELATION_BOUND}: its relation list grows "
+                         f"with the square of the bound")
     if suite == "relations":
         report = run_relation_suite(bound)
         params = {"bound": bound}
@@ -434,7 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "relations and ambiguities take the indices up to "
                         "and including the bound, central the letters with "
                         "index k below it, so it needs a bound >= 1; "
-                        f"ambiguities accepts at most {MAX_AMBIGUITY_BOUND}")
+                        f"relations accepts at most {MAX_RELATION_BOUND}, "
+                        f"ambiguities at most {MAX_AMBIGUITY_BOUND}")
     p.add_argument("--order", type=_non_negative_int, default=4)
     p.add_argument("--n", type=_non_negative_int, default=4)
     p.set_defaults(func=cmd_check)

@@ -25,18 +25,18 @@ the operands' shape alone:
   of q and basis factors, and the general polynomial gcd, run only when
   V != 1 (denominators such as q^n + q^-n), which is rare;
 * values of several shapes (two in `+`, many in `qdot`, many sums at
-  once in `lincomb`) meet in `_meet` over one common factor-basis
-  denominator and are canonicalized once;
+  once in `lincomb`) meet in `_sum` over one common factor-basis
+  denominator, and `_canon` canonicalizes the met numerator and
+  denominator once;
 * the polynomial steps are memoized by shape: `_shape` factors each
   (U, V) pair and `_mono` expands each basis monomial times a cofactor
   once, while the prefactor and exponent arithmetic stays outside the
-  key.  `_meet`, the common-denominator step of a sum of several shapes,
-  is keyed by each shape's exponents relative to the first shape's, U, V
-  and integer weight p * (lcm of the r's / r) over the content of all
-  the weights.  Only expansions of at most `_MEMO_CAP` (64) coefficients
-  enter; the memos hold 4,096 entries each, `_meet` 8,192 (bound 6 of
-  the ambiguity suite meets about 4,300 shapes).  Larger ones run the
-  same functions unmemoized.  `clear_memos` empties the memos;
+  key.  `_sum` meets its terms relative to their minimal exponents and
+  divides their integer weights by their content, so a sum rescaled by a
+  factor-basis monomial times an integer hands `_shape` the same pair, a
+  hit.  Only expansions of at most `_MEMO_CAP` (64) coefficients enter;
+  the memos hold 4,096 entries each.  Larger ones run the same functions
+  unmemoized.  `clear_memos` empties the memos;
 * values are hash-consed: `_make`, the one place a value is built, returns
   the existing object for a canonical field tuple from the value memo, so
   the normal-form caches hold one object per distinct coefficient (a cold
@@ -54,7 +54,7 @@ the operands' shape alone:
   128,255 such sums and stores 7,122).  A sum enters only while the
   memo holds fewer than 65,536 entries (`_SUMS_SIZE`) and only if every
   summand and the sum have len(U) + len(V) <= `_MEMO_CAP`; any other sum
-  is grouped by shape and met as before.  `clear_memos` empties it.
+  is grouped by shape and met in `_sum`.  `clear_memos` empties it.
 
 The exposed numerator/denominator pair is always fully reduced over
 Z[q] with a positive-leading-coefficient denominator, so equality and
@@ -68,6 +68,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import zip_longest
 from math import gcd, lcm
 
 # Dense integer polynomials in q, low degree first, no trailing zeros.
@@ -208,7 +209,6 @@ def _strip(u, f):
 # [10000]q run through __wrapped__ instead, so no entry grows with them.
 _MEMO_CAP = 64
 _MEMO_SIZE = 4096
-_MEET_SIZE = 8192
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
@@ -439,21 +439,11 @@ def _canon(p, r, a, b, c, d, u, v):
         return QZERO
     if not v:
         raise ZeroDivisionError("zero denominator in Q(q)")
-    if len(u) + len(v) <= _MEMO_CAP:
-        return _scale(p, r, a, b, c, d, _shape(u, v))
-    return _scale(p, r, a, b, c, d, _shape.__wrapped__(u, v))
-
-
-def _scale(p, r, a, b, c, d, shape):
-    """(p/r) * q^a * (q-1)^b * (q+1)^c * (q^2+1)^d times a `_shape` result."""
-    k, m, da, db, dc, dd, u, v = shape
-    p *= k
-    r *= m
+    shape = _shape if len(u) + len(v) <= _MEMO_CAP else _shape.__wrapped__
+    k, m, da, db, dc, dd, u, v = shape(u, v)
+    p, r = p * k, r * m
     g = gcd(p, r)
-    if g > 1:
-        p //= g
-        r //= g
-    return _make(p, r, a + da, b + db, c + dc, d + dd, u, v)
+    return _make(p // g, r // g, a + da, b + db, c + dc, d + dd, u, v)
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
@@ -596,9 +586,10 @@ def qdot(cs, xs) -> QRat:
 
 
 def _sum(groups) -> QRat:
-    """The sum of the groups {(a, b, c, d, U, V): [p, r]}, met in `_meet`
-    relative to the first group's exponents, the lcm of the r's and the
-    content of the integer weights."""
+    """The sum of the groups {(a, b, c, d, U, V): [p, r]}: the terms meet
+    over the minimal exponents, the lcm of the r's, the content n of the
+    integer weights and the product of the distinct V's, and `_canon`
+    canonicalizes the met numerator and denominator once."""
     live = [(key, g) for key, g in groups.items() if g[0]]
     if len(live) < 2:
         if not live:
@@ -606,51 +597,22 @@ def _sum(groups) -> QRat:
         key, (p, r) = live[0]
         g = gcd(p, r)
         return _make(p // g, r // g, *key)
-    a, b, c, d, _, _ = live[0][0]
+    ka, kb, kc, kd, _, kv = zip(*[key for key, _ in live])
+    ma, mb, mc, md = min(ka), min(kb), min(kc), min(kd)
     rr = lcm(*[r for _, (_, r) in live])
     ws = [p * (rr // r) for _, (p, r) in live]
     n = gcd(*ws)
-    terms = tuple([(ta - a, tb - b, tc - c, td - d, u, v, w // n)
-                   for ((ta, tb, tc, td, u, v), _), w in zip(live, ws)])
-    try:
-        shape = _meet(terms)
-    except _Unmemoized as big:
-        shape = big.args[0]
-    if shape is None:
-        return QZERO
-    return _scale(n, rr, a, b, c, d, shape)
-
-
-class _Unmemoized(Exception):
-    """Carries a `_meet` result too long to keep in the memo."""
-
-
-@lru_cache(maxsize=_MEET_SIZE)
-def _meet(terms):
-    """The `_shape` of sum(w * q^a (q-1)^b (q+1)^c (q^2+1)^d * U/V) over
-    the (a, b, c, d, U, V, w) terms, or None when the sum is zero."""
-    ka, kb, kc, kd, _, kv, _ = zip(*terms)
-    ma, mb, mc, md = min(ka), min(kb), min(kc), min(kd)
     vs = [v for v in dict.fromkeys(kv) if v != P_ONE]
-    den = reduce(p_mul, vs, P_ONE)
-    num = []
-    for ta, tb, tc, td, u, v, k in terms:
-        t = _mono.__wrapped__(ta - ma, tb - mb, tc - mc, td - md, u)
-        for w in vs:
-            if w != v:
-                t = p_mul(t, w)
-        if len(t) > len(num):
-            num += [0] * (len(t) - len(num))
-        for i, x in enumerate(t):
-            num[i] += k * x
-    num = p_trim(num)
-    shape = None
-    if num:
-        k, m, da, db, dc, dd, u, v = _shape.__wrapped__(num, den)
-        shape = k, m, da + ma, db + mb, dc + mc, dd + md, u, v
-    if len(num) + len(den) > _MEMO_CAP:
-        raise _Unmemoized(shape)
-    return shape
+    rows = []
+    for ((a, b, c, d, u, v), _), w in zip(live, ws):
+        t = _expand(w // n, b - mb, c - mc, d - md, u)
+        for x in vs:
+            if x != v:
+                t = p_mul(t, x)
+        rows.append((0,) * (a - ma) + t)   # t times q^(a - ma)
+    num = [sum(col) for col in zip_longest(*rows, fillvalue=0)]
+    return _canon(n, rr, ma, mb, mc, md, p_trim(num),
+                  reduce(p_mul, vs, P_ONE))
 
 
 QZERO = _make(0, 1, 0, 0, 0, 0, P_ONE, P_ONE)
@@ -666,7 +628,6 @@ def clear_memos():
     the module constants QZERO, QONE and Q."""
     _shape.cache_clear()
     _mono.cache_clear()
-    _meet.cache_clear()
     _SUMS.clear()
     _VALUES.clear()
     _VALUES.update(_CONSTANTS)

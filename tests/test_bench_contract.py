@@ -48,7 +48,6 @@ def test_mono_cache_can_be_cleared():
 def _memo_sizes():
     return (qfield._shape.cache_info().currsize,
             qfield._mono.cache_info().currsize,
-            qfield._meet.cache_info().currsize,
             len(qfield._SUMS),
             len(qfield._VALUES))
 
@@ -100,7 +99,7 @@ def test_clear_caches_empties_the_polynomial_memos():
     words.render_poly(rewrite.normal_form(poly))
     assert min(_memo_sizes()) > 0
     rewrite.clear_caches()
-    assert _memo_sizes() == (0, 0, 0, 0, len(qfield._CONSTANTS))
+    assert _memo_sizes() == (0, 0, 0, len(qfield._CONSTANTS))
 
 
 # Caches whose entries are fixed values of Q(q), the same in every run: they
@@ -124,8 +123,7 @@ def _kernel_lru_caches():
 def test_clear_caches_empties_every_kernel_memo():
     # each benchmark step runs from empty caches after rewrite.clear_caches
     caches = _kernel_lru_caches()
-    assert _CONSTANT_CACHES | {"qfield._shape", "qfield._mono",
-                               "qfield._meet"} <= set(caches)
+    assert _CONSTANT_CACHES | {"qfield._shape", "qfield._mono"} <= set(caches)
     poly = cli.parse_to_poly("1/(q^2 + q^-2)*W[1]*G[2] + Gt[1]*W[1]*W[0]*G[1]")
     words.render_poly(rewrite.normal_form(poly))
     rewrite.clear_caches()

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from qonsager import cli
 from qonsager import qfield as qf
-from qonsager import rewrite, series
+from qonsager import rewrite, series, words
 from qonsager.words import NCPoly, g_, gt_, render_poly, wm, wp
 
 
@@ -198,26 +198,34 @@ def test_check_central_bound_zero_is_usage_error(capsys, monkeypatch):
 
 def test_check_ambiguities_above_the_bound_cap_is_usage_error(capsys,
                                                              monkeypatch):
-    small = rewrite.enumerate_overlaps(0)
-
+    # check relations too: each capped suite with the functions that would
+    # do its work, and their bound-0 output to run the cap itself on
     def no_work(*args):
-        raise AssertionError("check ambiguities ran before rejecting its bound")
+        raise AssertionError("a check suite ran before rejecting its bound")
 
-    monkeypatch.setattr(rewrite, "enumerate_overlaps", no_work)
-    monkeypatch.setattr(rewrite, "check_overlap", no_work)
-    for bound in (cli.MAX_AMBIGUITY_BOUND + 1, 100_000):
-        rc = cli.main(["check", "ambiguities", "--bound", str(bound)])
-        captured = capsys.readouterr()
-        assert rc == 2
-        assert captured.out == ""
-        assert f"--bound <= {cli.MAX_AMBIGUITY_BOUND}" in captured.err
-    # the cap itself is accepted (run here on the four bound-0 overlaps)
-    monkeypatch.undo()
-    monkeypatch.setattr(rewrite, "enumerate_overlaps", lambda bound: small)
-    rc = cli.main(["check", "ambiguities", "--bound",
-                   str(cli.MAX_AMBIGUITY_BOUND)])
-    assert rc == 0
-    assert "4/4 passed" in capsys.readouterr().out
+    small_overlaps = rewrite.enumerate_overlaps(0)
+    small_relations = list(words.defining_relations(0))
+    for suite, cap, module, names, small in (
+            ("ambiguities", cli.MAX_AMBIGUITY_BOUND, rewrite,
+             ("enumerate_overlaps", "check_overlap"), small_overlaps),
+            ("relations", cli.MAX_RELATION_BOUND, words,
+             ("defining_relations",), small_relations)):
+        for name in names:
+            monkeypatch.setattr(module, name, no_work)
+        for bound in (cap + 1, 100_000):
+            rc = cli.main(["check", suite, "--bound", str(bound)])
+            captured = capsys.readouterr()
+            assert rc == 2
+            assert captured.out == ""
+            assert f"check {suite} needs --bound <= {cap}" in captured.err
+        # the cap itself is accepted
+        monkeypatch.undo()
+        monkeypatch.setattr(module, names[0], lambda bound: small)
+        rc = cli.main(["check", suite, "--bound", str(cap)])
+        assert rc == 0
+        n = len(small)
+        assert f"{n}/{n} passed" in capsys.readouterr().out
+        monkeypatch.undo()
 
 
 def test_worker_env_parallel_suite(capsys, monkeypatch):

@@ -69,6 +69,10 @@ GOLDEN = [
     (['normalize', '[3]q*W[1]*G[2] + (q - q^-1)*G[2]*W[1]'
       ' + 1/(q^2 + q^-2)*W[2]*W[-1]'], 0,
      "0f7a8b5546003d2171e04c73008b96fb264d148c171811a24d36bc44cb9ed0e0"),
+    # two distinct V's, q^4 + 1 and q^4 - q^2 + 1, meet in one sum
+    (['normalize',
+      '1/(q^2 + q^-2)*W[1]*G[2] + 1/(q^3 + q^-3)*G[2]*W[1]'], 0,
+     "a4cd5d10a9773087e5c6819cc40eb1cff1f0225405a9e71c8d889e262c0fd5e7"),
 ]
 
 

@@ -389,8 +389,8 @@ _scales = st.builds(
 
 @_dot_cases(scale=(_scales, qf._make(-3, 1, 2, 1, 0, 1, qf.P_ONE, qf.P_ONE)))
 def test_qdot_of_a_rescaled_list_equals_the_fold(pairs, mirror, scale):
-    # the rescaled list meets in `_meet` with other absolute exponents and
-    # another content, so it may hit the memo entry of the first call
+    # the rescaled list meets in `_sum` with other absolute exponents and
+    # another content, so it may hit the `_shape` entry of the first call
     cs, xs = _dot_lists(pairs, mirror)
     first = qf.qdot(cs, xs)
     assert _fields(first) == _fields(_fold(cs, xs))
@@ -404,11 +404,11 @@ def test_qdot_memo_is_keyed_by_relative_shape():
     xs = [qf.q_pow(2), qf.Q - qf.QONE, qf.q_int(3), _V2]
     cs = [qf.of(2), qf.of(-4), qf.of(6), qf.of(2)]
     scale = qf._make(3, 1, 5, 1, 2, 0, qf.P_ONE, qf.P_ONE)
-    qf._meet.cache_clear()
+    qf.clear_memos()   # the sum memo too, so both sums reach `_shape`
     first = qf.qdot(cs, xs)
     got = qf.qdot([c * scale for c in cs], xs)
     assert got == first * scale
-    info = qf._meet.cache_info()
+    info = qf._shape.cache_info()
     assert (info.misses, info.hits) == (1, 1)
 
 
