@@ -31,11 +31,9 @@ def down_transform(a: Callable[[int], NCPoly], n: int) -> NCPoly:
 def ddown_transform(a: Callable[[int], NCPoly], n: int) -> NCPoly:
     """The companion resummation with binomials C(n-l, l)."""
     inv2sq = qfield.q_int(2) ** -2
-    out = NCPoly.zero()
-    for l in range(n // 2 + 1):
-        c = qfield.of((-1) ** l * comb(n - l, l)) * inv2sq ** l
-        out = out + a(n - 2 * l) * c
-    return out
+    return NCPoly.sum(
+        a(n - 2 * l) * (qfield.of((-1) ** l * comb(n - l, l)) * inv2sq ** l)
+        for l in range(n // 2 + 1))
 
 
 def _seq(family: Family, elem=series.family_element) -> Callable[[int], NCPoly]:
@@ -103,14 +101,19 @@ def subst_ST(family: Family, which: str, weight: str, order: int) -> TruncSeries
     return TruncSeries(("t",), (order,), (0,), coeffs)
 
 
+def _st_w(m: int):
+    """The W series that Z(t) is built from, to order m: S*W-(S),
+    S*W+(S), T*W-(T), T*W+(T)."""
+    return [subst_ST(fam, which, "times_ST_arg", m)
+            for which in ("S", "T") for fam in (Family.Wminus, Family.Wplus)]
+
+
 def _st_bundle(m: int):
-    """The series that Z(t) and its matrix factorization are built from,
-    to order m: S*W-(S), S*W+(S), T*W-(T), T*W+(T), G(S), Gt(S), G(T),
-    Gt(T)."""
-    return ([subst_ST(fam, which, "times_ST_arg", m)
-             for which in ("S", "T") for fam in (Family.Wminus, Family.Wplus)]
-            + [subst_ST(fam, which, "plain", m)
-               for which in ("S", "T") for fam in (Family.G, Family.Gtilde)])
+    """The series that the PBW form of Z(t) and its matrix factorization
+    are built from, to order m: the four of `_st_w`, then G(S), Gt(S),
+    G(T), Gt(T)."""
+    return _st_w(m) + [subst_ST(fam, which, "plain", m) for which in ("S", "T")
+                       for fam in (Family.G, Family.Gtilde)]
 
 
 # -- Z(t) and the elements Z_n ------------------------------------------------
@@ -118,7 +121,10 @@ def _st_bundle(m: int):
 
 def z_series(order: int, reduce: bool = True) -> TruncSeries:
     """The central generating function, coefficients in PBW normal form."""
-    swm, swp, twm, twp, gs, _, _, gtt = _st_bundle(order + 3)
+    m = order + 3
+    swm, swp, twm, twp = _st_w(m)
+    gs = subst_ST(Family.G, "S", "plain", m)
+    gtt = subst_ST(Family.Gtilde, "T", "plain", m)
     q = qfield.q_pow
     inv = ((q(2) - q(-2)) ** 2).inverse()
     z = ((swm * twp).shift("t", -1)
@@ -177,33 +183,29 @@ class CentralElement:
     route: str
 
 
-def _five_sum(n: int, elem, g_range) -> NCPoly:
-    """The four W sums and the G sum over g_range of the closed Z_n
-    formula, unreduced; elem(family, k) supplies the letter polynomials."""
+def _five_sum_terms(n: int, elem, g_range) -> List[NCPoly]:
+    """The terms of the four W sums and the G sum over g_range of the
+    closed Z_n formula, unreduced; elem(family, k) supplies the letter
+    polynomials."""
     q = qfield.q_pow
     q2 = qfield.q_int(2)
     inv = ((q(2) - q(-2)) ** 2).inverse()
     w = partial(_w_dd, elem=elem)
-    out = NCPoly.zero()
-    for k in range(n):
-        out = out + (w(-k) * w(n - k)) * (q2 * q(n - 1 - 2 * k))
-    for k in range(n - 2):
-        out = out + (w(n - 2 - k) * w(-k)) * (q2.inverse() * q(2 * k - n + 3))
-    for k in range(n - 1):
-        out = out - (w(-k) * w(k - n + 2)) * q(n - 2 * k)
-    for k in range(n - 1):
-        out = out - (w(k + 1) * w(n - k - 1)) * q(n - 2 * k - 4)
     g, gt = _seq(Family.G, elem), _seq(Family.Gtilde, elem)
-    for k in g_range:
-        pair = down_transform(g, k) * down_transform(gt, n - k)
-        out = out + pair * (inv * q(n - 2 * k))
-    return out
+    return ([(w(-k) * w(n - k)) * (q2 * q(n - 1 - 2 * k)) for k in range(n)]
+            + [(w(n - 2 - k) * w(-k)) * (q2.inverse() * q(2 * k - n + 3))
+               for k in range(n - 2)]
+            + [(w(-k) * w(k - n + 2)) * -q(n - 2 * k) for k in range(n - 1)]
+            + [(w(k + 1) * w(n - k - 1)) * -q(n - 2 * k - 4)
+               for k in range(n - 1)]
+            + [(down_transform(g, k) * down_transform(gt, n - k))
+               * (inv * q(n - 2 * k)) for k in g_range])
 
 
 def z_n_direct_poly(n: int) -> NCPoly:
     """The closed five-sum formula, reduced to normal form."""
-    return rewrite.normal_form(
-        _five_sum(n, series.family_element, range(n + 1)))
+    return rewrite.normal_form(NCPoly.sum(
+        _five_sum_terms(n, series.family_element, range(n + 1))))
 
 
 def z_n(n: int, route: str = "direct") -> CentralElement:
@@ -257,12 +259,12 @@ def z_bar_expanded_poly(n: int, elem=None) -> NCPoly:
     q = qfield.q_pow
     qm = qfield.Q - q(-1)
     inv2sq = qfield.q_int(2) ** -2
-    out = _five_sum(n, elem, range(1, n))
+    terms = _five_sum_terms(n, elem, range(1, n))
     for l in range(1, (n - 1) // 2 + 1):
         c = qfield.of((-1) ** l * comb(n - 1 - l, l)) * inv2sq ** l
-        out = out - elem(Family.G, n - 2 * l) * (c * q(-n) * qm.inverse())
-        out = out - elem(Family.Gtilde, n - 2 * l) * (c * q(n) * qm.inverse())
-    return out
+        terms.append(elem(Family.G, n - 2 * l) * -(c * q(-n) * qm.inverse()))
+        terms.append(elem(Family.Gtilde, n - 2 * l) * -(c * q(n) * qm.inverse()))
+    return NCPoly.sum(terms)
 
 
 def delta_n(n: int) -> NCPoly:
@@ -435,10 +437,8 @@ def check_appendix_b() -> Report:
     q2 = qfield.q_int(2)
 
     def entry(rows):
-        out = NCPoly.zero()
-        for coeff_int, pw, letter in rows:
-            out = out + NCPoly.gen(letter) * (qfield.of(coeff_int) * q2 ** (-pw))
-        return out
+        return NCPoly([((letter,), qfield.of(coeff_int) * q2 ** (-pw))
+                       for coeff_int, pw, letter in rows])
 
     wminus_rows = {
         0: [(1, 0, wm(0))],

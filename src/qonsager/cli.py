@@ -3,7 +3,10 @@
 Exit codes: 0 all requested checks pass, 1 a check failed or none ran,
 2 usage or parse error (a negative size or bound is a usage error),
 3 internal error: an invariant of the kernel failed, which is a bug and
-not a fault of the input; stderr then starts with "internal error:".
+not a fault of the input; stderr then starts with "internal error:",
+141 stdout was closed before the output was complete (a broken pipe, as
+in `qonsager series W- --order 3000 | head -1`); a shell reports the same
+code for a process that SIGPIPE ended.
 JSON output follows the schema
 {command, parameters, results: [{name, pass, detail}], version}.
 """
@@ -478,7 +481,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()   # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone: what is still buffered goes to devnull, so
+        # the flush at exit cannot raise again; 141 = 128 + SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

@@ -48,6 +48,11 @@ the operands' shape alone:
   Q), so equality and hashing stay structural and no code compares values
   with `is`.  `_make` also stores each value's hash, the hash of its field
   tuple, so hashing a value costs one slot read;
+* `lincomb` is the one place coefficients are accumulated: the normal
+  forms of `rewrite`, `qdot`, and NCPoly's constructor, `+`, `-`, `*`
+  and `sum` (and through them the series and central sums) all combine
+  terms there.  While no key has been reached, a map scaled by one is
+  copied whole with `dict.update`, a C-level copy;
 * a sum in `lincomb` at a key reached more than once is memoized by its
   summands: `_SUMS` maps the tuple of the products c * x, in the order
   they arrived, to their sum (a cold bound-4 ambiguity run looks up
@@ -504,13 +509,15 @@ def _shape(u, v):
 
 def lincomb(scaled) -> dict:
     """The nonzero entries of sum(c * t) over the (c, t) pairs, where each
-    t maps keys to nonzero values.
+    c is nonzero and each t maps keys to nonzero values.
 
     A key reached once gets the product c * t[key] (t[key] itself for
     c = 1).  A key reached again collects its products in a list, and its
     sum is looked up in the sum memo `_SUMS` by the tuple of the products;
     `_sum_terms` computes a missing one.  A factor-basis monomial c
     multiplies on the fields; any other c first multiplies with `__mul__`.
+    While no key has been reached, a map whose c is one (or the products
+    of a non-monomial c) is copied whole with `dict.update`.
     """
     acc: dict = {}
     shared = []   # the keys reached more than once
@@ -520,7 +527,11 @@ def lincomb(scaled) -> dict:
         else:
             items = [(key, c * x) for key, x in t.items()]
             c = QONE
-        one = c.is_one()
+        # c is a monomial here, so its p, r and exponents decide c == 1
+        one = c.p == c.r == 1 and not (c.a or c.b or c.c or c.d)
+        if one and not acc:
+            acc.update(items)   # no key reached yet: a C-level copy
+            continue
         cp, cr, ca, cb, cc, cd = c.p, c.r, c.a, c.b, c.c, c.d
         for key, x in items:
             if not one:

@@ -245,7 +245,7 @@ def reduce_with_strategy(p: NCPoly, rng) -> NCPoly:
     Test oracle for strategy independence: the confluent system reaches
     the same normal form whatever order the sites are eliminated in.  It
     keeps the binary `prev + c * cu` fold, so it does not share
-    `qfield.qdot` with `normal_form`.
+    `qfield.lincomb` with `normal_form`.
     """
     terms = dict(p.terms)
     worklist = [w for w in terms if first_descent(w) is not None]

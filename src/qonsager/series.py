@@ -8,6 +8,11 @@ o1, o2 with floors f1, f2 is exact up to min(o1 + f2, o2 + f1).  All
 window bookkeeping is automatic, so identities checked coefficientwise
 are exact wherever a coefficient is reported at all.
 
+Sums, products and exact division by (u - v) group each exponent's
+contributions and sum them once with `NCPoly.sum`, that is through
+`qfield.lincomb`; an exponent with a single contribution keeps it as it
+is, and the constructor drops the coefficients that cancel.
+
 Eight of the named combinations A..S are not written out: B, F, G, I,
 M, N, Q and S are the images of A, E, D, H, L, K, P and R under the
 automorphism sigma, which swaps W- with W+ and G with Gt, and are
@@ -20,6 +25,7 @@ and are generated from them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, List, Tuple
 
 from . import qfield, rewrite
@@ -102,16 +108,11 @@ class TruncSeries:
         a, b = _align(self, other)
         order = tuple(min(x, y) for x, y in zip(a.order, b.order))
         floor = tuple(min(x, y) for x, y in zip(a.floor, b.floor))
-        coeffs = dict(a.coeffs)
-        for e, p in b.coeffs.items():
-            s = coeffs.get(e)
-            s = p if s is None else s + p
-            if s.is_zero():
-                coeffs.pop(e, None)
-            else:
-                coeffs[e] = s
-        coeffs = {e: p for e, p in coeffs.items()
-                  if all(x <= o for x, o in zip(e, order))}
+        groups: Dict[Tuple[int, ...], List[NCPoly]] = {}
+        for e, p in chain(a.coeffs.items(), b.coeffs.items()):
+            groups.setdefault(e, []).append(p)
+        coeffs = _summed({e: ps for e, ps in groups.items()
+                          if all(x <= o for x, o in zip(e, order))})
         return TruncSeries(a.vars, order, floor, coeffs)
 
     def __neg__(self):
@@ -191,7 +192,7 @@ def _mul(x: TruncSeries, y: TruncSeries) -> TruncSeries:
     floor = []
     for fa, fb in zip(a.floor, b.floor):
         floor.append(max(fa + fb, FLOOR_MIN))
-    coeffs: Dict[Tuple[int, ...], NCPoly] = {}
+    groups: Dict[Tuple[int, ...], List[NCPoly]] = {}
     for e1, p1 in a.coeffs.items():
         for e2, p2 in b.coeffs.items():
             e = tuple(i + j for i, j in zip(e1, e2))
@@ -199,14 +200,15 @@ def _mul(x: TruncSeries, y: TruncSeries) -> TruncSeries:
                 continue
             if any(x < FLOOR_MIN for x in e):
                 raise FloorUnderflowError(f"product exponent {e} underflows")
-            p = p1 * p2
-            s = coeffs.get(e)
-            s = p if s is None else s + p
-            if s.is_zero():
-                coeffs.pop(e, None)
-            else:
-                coeffs[e] = s
+            groups.setdefault(e, []).append(p1 * p2)
+    coeffs = _summed(groups)
     return TruncSeries(a.vars, order, tuple(floor), coeffs)
+
+
+def _summed(groups) -> Dict[Tuple[int, ...], NCPoly]:
+    """The sum of each exponent's list of NCPolys; a single one is kept."""
+    return {e: ps[0] if len(ps) == 1 else NCPoly.sum(ps)
+            for e, ps in groups.items()}
 
 
 def bracket(a: TruncSeries, b: TruncSeries) -> TruncSeries:
@@ -278,17 +280,13 @@ def _divide_by_difference(a: TruncSeries, u: str, v: str) -> TruncSeries:
         raise ValueError("difference division needs polynomial exponents")
     m = min(a.order[iu], a.order[iv])
     # divisible by (u - v) iff the restriction u = v vanishes
-    diag: Dict[Tuple, NCPoly] = {}
+    diag: Dict[Tuple, List[NCPoly]] = {}
     for e, p in a.coeffs.items():
         d = e[iu] + e[iv]
-        if d > m:
-            continue
-        rest = tuple(x for i, x in enumerate(e) if i not in (iu, iv))
-        key = (d, rest)
-        s = diag.get(key)
-        s = p if s is None else s + p
-        diag[key] = s
-    for key, p in diag.items():
+        if d <= m:
+            rest = tuple(x for i, x in enumerate(e) if i not in (iu, iv))
+            diag.setdefault((d, rest), []).append(p)
+    for key, p in _summed(diag).items():
         if not p.is_zero():
             raise DivisibilityError(
                 f"not divisible by ({u} - {v}); remainder at {key}")
@@ -297,7 +295,7 @@ def _divide_by_difference(a: TruncSeries, u: str, v: str) -> TruncSeries:
         raise DivisibilityError("window too small to divide")
     order = list(a.order)
     order[iu] = order[iv] = out_order
-    coeffs: Dict[Tuple[int, ...], NCPoly] = {}
+    groups: Dict[Tuple[int, ...], List[NCPoly]] = {}
     for e, p in a.coeffs.items():
         ei, ej = e[iu], e[iv]
         # quotient entry (i, j) receives a_{ei, ej} when ei = i+1+k, ej = j-k
@@ -308,13 +306,8 @@ def _divide_by_difference(a: TruncSeries, u: str, v: str) -> TruncSeries:
                 continue
             e2 = list(e)
             e2[iu], e2[iv] = i, j
-            key = tuple(e2)
-            s = coeffs.get(key)
-            s = p if s is None else s + p
-            if s.is_zero():
-                coeffs.pop(key, None)
-            else:
-                coeffs[key] = s
+            groups.setdefault(tuple(e2), []).append(p)
+    coeffs = _summed(groups)
     return TruncSeries(a.vars, tuple(order), a.floor, coeffs)
 
 
@@ -344,9 +337,7 @@ def _divide_by_scalar_series(a: TruncSeries, d: TruncSeries) -> TruncSeries:
         raise ZeroDivisionError("divisor unit part has zero constant term")
     inv = [unit[0].inverse()]
     for n in range(1, length + 1):
-        s = qfield.QZERO
-        for j in range(1, n + 1):
-            s = s + unit[j] * inv[n - j]
+        s = qfield.qdot(unit[1:n + 1], inv[n - 1::-1])
         inv.append(-(inv[0] * s))
     inv_ts = TruncSeries((var,), (length,), (0,),
                          {(n,): NCPoly.scalar(c) for n, c in enumerate(inv)})

@@ -4,6 +4,10 @@ The alphabet has four families of letters.  The family rank fixes the
 PBW order: every G letter comes before every W-minus letter, then the
 W-plus letters, then the G-tilde letters; inside a family, smaller
 index comes first.  Degree-zero G symbols are scalars, never letters.
+
+NCPoly's constructor, sums, differences, products and `NCPoly.sum`
+combine their terms through `qfield.lincomb`, which sums each word's
+coefficient once and drops it if it cancels.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from enum import IntEnum
 from typing import Iterable, NamedTuple, Tuple, Union
 
 from . import qfield
-from .qfield import QONE, QRat, QZERO
+from .qfield import QONE, QRat, QZERO, lincomb
 
 
 class Family(IntEnum):
@@ -169,22 +173,20 @@ class NCPoly:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        d = {}
-        if terms:
-            for w, c in (terms.items() if isinstance(terms, dict) else terms):
-                if not isinstance(c, QRat):
-                    c = qfield.of(c)
-                if c.is_zero():
-                    continue
-                prev = d.get(w)
-                c = c if prev is None else prev + c
-                if c.is_zero():
-                    d.pop(w, None)
-                else:
-                    d[w] = c
-        self.terms = d
+        if isinstance(terms, dict):   # one coefficient per word: no sums
+            self.terms = {w: qfield.of(c) for w, c in terms.items() if c}
+        else:
+            self.terms = lincomb([(QONE, {w: qfield.of(c)})
+                                  for w, c in terms or () if c])
 
     # -- constructors ---------------------------------------------------
+
+    @staticmethod
+    def sum(polys) -> "NCPoly":
+        """The sum of the NCPolys in polys, each coefficient summed once."""
+        out = NCPoly.__new__(NCPoly)
+        out.terms = lincomb([(QONE, p.terms) for p in polys])
+        return out
 
     @staticmethod
     def zero() -> "NCPoly":
@@ -240,20 +242,8 @@ class NCPoly:
     def __add__(self, other: "NCPoly") -> "NCPoly":
         if not isinstance(other, NCPoly):
             return NotImplemented
-        if not self.terms:
-            return other
-        if not other.terms:
-            return self
-        d = dict(self.terms)
-        for w, c in other.terms.items():
-            prev = d.get(w)
-            s = c if prev is None else prev + c
-            if s.is_zero():
-                d.pop(w, None)
-            else:
-                d[w] = s
         out = NCPoly.__new__(NCPoly)
-        out.terms = d
+        out.terms = lincomb(((QONE, self.terms), (QONE, other.terms)))
         return out
 
     def __neg__(self) -> "NCPoly":
@@ -264,23 +254,15 @@ class NCPoly:
     def __sub__(self, other: "NCPoly") -> "NCPoly":
         if not isinstance(other, NCPoly):
             return NotImplemented
-        return self + (-other)
+        out = NCPoly.__new__(NCPoly)
+        out.terms = lincomb(((QONE, self.terms), (-QONE, other.terms)))
+        return out
 
     def __mul__(self, other):
         if isinstance(other, NCPoly):
-            d = {}
-            for w1, c1 in self.terms.items():
-                for w2, c2 in other.terms.items():
-                    w = w1 + w2
-                    c = c1 * c2
-                    prev = d.get(w)
-                    s = c if prev is None else prev + c
-                    if s.is_zero():
-                        d.pop(w, None)
-                    else:
-                        d[w] = s
             out = NCPoly.__new__(NCPoly)
-            out.terms = d
+            out.terms = lincomb([(c, {u + w: x for w, x in other.terms.items()})
+                                 for u, c in self.terms.items()])
             return out
         if isinstance(other, (QRat, int)):
             return self._scaled(qfield.of(other) if isinstance(other, int) else other)

@@ -1,3 +1,4 @@
+import fcntl
 import json
 import os
 import random
@@ -264,6 +265,36 @@ def test_python_dash_m_runs_the_cli():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["command"] == "check ambiguities"
+
+
+def test_a_reader_that_leaves_early_ends_the_cli_with_exit_141():
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": "src"}
+    argv = [sys.executable, "-m", "qonsager", "series", "W-", "--order"]
+    # the pipe holds one page, so the rest of the listing (about 14 kB)
+    # is written after the reader has taken the first line and closed it
+    read_fd, write_fd = os.pipe()
+    fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, 4096)
+    with os.fdopen(read_fd, "rb", buffering=0) as reader:
+        proc = subprocess.Popen(argv + ["1000"], cwd=root, env=env,
+                                stdout=write_fd, stderr=subprocess.PIPE)
+        os.close(write_fd)
+        first = b""
+        while not first.endswith(b"\n"):
+            first += reader.read(1)
+    _, err = proc.communicate(timeout=120)
+    assert first == b"[1] W[0]\n"
+    assert (proc.returncode, err) == (141, b"")
+    # a short listing held in the stdout buffer meets the closed pipe only
+    # when it is flushed
+    env.pop("PYTHONUNBUFFERED", None)
+    read_fd, write_fd = os.pipe()
+    os.close(read_fd)
+    proc = subprocess.Popen(argv + ["3"], cwd=root, env=env, stdout=write_fd,
+                            stderr=subprocess.PIPE)
+    os.close(write_fd)
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (141, b"")
 
 
 def test_long_flat_sum_and_product(capsys):

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qonsager import qfield as qf
 from qonsager import series as S
@@ -244,3 +246,95 @@ def test_out_of_window_exponent_is_an_internal_error():
     for e in ((4,), (-1,)):
         with pytest.raises(S.WindowError, match="outside window"):
             S.TruncSeries(("t",), (3,), (0,), {e: one})
+
+
+# `+` and `*` against a reference double loop over coefficients, summing
+# the coefficients' terms one by one.
+def _fold_terms(pairs):
+    acc = {}
+    for w, c in pairs:
+        acc[w] = acc.get(w, qf.QZERO) + c
+    return {w: c for w, c in acc.items() if c}
+
+
+def _reference_sum(a, b):
+    order = tuple(map(min, a.order, b.order))
+    floor = tuple(map(min, a.floor, b.floor))
+    coeffs = {}
+    for ts in (a, b):
+        for e, p in ts.coeffs.items():
+            if all(x <= o for x, o in zip(e, order)):
+                coeffs.setdefault(e, []).extend(p.terms.items())
+    return order, floor, coeffs
+
+
+def _reference_product(a, b):
+    order = tuple(min(oa + fb, ob + fa, S.INF)
+                  for oa, ob, fa, fb in zip(a.order, b.order, a.floor, b.floor))
+    floor = tuple(max(fa + fb, S.FLOOR_MIN) for fa, fb in zip(a.floor, b.floor))
+    coeffs = {}
+    for e1, p1 in a.coeffs.items():
+        for e2, p2 in b.coeffs.items():
+            e = tuple(i + j for i, j in zip(e1, e2))
+            if all(x <= o for x, o in zip(e, order)):
+                coeffs.setdefault(e, []).extend(
+                    (u + w, c * d) for u, c in p1.terms.items()
+                    for w, d in p2.terms.items())
+    return order, floor, coeffs
+
+
+def _assert_equals_reference(got, reference):
+    order, floor, coeffs = reference
+    assert (got.order, got.floor) == (order, floor)
+    expected = {e: _fold_terms(pairs) for e, pairs in coeffs.items()}
+    assert {e: p.terms for e, p in got.coeffs.items()} == {
+        e: t for e, t in expected.items() if t}
+
+
+_letters = [wm(0), wp(1), g_(1)]
+_coeff_polys = st.lists(
+    st.tuples(st.lists(st.sampled_from(_letters), max_size=2).map(tuple),
+              st.one_of(st.integers(-3, 3).map(qf.q_pow),
+                        st.integers(2, 3).map(qf.q_int),
+                        st.integers(-3, 3).filter(bool).map(qf.of))),
+    min_size=1, max_size=3).map(NCPoly).filter(bool)
+
+
+@st.composite
+def _series_pair(draw):
+    vars = draw(st.sampled_from([("t",), ("s", "t")]))
+    made = []
+    for _ in range(2):
+        floor = tuple(draw(st.integers(-1, 0)) for _ in vars)
+        order = tuple(draw(st.integers(f, 2)) for f in floor)
+        exps = st.tuples(*[st.integers(f, o) for f, o in zip(floor, order)])
+        made.append((floor, order, draw(st.dictionaries(exps, _coeff_polys,
+                                                        max_size=4))))
+    (fa, oa, ca), (fb, ob, cb) = made
+    # b repeats some of a's coefficients negated, so that a + b cancels there
+    for e in draw(st.lists(st.sampled_from(sorted(ca)), max_size=2)) if ca else ():
+        if all(f <= x <= o for x, f, o in zip(e, fb, ob)):
+            cb[e] = -ca[e]
+    return (S.TruncSeries(vars, oa, fa, ca), S.TruncSeries(vars, ob, fb, cb))
+
+
+@given(pair=_series_pair())
+def test_sum_and_product_equal_the_reference_loop(pair):
+    a, b = pair
+    _assert_equals_reference(a + b, _reference_sum(a, b))
+    _assert_equals_reference(a * b, _reference_product(a, b))
+
+
+def test_sum_and_product_keep_single_and_drop_cancelled_exponents():
+    one, w = NCPoly.one(), NCPoly.gen(wm(0))
+    a = S.TruncSeries(("t",), (3,), (0,), {(0,): one, (1,): w, (2,): one})
+    b = S.TruncSeries(("t",), (3,), (0,), {(0,): w, (1,): -(w * w), (2,): one})
+    c = S.TruncSeries(("t",), (2,), (0,), {(1,): -w, (2,): one})
+    # a + c: t^0 is reached once, t^1 cancels, t^2 sums two; a * b: t^0 is
+    # reached once, t^1 by two products that cancel, t^2 by three, t^3 by two
+    total, product = a + c, a * b
+    assert total.coeffs == {(0,): one, (2,): one + one}
+    assert product.coeffs == {(0,): w, (2,): one + w - w * w * w,
+                              (3,): w - w * w}
+    assert (total.order, total.floor) == ((2,), (0,))
+    assert (product.order, product.floor) == ((3,), (0,))

@@ -1,6 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qonsager import qfield as qf
 from qonsager import rewrite
@@ -144,3 +147,58 @@ def test_ncpoly_equality_is_structural():
     q = NCPoly.word((wm(0), wp(1))) * qf.q_int(2)
     assert p == q and hash(p) == hash(q)
     assert (p - q).is_zero()
+
+
+# NCPoly arithmetic against a term-by-term fold written here.  Coefficients
+# are monomials, [n]q, rationals and values with V != 1; a term is
+# mirrored with the negated coefficient so that sums cancel.
+_coeffs = st.one_of(
+    st.integers(-4, 4).map(qf.q_pow),
+    st.integers(2, 4).map(qf.q_int),
+    st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 4)).map(qf.of),
+    st.integers(1, 2).map(lambda k: (qf.q_pow(k) + qf.q_pow(-k)).inverse()),
+)
+_words = st.lists(st.sampled_from([wm(0), wp(1), g_(1), gt_(1)]),
+                  max_size=2).map(tuple)
+_term_lists = st.lists(st.tuples(_words, _coeffs), max_size=4)
+
+
+def _fold(pairs):
+    acc = {}
+    for w, c in pairs:
+        acc[w] = acc.get(w, qf.QZERO) + c
+    return {w: c for w, c in acc.items() if c}
+
+
+def _poly(pairs):
+    p = NCPoly.__new__(NCPoly)
+    p.terms = _fold(pairs)
+    return p
+
+
+@st.composite
+def _poly_pairs(draw):
+    x, y = draw(_term_lists), draw(_term_lists)
+    mirrored = draw(st.lists(st.sampled_from(x), max_size=len(x))) if x else []
+    return x, y + [(w, -c) for w, c in mirrored]
+
+
+@given(pair=_poly_pairs(), extra=_term_lists)
+def test_ncpoly_arithmetic_equals_the_term_fold(pair, extra):
+    xs, ys = pair
+    x, y, z = _poly(xs), _poly(ys), _poly(extra)
+    xt, yt = list(x.terms.items()), list(y.terms.items())
+    products = [(u + w, c * d) for u, c in xt for w, d in yt]
+    cases = [
+        (NCPoly(xs + ys), _fold(xs + ys)),
+        (NCPoly(dict(xs)), _fold(dict(xs).items())),
+        (x + y, _fold(xt + yt)),
+        (x - y, _fold(xt + [(w, -c) for w, c in yt])),
+        (x * y, _fold(products)),
+        (NCPoly.sum([x, y, z]), _fold(xt + yt + list(z.terms.items()))),
+        (NCPoly.sum([]), {}),
+    ]
+    for got, expected in cases:
+        assert got.terms == expected
+        assert all(not c.is_zero() for c in got.terms.values())
+    assert (x - x).is_zero()
