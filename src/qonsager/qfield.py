@@ -49,9 +49,9 @@ the operands' shape alone:
   with `is`.  `_make` also stores each value's hash, the hash of its field
   tuple, so hashing a value costs one slot read;
 * `lincomb` is the one place coefficients are accumulated: the normal
-  forms of `rewrite`, `qdot`, and NCPoly's constructor, `+`, `-`, `*`
-  and `sum` (and through them the series and central sums) all combine
-  terms there.  While no key has been reached, a map scaled by one is
+  forms of `rewrite`, `qdot`, and NCPoly's `+`, `-`, `*`, `sum` and
+  constructor from (word, coefficient) pairs (and through them the series
+  and central sums) all combine terms there.  While no key has been reached, a map scaled by one is
   copied whole with `dict.update`, a C-level copy;
 * a sum in `lincomb` at a key reached more than once is memoized by its
   summands: `_SUMS` maps the tuple of the products c * x, in the order

@@ -5,9 +5,10 @@ PBW order: every G letter comes before every W-minus letter, then the
 W-plus letters, then the G-tilde letters; inside a family, smaller
 index comes first.  Degree-zero G symbols are scalars, never letters.
 
-NCPoly's constructor, sums, differences, products and `NCPoly.sum`
-combine their terms through `qfield.lincomb`, which sums each word's
-coefficient once and drops it if it cancels.
+NCPoly sums, differences, products, `NCPoly.sum` and the constructor
+from (word, coefficient) pairs combine their terms through
+`qfield.lincomb`, which sums each word's coefficient once and drops it if
+it cancels.
 """
 
 from __future__ import annotations
