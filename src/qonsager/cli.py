@@ -58,19 +58,6 @@ MAX_PAREN_DEPTH = 200
 # rule for W[i]*G[j] has min(i, j) + 1 groups of terms.
 MAX_EXPONENT = 10_000
 
-# Largest --bound accepted by `check ambiguities`, which checks all
-# C(4(b + 1), 3) overlaps: bound 10 (13,244 overlaps) took 68 s and 516 MB
-# peak RSS on 2 vCPUs, and each further step takes about 1.5 times the
-# memory, so bound 12 would pass 1 GB.  A larger bound is refused before
-# the overlap list is built (bound 100,000 would have about 10^16).
-MAX_AMBIGUITY_BOUND = 10
-
-# Largest --bound accepted by `check relations`, whose relation list grows
-# with the square of the bound: bound 24 took 2.8 s and 57 MB peak RSS,
-# bound 40 11 s and 176 MB, bound 64 33 s and 618 MB.  A larger bound is
-# refused before the list is built (bound 100,000 ran out of memory).
-MAX_RELATION_BOUND = 64
-
 
 class _Parser:
     """Recursive descent that evaluates as it parses: sums and products
@@ -205,32 +192,10 @@ def parse_to_poly(text: str) -> NCPoly:
 # -- suite plumbing -----------------------------------------------------------
 
 
-def _worker_count() -> int:
-    """ONSAGER_WORKERS (default 1), capped at the CPU count."""
-    try:
-        n = int(os.environ.get("ONSAGER_WORKERS", "1"))
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise ValueError("ONSAGER_WORKERS must be a positive integer")
-    return min(n, os.cpu_count() or 1)
-
-
-def _overlap_agrees(w):
-    rep = rewrite.check_overlap(w)
-    return rep.agrees
-
-
 def run_ambiguity_suite(bound: int) -> Report:
-    workers = _worker_count()
     report = Report("ambiguities")
     overlaps = rewrite.enumerate_overlaps(bound)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            agreed = list(pool.map(_overlap_agrees, overlaps, chunksize=16))
-    else:
-        agreed = [rewrite.check_overlap(w).agrees for w in overlaps]
+    agreed = [rewrite.check_overlap(w).agrees for w in overlaps]
     for w, ok in sorted(zip(overlaps, agreed),
                         key=lambda pair: render_overlap(pair[0])):
         report.add(render_overlap(w), ok, "" if ok else "normal forms differ")
@@ -250,133 +215,138 @@ def run_relation_suite(bound: int) -> Report:
     return report
 
 
+# Each check suite: its runner and the parameters it reports, with their
+# defaults.  The runners look their functions up when called, so a wrapper
+# set on a module afterwards still sees each call.
+CHECKS = {
+    "relations": (lambda bound: run_relation_suite(bound), {"bound": 3}),
+    "ambiguities": (lambda bound: run_ambiguity_suite(bound), {"bound": 3}),
+    "gf": (lambda order: series.check_gf_relations(order), {"order": 4}),
+    "central": (lambda n, bound: Report("central", [
+        r for k in range(n + 1) for r in central.check_central(k, bound).results]),
+                {"n": 4, "bound": 6}),
+    "dolan-grady": (lambda: central.check_dolan_grady(), {}),
+    "matrix": (lambda order: central.check_matrix_factorization(order),
+               {"order": 4}),
+    "appendix-b": (lambda: central.check_appendix_b(), {}),
+    "prop41": (lambda order: series.check_prop41_decompositions(order),
+               {"order": 4}),
+}
+
+# (command, parameter) -> (least, largest, reason): a value outside the
+# range is refused before any work starts; None is no upper limit.
+LIMITS = {
+    # the relation list grows with the square of the bound: bound 24 took
+    # 2.8 s and 57 MB peak RSS, bound 40 11 s and 176 MB, bound 64 33 s and
+    # 618 MB; a larger bound is refused before the list is built (bound
+    # 100,000 ran out of memory)
+    ("check relations", "bound"): (
+        0, 64, "its relation list grows with the square of the bound"),
+    # all C(4(b + 1), 3) overlaps are checked: bound 10 (13,244 overlaps)
+    # took 68 s and 516 MB peak RSS on 2 vCPUs, and each further step takes
+    # about 1.5 times the memory, so bound 12 would pass 1 GB; a larger bound
+    # is refused before the overlap list is built (bound 100,000 would have
+    # about 10^16)
+    ("check ambiguities", "bound"): (
+        0, 10, "it checks all C(4(bound + 1), 3) overlaps"),
+    # no letter has an index below 0, so bound 0 would check nothing
+    ("check central", "bound"): (
+        1, None, "it checks the letters with index below the bound"),
+}
+
+
+def _check_limits(command: str, parameters: dict) -> dict:
+    """Raise ValueError for a parameter outside its LIMITS row; else return
+    the parameters."""
+    for name, value in parameters.items():
+        least, largest, reason = LIMITS.get((command, name), (0, None, ""))
+        option = "--" + name.replace("_", "-")
+        if value < least:
+            raise ValueError(f"{command} needs {option} >= {least}: {reason}")
+        if largest is not None and value > largest:
+            raise ValueError(f"{command} needs {option} <= {largest}: {reason}")
+    return parameters
+
+
 # -- command handlers ----------------------------------------------------------
 
 
-def _print_json(command: str, parameters: dict, report: Report, **fields):
-    """Print the JSON payload of a command: the common schema plus fields."""
-    payload = {
-        "command": command,
-        "parameters": parameters,
-        "results": [{"name": r.name, "pass": r.passed, "detail": r.detail}
-                    for r in report.results],
-        "version": __version__,
-        **fields,
-    }
-    print(json.dumps(payload, indent=2, sort_keys=True))
+def _verdicts(command: str, report: Report) -> List[str]:
+    lines = [f"{'ok  ' if r.passed else 'FAIL'} {r.name}"
+             f"{f'  {r.detail}' if r.detail else ''}" for r in report.results]
+    n_fail = len(report.failures())
+    return lines + [f"{command}: {len(report.results) - n_fail}/"
+                    f"{len(report.results)} passed"]
 
 
 def _emit(args, command: str, parameters: dict, report: Report,
-          extra_lines: Optional[List[str]] = None) -> int:
+          text: Optional[List[str]] = None, code: Optional[int] = None,
+          **fields) -> int:
+    """Print a command's output and return its exit code.  JSON is the
+    common schema plus fields; text is the given lines, else the report's
+    verdicts.  The code defaults to 0 if the report passes, else 1."""
     if args.format == "json":
-        _print_json(command, parameters, report)
+        payload = {
+            "command": command,
+            "parameters": parameters,
+            "results": [{"name": r.name, "pass": r.passed, "detail": r.detail}
+                        for r in report.results],
+            "version": __version__,
+            **fields,
+        }
+        print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        for line in extra_lines or []:
+        for line in _verdicts(command, report) if text is None else text:
             print(line)
-        for r in report.results:
-            mark = "ok  " if r.passed else "FAIL"
-            detail = f"  {r.detail}" if r.detail else ""
-            print(f"{mark} {r.name}{detail}")
-        n_fail = len(report.failures())
-        print(f"{command}: {len(report.results) - n_fail}/{len(report.results)} passed")
-    return 0 if report.passed else 1
+    return (0 if report.passed else 1) if code is None else code
 
 
 def cmd_normalize(args) -> int:
     text = sys.stdin.read() if args.expr == "-" else args.expr
     rendered = render_poly(rewrite.normal_form(parse_to_poly(text)))
-    if args.format == "json":
-        report = Report("normalize")
-        report.add("normalize", True, rendered)
-        return _emit(args, "normalize", {"expr": args.expr}, report)
-    print(rendered)
-    return 0
+    report = Report("normalize")
+    report.add("normalize", True, rendered)
+    return _emit(args, "normalize", {"expr": args.expr}, report, text=[rendered])
 
 
 def cmd_check(args) -> int:
-    suite = args.suite
-    # the index bound defaults to 3 for the rewrite suites and to 6 for
-    # the centrality certificate
-    bound = args.bound
-    if bound is None:
-        bound = 6 if suite == "central" else 3
-    if suite == "central" and bound == 0:
-        # no letter has an index below 0, so there is nothing to check
-        raise ValueError("check central needs --bound >= 1: it checks the "
-                         "letters with index below the bound")
-    if suite == "ambiguities" and bound > MAX_AMBIGUITY_BOUND:
-        raise ValueError(f"check ambiguities needs --bound <= "
-                         f"{MAX_AMBIGUITY_BOUND}: it checks all "
-                         f"C(4(bound + 1), 3) overlaps")
-    if suite == "relations" and bound > MAX_RELATION_BOUND:
-        raise ValueError(f"check relations needs --bound <= "
-                         f"{MAX_RELATION_BOUND}: its relation list grows "
-                         f"with the square of the bound")
-    if suite == "relations":
-        report = run_relation_suite(bound)
-        params = {"bound": bound}
-    elif suite == "ambiguities":
-        report = run_ambiguity_suite(bound)
-        params = {"bound": bound}
-    elif suite == "gf":
-        report = series.check_gf_relations(args.order)
-        params = {"order": args.order}
-    elif suite == "prop41":
-        report = series.check_prop41_decompositions(args.order)
-        params = {"order": args.order}
-    elif suite == "central":
-        report = Report("central")
-        for n in range(args.n + 1):
-            sub = central.check_central(n, bound)
-            report.results.extend(sub.results)
-        params = {"n": args.n, "bound": bound}
-    elif suite == "dolan-grady":
-        report = central.check_dolan_grady()
-        params = {}
-    elif suite == "matrix":
-        report = central.check_matrix_factorization(args.order)
-        params = {"order": args.order}
-    elif suite == "appendix-b":
-        report = central.check_appendix_b()
-        params = {}
-    else:
-        raise ValueError(f"unknown suite {suite!r}")
-    return _emit(args, f"check {suite}", params, report)
+    command = f"check {args.suite}"
+    runner, defaults = CHECKS[args.suite]
+    params = _check_limits(command, {
+        name: default if getattr(args, name) is None else getattr(args, name)
+        for name, default in defaults.items()})
+    return _emit(args, command, params, runner(**params))
 
 
 def cmd_zn(args) -> int:
-    direct = central.z_n(args.n, "direct")
-    extraction = central.z_n(args.n, "extraction")
-    agree = direct.as_poly == extraction.as_poly
+    params = _check_limits("zn", {"n": args.n})
+    direct, extraction = (central.z_n(args.n, route).as_poly
+                          for route in ("direct", "extraction"))
+    agree = direct == extraction
     report = Report("zn")
     report.add(f"routes agree for n={args.n}", agree)
-    if args.format == "json":
-        _print_json("zn", {"n": args.n}, report, n=args.n,
-                    term_count=len(direct.as_poly.terms),
-                    max_degree=direct.as_poly.max_degree(),
-                    direct=render_poly(direct.as_poly),
-                    extraction=render_poly(extraction.as_poly))
-        return 0 if agree else 1
-    print(f"direct:     {render_poly(direct.as_poly)}")
-    print(f"extraction: {render_poly(extraction.as_poly)}")
-    print(f"terms: {len(direct.as_poly.terms)}  max degree: "
-          f"{direct.as_poly.max_degree()}  routes agree: {agree}")
-    return 0 if agree else 1
+    shown = render_poly(direct), render_poly(extraction)
+    return _emit(args, "zn", params, report,
+                 text=[f"direct:     {shown[0]}", f"extraction: {shown[1]}",
+                       f"terms: {len(direct.terms)}  max degree: "
+                       f"{direct.max_degree()}  routes agree: {agree}"],
+                 n=args.n, term_count=len(direct.terms),
+                 max_degree=direct.max_degree(), direct=shown[0],
+                 extraction=shown[1])
 
 
 def cmd_dims(args) -> int:
+    params = _check_limits("dims", {"max_degree": args.max_degree})
+    degrees = range(args.max_degree + 1)
     table = dims.hilbert_Aq(args.max_degree)
-    counts = [len(dims.enumerate_irreducible(d)) for d in range(args.max_degree + 1)]
+    counts = [len(dims.enumerate_irreducible(d)) for d in degrees]
     report = Report("dims")
-    for d in range(args.max_degree + 1):
+    for d in degrees:
         report.add(f"degree {d}", counts[d] == table[d], str(counts[d]))
-    if args.format == "json":
-        _print_json("dims", {"max_degree": args.max_degree}, report,
-                    dimensions=counts, series=table)
-        return 0 if report.passed else 1
-    print("degree:    " + " ".join(f"{d}" for d in range(args.max_degree + 1)))
-    print("dimension: " + " ".join(str(c) for c in counts))
-    return 0 if report.passed else 1
+    return _emit(args, "dims", params, report,
+                 text=["degree:    " + " ".join(map(str, degrees)),
+                       "dimension: " + " ".join(map(str, counts))],
+                 dimensions=counts, series=table)
 
 
 def cmd_series(args) -> int:
@@ -392,26 +362,24 @@ def cmd_series(args) -> int:
     else:
         print(f"unknown series {spec!r}", file=sys.stderr)
         return 2
-    # a listing, not a check: an empty one is not a failure, so the exit
-    # code is 0 whatever the report holds
     report = Report("series")
     for e in ts.nonzero_exponents():
         mono = "*".join(f"{v}^{k}" for v, k in zip(ts.vars, e) if k)
         report.add(f"[{mono or '1'}]", True, render_poly(ts.coeffs[e]))
-    if args.format == "json":
-        _print_json("series", {"name": spec, "order": args.order,
-                               "var": args.var}, report)
-        return 0
-    for r in report.results:
-        print(f"{r.name} {r.detail}")
-    return 0
+    # a listing, not a check: an empty one is not a failure, so the exit
+    # code is 0 whatever the report holds
+    return _emit(args, "series",
+                 {"name": spec, "order": args.order, "var": args.var}, report,
+                 text=[f"{r.name} {r.detail}" for r in report.results], code=0)
 
 
 def cmd_recover(args) -> int:
+    params = _check_limits("recover", {"n": args.n})
     table = central.recover_generators(args.n)
     report = central.check_recovery(args.n, table)
     lines = [f"{g.text()} = {render_poly(p)}" for g, p in sorted(table.items())]
-    return _emit(args, "recover", {"n": args.n}, report, extra_lines=lines)
+    return _emit(args, "recover", params, report,
+                 text=lines + _verdicts("recover", report))
 
 
 def _non_negative_int(text: str) -> int:
@@ -424,6 +392,11 @@ def _non_negative_int(text: str) -> int:
     if n < 0:
         raise argparse.ArgumentTypeError(f"must be non-negative, got {n}")
     return n
+
+
+def _accepted(command: str, name: str) -> str:
+    least, largest, _ = LIMITS.get((command, name), (0, None, ""))
+    return f"at least {least}" if largest is None else f"{least} to {largest}"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -439,18 +412,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_normalize)
 
     p = sub.add_parser("check", help="run a verification suite")
-    p.add_argument("suite", choices=("relations", "ambiguities", "gf", "central",
-                                     "dolan-grady", "matrix", "appendix-b",
-                                     "prop41"))
-    p.add_argument("--bound", type=_non_negative_int, default=None,
-                   help="index bound (default 3; 6 for the central suite): "
-                        "relations and ambiguities take the indices up to "
-                        "and including the bound, central the letters with "
-                        "index k below it, so it needs a bound >= 1; "
-                        f"relations accepts at most {MAX_RELATION_BOUND}, "
-                        f"ambiguities at most {MAX_AMBIGUITY_BOUND}")
-    p.add_argument("--order", type=_non_negative_int, default=4)
-    p.add_argument("--n", type=_non_negative_int, default=4)
+    p.add_argument("suite", choices=tuple(CHECKS))
+    for name, about in (
+            ("bound", "index bound: relations and ambiguities take the indices "
+                      "up to and including the bound, central the letters "
+                      "with index below it"),
+            ("order", "truncation order"),
+            ("n", "the central suite checks Z_0 to Z_n")):
+        accepted = "; ".join(
+            f"{suite} {defaults[name]}, accepts {_accepted(f'check {suite}', name)}"
+            for suite, (_, defaults) in CHECKS.items() if name in defaults)
+        p.add_argument(f"--{name}", type=_non_negative_int,
+                       help=f"{about} (default by suite: {accepted})")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("zn", help="print a central element both ways")

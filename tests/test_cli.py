@@ -207,9 +207,9 @@ def test_check_ambiguities_above_the_bound_cap_is_usage_error(capsys,
     small_overlaps = rewrite.enumerate_overlaps(0)
     small_relations = list(words.defining_relations(0))
     for suite, cap, module, names, small in (
-            ("ambiguities", cli.MAX_AMBIGUITY_BOUND, rewrite,
+            ("ambiguities", cli.LIMITS["check ambiguities", "bound"][1], rewrite,
              ("enumerate_overlaps", "check_overlap"), small_overlaps),
-            ("relations", cli.MAX_RELATION_BOUND, words,
+            ("relations", cli.LIMITS["check relations", "bound"][1], words,
              ("defining_relations",), small_relations)):
         for name in names:
             monkeypatch.setattr(module, name, no_work)
@@ -229,35 +229,8 @@ def test_check_ambiguities_above_the_bound_cap_is_usage_error(capsys,
         monkeypatch.undo()
 
 
-def test_worker_env_parallel_suite(capsys, monkeypatch):
-    monkeypatch.setenv("ONSAGER_WORKERS", "2")
-    rc = cli.main(["check", "ambiguities", "--bound", "0"])
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert "4/4 passed" in out
-
-
-def test_worker_count_is_capped_and_validated(capsys, monkeypatch):
-    # _worker_count only reads the environment; no pool is started here
-    monkeypatch.delenv("ONSAGER_WORKERS", raising=False)
-    assert cli._worker_count() == 1
-    monkeypatch.setenv("ONSAGER_WORKERS", "100000")
-    assert cli._worker_count() == (os.cpu_count() or 1)
-    monkeypatch.setenv("ONSAGER_WORKERS", "1")
-    assert cli._worker_count() == 1
-    for bad in ("abc", "0", "-3", "2.5", ""):
-        monkeypatch.setenv("ONSAGER_WORKERS", bad)
-        with pytest.raises(ValueError, match="positive integer"):
-            cli._worker_count()
-    monkeypatch.setenv("ONSAGER_WORKERS", "abc")
-    rc = cli.main(["check", "ambiguities", "--bound", "0"])
-    assert rc == 2
-    assert "ONSAGER_WORKERS must be a positive integer" in capsys.readouterr().err
-
-
 def test_python_dash_m_runs_the_cli():
     env = {**os.environ, "PYTHONPATH": "src"}
-    env.pop("ONSAGER_WORKERS", None)
     proc = subprocess.run(
         [sys.executable, "-m", "qonsager", "--format", "json", "check",
          "ambiguities", "--bound", "0"],
