@@ -1,7 +1,8 @@
 """Command-line front end: expression normalization and the check suites.
 
 Exit codes: 0 all requested checks pass, 1 a check failed or none ran,
-2 usage or parse error (a negative size or bound is a usage error),
+2 usage or parse error (a negative size or bound, and one outside its
+range in LIMITS, is a usage error refused before any work),
 3 internal error: an invariant of the kernel failed, which is a bug and
 not a fault of the input; stderr then starts with "internal error:",
 141 stdout was closed before the output was complete (a broken pipe, as
@@ -14,6 +15,8 @@ JSON output follows the schema
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import re
@@ -234,7 +237,12 @@ CHECKS = {
 }
 
 # (command, parameter) -> (least, largest, reason): a value outside the
-# range is refused before any work starts; None is no upper limit.
+# range is refused before any work starts.  Each largest value is the
+# largest measured to stay under about a minute and 1 GB peak RSS on 2 vCPUs
+# (times and peak RSS of one cold CLI run in the comments); every size
+# parameter has a row.  `series --order` has none: its cost depends on the
+# series named, from 2 s at order 100,000 for W- to over 90 s at order 64
+# for Z (4.3 s and 70 MB at order 32).
 LIMITS = {
     # the relation list grows with the square of the bound: bound 24 took
     # 2.8 s and 57 MB peak RSS, bound 40 11 s and 176 MB, bound 64 33 s and
@@ -249,9 +257,37 @@ LIMITS = {
     # about 10^16)
     ("check ambiguities", "bound"): (
         0, 10, "it checks all C(4(bound + 1), 3) overlaps"),
-    # no letter has an index below 0, so bound 0 would check nothing
+    # no letter has an index below 0, so bound 0 would check nothing; at
+    # --n 4, bound 500 took 18 s and 212 MB, bound 1000 37 s and 412 MB.
+    # Each cap of `check central` is measured at the other's default: n 22
+    # with bound 1000 would run far longer than either alone.
     ("check central", "bound"): (
-        1, None, "it checks the letters with index below the bound"),
+        1, 1000, "it checks the letters with index below the bound"),
+    # at --bound 6: n 20 took 31 s and 140 MB, n 22 48 s and 179 MB, n 24
+    # 78 s and 213 MB
+    ("check central", "n"): (
+        0, 22, "it checks each of Z_0 to Z_n against every letter"),
+    # order 32 took 13 s and 102 MB, order 48 41 s and 282 MB, order 60 72 s
+    # and 521 MB
+    ("check gf", "order"): (
+        0, 48, "its cost grows about as the cube of the order"),
+    # order 36 took 7 s and 32 MB, order 64 33 s and 68 MB, order 96 91 s
+    # and 122 MB
+    ("check prop41", "order"): (
+        0, 64, "its cost grows faster than the square of the order"),
+    # order 32 took 35 s and 212 MB, order 36 55 s and 269 MB, order 40 86 s
+    # and 375 MB
+    ("check matrix", "order"): (
+        0, 36, "its cost grows about as the fourth power of the order"),
+    # n 50 took 16 s and 157 MB, n 64 43 s and 318 MB, n 80 97 s and 612 MB
+    ("zn", "n"): (0, 64, "its cost grows about as the fourth power of n"),
+    # n 40 took 11 s and 109 MB, n 56 48 s and 219 MB, n 60 68 s and 243 MB
+    ("recover", "n"): (
+        0, 56, "it builds Z_1 to Z_n and every generator up to level n"),
+    # degree 29 took 8.4 s and 81 MB, degree 32 22 s and 168 MB, degree 34
+    # 43 s and 289 MB: each degree costs about 1.4 times the one before
+    ("dims", "max_degree"): (
+        0, 34, "the number of words grows exponentially with the degree"),
 }
 
 
@@ -259,11 +295,11 @@ def _check_limits(command: str, parameters: dict) -> dict:
     """Raise ValueError for a parameter outside its LIMITS row; else return
     the parameters."""
     for name, value in parameters.items():
-        least, largest, reason = LIMITS.get((command, name), (0, None, ""))
+        least, largest, reason = LIMITS[command, name]
         option = "--" + name.replace("_", "-")
         if value < least:
             raise ValueError(f"{command} needs {option} >= {least}: {reason}")
-        if largest is not None and value > largest:
+        if value > largest:
             raise ValueError(f"{command} needs {option} <= {largest}: {reason}")
     return parameters
 
@@ -360,8 +396,7 @@ def cmd_series(args) -> int:
     elif spec == "Z":
         ts = central.z_series(args.order)
     else:
-        print(f"unknown series {spec!r}", file=sys.stderr)
-        return 2
+        raise ValueError(f"unknown series {spec!r}")
     report = Report("series")
     for e in ts.nonzero_exponents():
         mono = "*".join(f"{v}^{k}" for v, k in zip(ts.vars, e) if k)
@@ -395,8 +430,8 @@ def _non_negative_int(text: str) -> int:
 
 
 def _accepted(command: str, name: str) -> str:
-    least, largest, _ = LIMITS.get((command, name), (0, None, ""))
-    return f"at least {least}" if largest is None else f"{least} to {largest}"
+    least, largest, _ = LIMITS[command, name]
+    return f"{least} to {largest}"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -427,11 +462,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("zn", help="print a central element both ways")
-    p.add_argument("--n", type=_non_negative_int, default=4)
+    p.add_argument("--n", type=_non_negative_int, default=4,
+                   help=f"accepts {_accepted('zn', 'n')}")
     p.set_defaults(func=cmd_zn)
 
     p = sub.add_parser("dims", help="dimension table of the degree layers")
-    p.add_argument("--max-degree", type=_non_negative_int, default=8)
+    p.add_argument("--max-degree", type=_non_negative_int, default=8,
+                   help=f"accepts {_accepted('dims', 'max_degree')}")
     p.set_defaults(func=cmd_dims)
 
     p = sub.add_parser("series", help="print a generating-function expansion")
@@ -442,7 +479,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("recover", help="rebuild generators from the central "
                                        "elements and the degree-one pair")
-    p.add_argument("--n", type=_non_negative_int, default=3)
+    p.add_argument("--n", type=_non_negative_int, default=3,
+                   help=f"accepts {_accepted('recover', 'n')}")
     p.set_defaults(func=cmd_recover)
     return parser
 
@@ -450,11 +488,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
-        code = args.func(args)
+        # argparse drops a failed write of its help, so the help goes to a
+        # buffer first, and the copy to stdout meets a closed pipe
+        with contextlib.redirect_stdout(io.StringIO()) as shown:
+            try:
+                args = parser.parse_args(argv)
+            except SystemExit as exc:
+                args, code = None, 2 if exc.code not in (0, None) else 0
+        if args is None:
+            sys.stdout.write(shown.getvalue())
+        else:
+            code = args.func(args)
         sys.stdout.flush()   # a closed pipe raises here, not at exit
         return code
     except BrokenPipeError:

@@ -25,7 +25,6 @@ and are generated from them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Dict, List, Tuple
 
 from . import qfield, rewrite
@@ -105,15 +104,7 @@ class TruncSeries:
     def __add__(self, other):
         if not isinstance(other, TruncSeries):
             return NotImplemented
-        a, b = _align(self, other)
-        order = tuple(min(x, y) for x, y in zip(a.order, b.order))
-        floor = tuple(min(x, y) for x, y in zip(a.floor, b.floor))
-        groups: Dict[Tuple[int, ...], List[NCPoly]] = {}
-        for e, p in chain(a.coeffs.items(), b.coeffs.items()):
-            groups.setdefault(e, []).append(p)
-        coeffs = _summed({e: ps for e, ps in groups.items()
-                          if all(x <= o for x, o in zip(e, order))})
-        return TruncSeries(a.vars, order, floor, coeffs)
+        return _pointwise(self, other, subtract=False)
 
     def __neg__(self):
         return TruncSeries(self.vars, self.order, self.floor,
@@ -122,7 +113,7 @@ class TruncSeries:
     def __sub__(self, other):
         if not isinstance(other, TruncSeries):
             return NotImplemented
-        return self + (-other)
+        return _pointwise(self, other, subtract=True)
 
     def __mul__(self, other):
         if isinstance(other, TruncSeries):
@@ -164,6 +155,23 @@ class TruncSeries:
     def __repr__(self):
         names = ",".join(self.vars)
         return f"TruncSeries[{names}; order={self.order}, terms={len(self.coeffs)}]"
+
+
+def _pointwise(x: TruncSeries, y: TruncSeries, subtract: bool) -> TruncSeries:
+    """x + y, or x - y in one pass: an exponent that both hold takes p - q,
+    and only one that y alone holds is negated."""
+    a, b = _align(x, y)
+    order = tuple(min(u, v) for u, v in zip(a.order, b.order))
+    floor = tuple(min(u, v) for u, v in zip(a.floor, b.floor))
+    coeffs = {}
+    for e, p in a.coeffs.items():
+        if all(u <= o for u, o in zip(e, order)):
+            q = b.coeffs.get(e)
+            coeffs[e] = p if q is None else (p - q if subtract else p + q)
+    for e, q in b.coeffs.items():
+        if e not in a.coeffs and all(u <= o for u, o in zip(e, order)):
+            coeffs[e] = -q if subtract else q
+    return TruncSeries(a.vars, order, floor, coeffs)
 
 
 def _align(a: TruncSeries, b: TruncSeries):

@@ -40,6 +40,20 @@ def test_traced_functions_exist():
         assert _missing(names, module) == [], layer
 
 
+def test_bench_steps_lie_inside_the_cli_limits():
+    # a cap below a bench size would turn that bench step into a usage error
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_child", TRACING.parent / "child.py")
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    for suites in child.SUITES.values():
+        for step in (s for steps in suites.values() for s in steps):
+            i = next(k for k, w in enumerate(step) if w.startswith("--"))
+            params = {o[2:].replace("-", "_"): int(v)
+                      for o, v in zip(step[i::2], step[i + 1::2])}
+            assert cli._check_limits(" ".join(step[:i]), params) == params
+
+
 def test_mono_cache_can_be_cleared():
     # each benchmark pass empties the _mono cache
     assert callable(qfield._mono.cache_clear)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qonsager import cli
+from qonsager import central, cli, dims
 from qonsager import qfield as qf
 from qonsager import rewrite, series, words
 from qonsager.words import NCPoly, g_, gt_, render_poly, wm, wp
@@ -167,6 +167,13 @@ def test_series_command(capsys):
     assert "W[0]*W[1]" in out
 
 
+def test_unknown_series_is_usage_error(capsys):
+    rc = cli.main(["series", "X"])
+    captured = capsys.readouterr()
+    assert (rc, captured.out, captured.err) == (
+        2, "", "error: unknown series 'X'\n")
+
+
 def test_recover_command(capsys):
     rc = cli.main(["recover", "--n", "1"])
     out = capsys.readouterr().out
@@ -197,31 +204,53 @@ def test_check_central_bound_zero_is_usage_error(capsys, monkeypatch):
     assert "--bound >= 1" in captured.err
 
 
+# the functions that do each capped command's work
+_WORK = {
+    "check relations": [(words, "defining_relations")],
+    "check ambiguities": [(rewrite, "enumerate_overlaps"),
+                          (rewrite, "check_overlap")],
+    "check central": [(central, "z_n"), (central, "check_central")],
+    "check gf": [(series, "check_gf_relations")],
+    "check prop41": [(series, "check_prop41_decompositions")],
+    "check matrix": [(central, "check_matrix_factorization")],
+    "zn": [(central, "z_n")],
+    "recover": [(central, "z_n"), (central, "recover_generators")],
+    "dims": [(dims, "hilbert_Aq"), (dims, "enumerate_irreducible")],
+}
+
+
 def test_check_ambiguities_above_the_bound_cap_is_usage_error(capsys,
                                                              monkeypatch):
-    # check relations too: each capped suite with the functions that would
-    # do its work, and their bound-0 output to run the cap itself on
+    # every LIMITS row, with the functions that would do the command's work
+    # patched to fail: a value outside the row's range is refused first
     def no_work(*args):
-        raise AssertionError("a check suite ran before rejecting its bound")
+        raise AssertionError("a command ran before rejecting its size")
 
+    assert {command for command, _ in cli.LIMITS} == set(_WORK)
+    for module, name in {pair for pairs in _WORK.values() for pair in pairs}:
+        monkeypatch.setattr(module, name, no_work)
+    for (command, name), (least, largest, reason) in cli.LIMITS.items():
+        option = "--" + name.replace("_", "-")
+        refused = [(largest + 1, f"<= {largest}"), (100_000, f"<= {largest}")]
+        if least > 0:
+            refused.append((least - 1, f">= {least}"))
+        for value, needs in refused:
+            rc = cli.main([*command.split(), option, str(value)])
+            captured = capsys.readouterr()
+            assert (rc, captured.out) == (2, "")
+            assert (f"error: {command} needs {option} {needs}: {reason}"
+                    in captured.err)
+        for value in (least, largest):
+            assert cli._check_limits(command, {name: value}) == {name: value}
+    monkeypatch.undo()
+    # the caps of the rewrite suites run, on their bound-0 work
     small_overlaps = rewrite.enumerate_overlaps(0)
     small_relations = list(words.defining_relations(0))
-    for suite, cap, module, names, small in (
-            ("ambiguities", cli.LIMITS["check ambiguities", "bound"][1], rewrite,
-             ("enumerate_overlaps", "check_overlap"), small_overlaps),
-            ("relations", cli.LIMITS["check relations", "bound"][1], words,
-             ("defining_relations",), small_relations)):
-        for name in names:
-            monkeypatch.setattr(module, name, no_work)
-        for bound in (cap + 1, 100_000):
-            rc = cli.main(["check", suite, "--bound", str(bound)])
-            captured = capsys.readouterr()
-            assert rc == 2
-            assert captured.out == ""
-            assert f"check {suite} needs --bound <= {cap}" in captured.err
-        # the cap itself is accepted
-        monkeypatch.undo()
-        monkeypatch.setattr(module, names[0], lambda bound: small)
+    for suite, module, name, small in (
+            ("ambiguities", rewrite, "enumerate_overlaps", small_overlaps),
+            ("relations", words, "defining_relations", small_relations)):
+        monkeypatch.setattr(module, name, lambda bound: small)
+        cap = cli.LIMITS[f"check {suite}", "bound"][1]
         rc = cli.main(["check", suite, "--bound", str(cap)])
         assert rc == 0
         n = len(small)
@@ -259,15 +288,18 @@ def test_a_reader_that_leaves_early_ends_the_cli_with_exit_141():
     assert first == b"[1] W[0]\n"
     assert (proc.returncode, err) == (141, b"")
     # a short listing held in the stdout buffer meets the closed pipe only
-    # when it is flushed
+    # when it is flushed; argparse's help, which argparse itself would let
+    # fail silently, meets it written through or flushed
     env.pop("PYTHONUNBUFFERED", None)
-    read_fd, write_fd = os.pipe()
-    os.close(read_fd)
-    proc = subprocess.Popen(argv + ["3"], cwd=root, env=env, stdout=write_fd,
-                            stderr=subprocess.PIPE)
-    os.close(write_fd)
-    _, err = proc.communicate(timeout=120)
-    assert (proc.returncode, err) == (141, b"")
+    for args, extra in ((argv + ["3"], {}), (argv[:3] + ["--help"], {}),
+                        (argv[:3] + ["--help"], {"PYTHONUNBUFFERED": "1"})):
+        read_fd, write_fd = os.pipe()
+        os.close(read_fd)
+        proc = subprocess.Popen(args, cwd=root, env={**env, **extra},
+                                stdout=write_fd, stderr=subprocess.PIPE)
+        os.close(write_fd)
+        _, err = proc.communicate(timeout=120)
+        assert (args, proc.returncode, err) == (args, 141, b"")
 
 
 def test_long_flat_sum_and_product(capsys):

@@ -248,8 +248,8 @@ def test_out_of_window_exponent_is_an_internal_error():
             S.TruncSeries(("t",), (3,), (0,), {e: one})
 
 
-# `+` and `*` against a reference double loop over coefficients, summing
-# the coefficients' terms one by one.
+# `+`, `-` and `*` against a reference double loop over coefficients,
+# summing the coefficients' terms one by one.
 def _fold_terms(pairs):
     acc = {}
     for w, c in pairs:
@@ -257,14 +257,15 @@ def _fold_terms(pairs):
     return {w: c for w, c in acc.items() if c}
 
 
-def _reference_sum(a, b):
+def _reference_sum(a, b, sign=1):
     order = tuple(map(min, a.order, b.order))
     floor = tuple(map(min, a.floor, b.floor))
     coeffs = {}
-    for ts in (a, b):
+    for ts, s in ((a, 1), (b, sign)):
         for e, p in ts.coeffs.items():
             if all(x <= o for x, o in zip(e, order)):
-                coeffs.setdefault(e, []).extend(p.terms.items())
+                coeffs.setdefault(e, []).extend(
+                    (w, c * s) for w, c in p.terms.items())
     return order, floor, coeffs
 
 
@@ -311,10 +312,11 @@ def _series_pair(draw):
         made.append((floor, order, draw(st.dictionaries(exps, _coeff_polys,
                                                         max_size=4))))
     (fa, oa, ca), (fb, ob, cb) = made
-    # b repeats some of a's coefficients negated, so that a + b cancels there
+    # b repeats some of a's coefficients, negated or not, so that a + b or
+    # a - b cancels there
     for e in draw(st.lists(st.sampled_from(sorted(ca)), max_size=2)) if ca else ():
         if all(f <= x <= o for x, f, o in zip(e, fb, ob)):
-            cb[e] = -ca[e]
+            cb[e] = -ca[e] if draw(st.booleans()) else ca[e]
     return (S.TruncSeries(vars, oa, fa, ca), S.TruncSeries(vars, ob, fb, cb))
 
 
@@ -322,6 +324,7 @@ def _series_pair(draw):
 def test_sum_and_product_equal_the_reference_loop(pair):
     a, b = pair
     _assert_equals_reference(a + b, _reference_sum(a, b))
+    _assert_equals_reference(a - b, _reference_sum(a, b, sign=-1))
     _assert_equals_reference(a * b, _reference_product(a, b))
 
 
