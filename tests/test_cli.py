@@ -190,8 +190,6 @@ def test_check_central_default_bound(capsys):
 
 
 def test_check_central_bound_zero_is_usage_error(capsys, monkeypatch):
-    from qonsager import central
-
     def no_work(*args):
         raise AssertionError("check central ran before rejecting its bound")
 
@@ -322,7 +320,6 @@ def test_paren_nesting_limit(capsys):
 
 
 def test_recover_builds_its_table_once(capsys, monkeypatch):
-    from qonsager import central
     calls = []
     build = central.recover_generators
 
