@@ -495,7 +495,8 @@ def main(argv=None) -> int:
             try:
                 args = parser.parse_args(argv)
             except SystemExit as exc:
-                args, code = None, 2 if exc.code not in (0, None) else 0
+                args = None
+                code = 2 if exc.code not in (0, None) else 0
         if args is None:
             sys.stdout.write(shown.getvalue())
         else:
