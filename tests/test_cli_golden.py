@@ -101,6 +101,11 @@ GOLDEN = [
       '1/(q^2 + q^-2)*W[1]*G[2] + 1/(q^3 + q^-3)*G[2]*W[1]'], 0,
      "a4cd5d10a9773087e5c6819cc40eb1cff1f0225405a9e71c8d889e262c0fd5e7",
      "950c9b56cb4ae6b5eacfa82b62185ccbb6c3c2a93274c312ceaca1a0a6c500e4"),
+    # 1,245 terms over 936 distinct coefficient values: each value's text
+    # is rendered once and then reused
+    (['normalize', 'Gt[3]*W[3]*W[-2]*G[3]'], 0,
+     "24fb43051063882e0601e0444408ecd72990b99ce6aa3c3154a929c3d41c3c3b",
+     "7b6db3ff068ef346bad96397a0a3531ed32bccfe39b72e2a71fdc98652497d62"),
 ]
 
 
