@@ -34,20 +34,20 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-_TOKEN_RE = re.compile(r"\s*(\d+|Gt|G|W|q|\^|\[|\]|\(|\)|\+|-|\*|/)")
+# a token, or else the first character that starts none; the matches tile
+# the text up to its trailing whitespace
+_TOKEN_RE = re.compile(
+    r"\s*(?:(\d+|Gt|G|W|q|\^|\[|\]|\(|\)|\+|-|\*|/)|(\S))")
 
 
 def _tokenize(text: str) -> List[Tuple[str, int]]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise ParseError(f"unexpected character {text[pos]!r}", pos)
-            break
-        tokens.append((m.group(1), m.start(1)))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        if m.lastindex == 2:
+            # placed at the match's start: after a blank, the blank is named
+            pos = m.start()
+            raise ParseError(f"unexpected character {text[pos]!r}", pos)
+        tokens.append((m[1], m.start(1)))
     return tokens
 
 
@@ -261,7 +261,7 @@ LIMITS = {
     # no letter has an index below 0, so bound 0 would check nothing; at
     # --n 4, bound 500 took 18 s and 212 MB, bound 1000 37 s and 412 MB.
     # Each cap of `check central` is measured at the other's default; the
-    # pair is not capped: n 14 with bound 100 took 103 s and 1.1 GB.
+    # pair is capped by CENTRAL_COST_CAP below.
     ("check central", "bound"): (
         1, 1000, "it checks the letters with index below the bound"),
     # at --bound 6: n 20 took 31 s and 140 MB, n 22 48 s and 179 MB, n 24
@@ -292,9 +292,45 @@ LIMITS = {
 }
 
 
+# `check central` normalizes the commutator of each of Z_0 to Z_n with
+# the 4 * bound letters below the bound, so its cost grows with n and
+# bound together, and a pair inside both caps above can still run away.
+# Cold CLI runs, time and peak RSS on 2 vCPUs, against bound * (n + 2)^4:
+#
+#     n  bound     cost        time    peak RSS
+#     4   1000   1,296,000     37 s    412 MB
+#     5    800   1,920,800     39 s    535 MB
+#     6    100     409,600     11 s    114 MB
+#     8    100   1,000,000     22 s    226 MB
+#     8    210   2,100,000     31 s    458 MB   refused
+#    10    100   2,073,600     38 s    408 MB   refused
+#    12     50   1,920,800     32 s    346 MB
+#    14     25   1,638,400     27 s    264 MB
+#    14     44   2,883,584     47 s    473 MB   refused
+#    14     50   3,276,800     55 s    550 MB   refused
+#    14    100   6,553,600    103 s    1.1 GB   refused
+#    16     28   2,939,328     57 s    444 MB   refused
+#    18     12   1,920,000     40 s    232 MB
+#    20      6   1,405,536     31 s    140 MB
+#    20      8   1,874,048     35 s    191 MB
+#    20     11   2,576,816     62 s    274 MB   refused
+#    22      6   1,990,656     48 s    179 MB
+#
+# Each run took 15 to 29 microseconds and at most 320 bytes per unit of
+# cost, so a pair up to the cap should take under a minute and 650 MB.
+# The cap admits each parameter's own cap at the other's default.
+CENTRAL_COST_CAP = 2_000_000
+
+
+def central_cost(n: int, bound: int) -> int:
+    """The size measure of `check central --n n --bound bound`."""
+    return bound * (n + 2) ** 4
+
+
 def _check_limits(command: str, parameters: dict) -> dict:
-    """Raise ValueError for a parameter outside its LIMITS row; else return
-    the parameters."""
+    """Raise ValueError for a parameter outside its LIMITS row, or for a
+    `check central` pair above CENTRAL_COST_CAP (a parameter not given
+    counts at its default); else return the parameters."""
     for name, value in parameters.items():
         least, largest, reason = LIMITS[command, name]
         option = "--" + name.replace("_", "-")
@@ -302,6 +338,13 @@ def _check_limits(command: str, parameters: dict) -> dict:
             raise ValueError(f"{command} needs {option} >= {least}: {reason}")
         if value > largest:
             raise ValueError(f"{command} needs {option} <= {largest}: {reason}")
+    if command == "check central":
+        pair = {**CHECKS["central"][1], **parameters}
+        if central_cost(pair["n"], pair["bound"]) > CENTRAL_COST_CAP:
+            raise ValueError(
+                f"check central needs --bound * (--n + 2)^4 <= "
+                f"{CENTRAL_COST_CAP:,}: it normalizes the commutator of "
+                f"each of Z_0 to Z_n with every letter below the bound")
     return parameters
 
 
@@ -454,7 +497,8 @@ def build_parser() -> argparse.ArgumentParser:
                       "up to and including the bound, central the letters "
                       "with index below it"),
             ("order", "truncation order"),
-            ("n", "the central suite checks Z_0 to Z_n")):
+            ("n", f"the central suite checks Z_0 to Z_n, and needs "
+                  f"bound * (n + 2)^4 <= {CENTRAL_COST_CAP:,}")):
         accepted = "; ".join(
             f"{suite} {defaults[name]}, accepts {_accepted(f'check {suite}', name)}"
             for suite, (_, defaults) in CHECKS.items() if name in defaults)

@@ -59,14 +59,27 @@ the operands' shape alone:
   128,255 such sums and stores 7,122).  A sum enters only while the
   memo holds fewer than 65,536 entries (`_SUMS_SIZE`) and only if every
   summand and the sum have len(U) + len(V) <= `_MEMO_CAP`; any other sum
-  is grouped by shape and met in `_sum`.  `clear_memos` empties it.
+  is grouped by shape and met in `_sum`.  `clear_memos` empties it;
+* a value's text is kept on the value: `scalar_text` stores it in the
+  `_text` slot at the first render and returns it from there afterwards
+  (`_make` leaves the slot unset).  This is not a memo: there is no key,
+  no cap and nothing to clear, because the text lives and dies with its
+  one object and is about the size of the value's own fields.  Hash-
+  consing is what makes it pay: the normal forms share one object per
+  value, so a value printed in many expressions is rendered once (a
+  pass of the normalize benchmark, seed 1, prints 106,429 coefficients
+  with 2,949 distinct values, one object each).  Equality, hashing and
+  pickling never read the slot, so a copy rebuilt from the fields
+  renders its text again.
 
 The exposed numerator/denominator pair is always fully reduced over
 Z[q] with a positive-leading-coefficient denominator, so equality and
 hashing are structural.  Values are immutable and safe to share: `QRat`
-refuses attribute assignment and deletion.  `_make` builds each value
-with plain slot stores on `_Slots`, the same layout without that guard,
-and then retags it as `QRat`; pickling rebuilds a value through `_make`.
+refuses attribute assignment and deletion (`scalar_text` fills the text
+slot through the slot's descriptor, not by assignment).  `_make` builds
+each value with plain slot stores on `_Slots`, the same layout without
+that guard, and then retags it as `QRat`; pickling rebuilds a value
+through `_make`.
 """
 
 from __future__ import annotations
@@ -244,8 +257,9 @@ def _expand(k, b, c, d, w):
 
 
 _FIELDS = ("p", "r", "a", "b", "c", "d", "u", "v")
-# the fields and the stored hash of the field tuple
-_SLOTS = _FIELDS + ("_hash",)
+# the fields, the stored hash of the field tuple, and the value's text,
+# stored by `scalar_text` at the first render (`_make` leaves it unset)
+_SLOTS = _FIELDS + ("_hash", "_text")
 
 
 class _Slots:
@@ -661,7 +675,7 @@ def of(x) -> QRat:
     if isinstance(x, int):
         if x == 0:
             return QZERO
-        return _canon(x, 1, 0, 0, 0, 0, P_ONE, P_ONE)
+        return _make(x, 1, 0, 0, 0, 0, P_ONE, P_ONE)   # already canonical
     if isinstance(x, Fraction):
         if x == 0:
             return QZERO
@@ -730,18 +744,31 @@ def poly_text(f, shift: int = 0) -> str:
     return " ".join(parts)
 
 
+# the text slot's member descriptor: `scalar_text` stores through it, so the
+# guard in QRat.__setattr__ keeps refusing every assignment
+_TEXT = QRat._text
+
+
 def scalar_text(x: QRat) -> str:
     """Render x so that the CLI scalar grammar parses it back exactly.
 
     The text is read off the factored form: the powers of q become an
     exponent shift of `poly_text`, and the denominator is 1 or a power of q
-    exactly when r = 1, V = 1 and b, c, d >= 0.
+    exactly when r = 1, V = 1 and b, c, d >= 0.  The first render stores
+    the text in x's `_text` slot, and later renders of x return it.
     """
+    try:
+        return x._text
+    except AttributeError:   # not rendered yet
+        pass
     a, b, c, d = x.a, x.b, x.c, x.d
     num = poly_text(_expand(x.p, max(b, 0), max(c, 0), max(d, 0), x.u),
                     max(a, 0))
     if x.r == 1 and x.v == P_ONE and b >= 0 and c >= 0 and d >= 0:
-        return f"({num})" if a >= 0 else f"({num})*q^-{-a}"
-    den = poly_text(_expand(x.r, max(-b, 0), max(-c, 0), max(-d, 0), x.v),
-                    max(-a, 0))
-    return f"({num})/({den})"
+        text = f"({num})" if a >= 0 else f"({num})*q^-{-a}"
+    else:
+        den = poly_text(_expand(x.r, max(-b, 0), max(-c, 0), max(-d, 0),
+                                x.v), max(-a, 0))
+        text = f"({num})/({den})"
+    _TEXT.__set__(x, text)
+    return text

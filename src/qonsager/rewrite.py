@@ -18,7 +18,7 @@ candidates are filled.  `_combine` (`qfield.lincomb`) then collects the
 terms by word in one pass; a word's coefficient is a memo lookup by its
 summands, or on a miss is grouped by shape and canonicalized once.
 The rule and normal-form caches are plain process-local dicts keyed by
-immutable values; concurrent workers each build their own.
+immutable values.
 """
 
 from __future__ import annotations

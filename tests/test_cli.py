@@ -202,6 +202,33 @@ def test_check_central_bound_zero_is_usage_error(capsys, monkeypatch):
     assert "--bound >= 1" in captured.err
 
 
+def test_check_central_refuses_a_pair_above_the_cost_cap(capsys,
+                                                        monkeypatch):
+    # each pair lies inside both one-parameter caps
+    def no_work(*args):
+        raise AssertionError("check central ran before rejecting its pair")
+
+    monkeypatch.setattr(central, "z_n", no_work)
+    monkeypatch.setattr(central, "check_central", no_work)
+    for n, bound in ((14, 100), (22, 7), (8, 201), (20, 9), (5, 1000)):
+        assert cli.central_cost(n, bound) > cli.CENTRAL_COST_CAP
+        rc = cli.main(["check", "central", "--n", str(n), "--bound",
+                       str(bound)])
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (2, "")
+        assert ("error: check central needs --bound * (--n + 2)^4 "
+                "<= 2,000,000: " in captured.err)
+    # accepted: each cap at the other's default (given, or left out and
+    # paired with the default), the benchmark's pair, the golden pair and
+    # the defaults
+    n_cap = cli.LIMITS["check central", "n"][1]
+    bound_cap = cli.LIMITS["check central", "bound"][1]
+    for params in ({"n": n_cap, "bound": 6}, {"n": 4, "bound": bound_cap},
+                   {"n": n_cap}, {"bound": bound_cap}, {"n": 6, "bound": 6},
+                   {"n": 2, "bound": 2}, {"n": 4, "bound": 6}, {}):
+        assert cli._check_limits("check central", params) == params
+
+
 # the functions that do each capped command's work
 _WORK = {
     "check relations": [(words, "defining_relations")],
@@ -345,6 +372,26 @@ def test_bad_division_is_parse_error_at_the_slash(capsys, text, message):
     assert rc == 2
     assert captured.out == ""
     assert message in captured.err
+
+
+def test_tokens_carry_their_columns():
+    assert cli._tokenize(" W[12] *\tGt[3]q^-3 \n") == [
+        ("W", 1), ("[", 2), ("12", 3), ("]", 5), ("*", 7), ("Gt", 9),
+        ("[", 11), ("3", 12), ("]", 13), ("q", 14), ("^", 15), ("-", 16),
+        ("3", 17)]
+    assert cli._tokenize("") == cli._tokenize(" \t") == []
+
+
+@pytest.mark.parametrize("text,message", [
+    ("x", "unexpected character 'x' (at column 1)"),
+    ("W[1]*$", "unexpected character '$' (at column 6)"),
+    ("W[1] +é+ $", "unexpected character 'é' (at column 7)"),
+])
+def test_an_unknown_character_is_a_parse_error(capsys, text, message):
+    rc = cli.main(["normalize", text])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (2, "")
+    assert captured.err == f"parse error: {message}\n"
 
 
 def test_exponent_limit(capsys, monkeypatch):

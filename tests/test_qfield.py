@@ -545,7 +545,18 @@ def test_memoized_canon_equals_unmemoized(uv, p, r, e):
 
 
 def test_values_are_immutable():
-    x = qf.q_int(3)
+    qf.clear_memos()
+    x = qf.q_int(3) * _V2   # a value never rendered
+    # the text slot refuses too, before the first render and after it
+    for rendered in (False, True):
+        if rendered:
+            text = qf.scalar_text(x)
+        with pytest.raises(AttributeError):
+            x._text = "(1)"
+        with pytest.raises(AttributeError):
+            delattr(x, "_text")
+        assert hasattr(x, "_text") is rendered
+    assert x._text == text == _reference_scalar_text(x)
     assert type(x) is qf.QRat and not hasattr(x, "__dict__")
     for name in ("p", "r", "a", "b", "c", "d", "u", "v"):
         with pytest.raises(AttributeError):
@@ -554,7 +565,7 @@ def test_values_are_immutable():
             delattr(x, name)
     with pytest.raises(AttributeError):
         x.extra = 1
-    assert x == qf.q_int(3)
+    assert x == qf.q_int(3) * _V2
 
 
 @pytest.mark.parametrize("x", [
@@ -679,3 +690,61 @@ def test_scalar_text_matches_reference_and_parses_back(x, k):
         text = qf.scalar_text(y)
         assert text == _reference_scalar_text(y)
         assert cli.parse_to_poly(text) == NCPoly.scalar(y)
+
+
+# -- the text slot -------------------------------------------------------------
+# scalar_text keeps each value's text on the value: the slot is a property of
+# the one object, never of its equality, hash or pickled form.
+
+def _unshared_copy(x):
+    """x rebuilt by `_make` as a new object: the value memo is emptied and
+    then treated as full, so the rebuilt value is not shared."""
+    qf.clear_memos()
+    size = qf._VALUES_SIZE
+    qf._VALUES_SIZE = len(qf._VALUES)
+    try:
+        return qf._make(*_fields(x))
+    finally:
+        qf._VALUES_SIZE = size
+
+
+@given(x=_values)
+def test_a_stored_text_is_the_reference_text(x):
+    expected = _reference_scalar_text(x)
+    z = _unshared_copy(x)   # a new object: its first render happens here
+    assert z is not x or _fields(x) in qf._CONSTANTS
+    h = hash(z)
+    assert qf.scalar_text(z) == expected
+    assert qf.scalar_text(z) == expected   # read back from the slot
+    # rendering moves neither the hash nor equality
+    assert hash(z) == h == hash(x) == hash(_fields(x))
+    assert z == x and x == z and z != x + qf.QONE
+    # copies rebuilt from the fields carry no text and render the same
+    for y in (pickle.loads(pickle.dumps(z)), _unshared_copy(z)):
+        assert y is not z or _fields(x) in qf._CONSTANTS
+        assert y == z and hash(y) == h
+        assert qf.scalar_text(y) == expected
+
+
+def test_a_value_is_rendered_once(monkeypatch):
+    calls = []
+
+    def counted(f, shift=0):
+        calls.append(f)
+        return poly_text(f, shift)
+
+    poly_text = qf.poly_text
+    monkeypatch.setattr(qf, "poly_text", counted)
+    qf.clear_memos()
+    x = qf.q_int(5) * _V3   # numerator and denominator: two poly_text calls
+    text = qf.scalar_text(x)
+    assert len(calls) == 2
+    assert qf.scalar_text(x) == text and len(calls) == 2
+    # an equal value built after the memo is emptied is a new object,
+    # rendered once on its own
+    qf.clear_memos()
+    y = qf.q_int.__wrapped__(5) * _V3
+    assert y == x and y is not x
+    assert qf.scalar_text(y) == text and len(calls) == 4
+    assert qf.scalar_text(y) == text and len(calls) == 4
+    assert qf.scalar_text(x) == text and len(calls) == 4
