@@ -21,11 +21,13 @@ import json
 import os
 import re
 import sys
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from . import __version__, central, dims, qfield, rewrite, series
 from .series import Report
-from .words import Family, NCPoly, render_poly, symbol_from_subscript
+from .qfield import QONE
+from .words import (EMPTY_WORD, Family, Generator, NCPoly, render_poly,
+                    symbol_from_subscript)
 
 
 class ParseError(ValueError):
@@ -34,21 +36,30 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-# a token, or else the first character that starts none; the matches tile
-# the text up to its trailing whitespace
+# a token (group 1), or else the first character that starts none (no group,
+# so `findall` yields "" for it); the matches tile the text up to its
+# trailing whitespace
 _TOKEN_RE = re.compile(
-    r"\s*(?:(\d+|Gt|G|W|q|\^|\[|\]|\(|\)|\+|-|\*|/)|(\S))")
+    r"\s*(?:(\d+|Gt|G|W|q|\^|\[|\]|\(|\)|\+|-|\*|/)|\S)")
 
 
-def _tokenize(text: str) -> List[Tuple[str, int]]:
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        if m.lastindex == 2:
-            # placed at the match's start: after a blank, the blank is named
-            pos = m.start()
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        tokens.append((m[1], m.start(1)))
+def _tokenize(text: str) -> List[Optional[str]]:
+    """The tokens of text, then None for its end; a character that starts
+    no token is a ParseError."""
+    tokens = _TOKEN_RE.findall(text)
+    if "" in tokens:
+        m = list(_TOKEN_RE.finditer(text))[tokens.index("")]
+        # placed at the match's start: after a blank, the blank is named
+        pos = m.start()
+        raise ParseError(f"unexpected character {text[pos]!r}", pos)
+    tokens.append(None)
     return tokens
+
+
+def _columns(text: str) -> List[int]:
+    """The column of each token of a text that tokenizes, then the text's
+    length, the column of its end; only an error needs one."""
+    return [m.start(1) for m in _TOKEN_RE.finditer(text)] + [len(text)]
 
 
 # Deepest parenthesis nesting accepted; each level takes three stack
@@ -62,9 +73,41 @@ MAX_PAREN_DEPTH = 200
 MAX_EXPONENT = 10_000
 
 
+def _scalar(x: qfield.QRat) -> list:
+    return [(EMPTY_WORD, x)] if x else []
+
+
+def _product(a: list, b: list) -> list:
+    """The terms of a*b, for a and b with one term per word."""
+    if len(a) == 1 and len(b) == 1:
+        (u, c), = a
+        (w, x), = b
+        return [(u + w, c * x)]
+    return list(qfield.lincomb([(c, {u + w: x for w, x in b})
+                                for u, c in a]).items())
+
+
+def _combine(terms: list) -> dict:
+    """The sum of terms, one coefficient per word, a cancelled word dropped."""
+    combined = dict(terms)
+    if len(combined) == len(terms):   # no word repeats: nothing to sum
+        return combined
+    return qfield.lincomb([(QONE, {w: c}) for w, c in terms])
+
+
 class _Parser:
-    """Recursive descent that evaluates as it parses: sums and products
-    fold left to right in loops, and only parentheses recurse."""
+    """Recursive descent that evaluates as it parses (syntax-directed
+    translation): sums and products fold left to right in loops, and only
+    parentheses recurse.
+
+    A value is a list of (word, nonzero coefficient) terms.  A product's
+    value has one term per word: two one-term factors multiply to one term,
+    and any other product is combined by one `qfield.lincomb`.  A sum
+    concatenates its summands' terms, and is combined once, when its `)`
+    closes or, for the whole expression, at the end; so an operator costs
+    no combine of its own.  The tokens are indexed in place, and a token's
+    column is found only for a ParseError.
+    """
 
     def __init__(self, text: str):
         self.text = text
@@ -72,118 +115,133 @@ class _Parser:
         self.i = 0
         self.depth = 0
 
-    def peek(self) -> Optional[str]:
-        return self.tokens[self.i][0] if self.i < len(self.tokens) else None
+    def error(self, message: str, i: Optional[int] = None) -> ParseError:
+        """A ParseError at token i, by default the current one."""
+        return ParseError(message, _columns(self.text)[self.i if i is None else i])
 
-    def pos(self) -> int:
-        return self.tokens[self.i][1] if self.i < len(self.tokens) else len(self.text)
-
-    def take(self, expected: Optional[str] = None) -> str:
-        if self.i >= len(self.tokens):
-            raise ParseError("unexpected end of input", len(self.text))
-        tok, pos = self.tokens[self.i]
-        if expected is not None and tok != expected:
-            raise ParseError(f"expected {expected!r}, got {tok!r}", pos)
+    def expect(self, expected: str) -> None:
+        tok = self.tokens[self.i]
+        if tok != expected:
+            if tok is None:
+                raise self.error("unexpected end of input")
+            raise self.error(f"expected {expected!r}, got {tok!r}")
         self.i += 1
-        return tok
 
     def parse(self) -> NCPoly:
-        value = self.expr()
-        if self.i < len(self.tokens):
-            raise ParseError(f"trailing input {self.peek()!r}", self.pos())
-        return value
+        terms = self.expr()
+        tok = self.tokens[self.i]
+        if tok is not None:
+            raise self.error(f"trailing input {tok!r}")
+        return NCPoly(_combine(terms))
 
-    def expr(self) -> NCPoly:
-        if self.peek() == "-":
-            self.take()
-            value = -self.term()
+    def expr(self) -> list:
+        """A sum's terms, not yet combined."""
+        tokens = self.tokens
+        if tokens[self.i] == "-":
+            self.i += 1
+            terms = [(w, -c) for w, c in self.term()]
         else:
-            value = self.term()
-        while self.peek() in ("+", "-"):
-            op = self.take()
-            rhs = self.term()
-            value = value + rhs if op == "+" else value - rhs
-        return value
-
-    def term(self) -> NCPoly:
-        value = self.factor()
-        while self.peek() in ("*", "/"):
-            pos = self.pos()
-            op = self.take()
-            rhs = self.factor()
-            if op == "*":
-                value = value * rhs
-            elif not rhs.is_scalar():
-                raise ParseError("division by a non-scalar expression", pos)
-            elif rhs.is_zero():
-                raise ParseError("division by zero", pos)
+            terms = self.term()
+        while True:
+            op = tokens[self.i]
+            if op == "+":
+                self.i += 1
+                terms += self.term()
+            elif op == "-":
+                self.i += 1
+                terms += [(w, -c) for w, c in self.term()]
             else:
-                value = value * rhs.scalar_part().inverse()
-        return value
+                return terms
+
+    def term(self) -> list:
+        tokens = self.tokens
+        value = self.factor()
+        while True:
+            op = tokens[self.i]
+            if op == "*":
+                self.i += 1
+                value = _product(value, self.factor())
+            elif op == "/":
+                slash = self.i
+                self.i += 1
+                rhs = self.factor()
+                if any(w for w, _ in rhs):
+                    raise self.error("division by a non-scalar expression", slash)
+                if not rhs:
+                    raise self.error("division by zero", slash)
+                inverse = rhs[0][1].inverse()
+                value = [(w, c * inverse) for w, c in value]
+            else:
+                return value
 
     def _signed_int(self) -> int:
+        tokens = self.tokens
         sign = 1
-        if self.peek() == "-":
-            self.take()
+        if tokens[self.i] == "-":
+            self.i += 1
             sign = -1
-        elif self.peek() == "+":
-            self.take()
-        tok = self.take()
+        elif tokens[self.i] == "+":
+            self.i += 1
+        tok = tokens[self.i]
+        if tok is None:
+            raise self.error("unexpected end of input")
         if not tok.isdigit():
-            raise ParseError(f"expected an integer, got {tok!r}",
-                             self.tokens[self.i - 1][1])
+            raise self.error(f"expected an integer, got {tok!r}")
+        self.i += 1
         return sign * int(tok)
 
     def _exponent(self) -> int:
-        pos = self.pos()
+        at = self.i
         n = self._signed_int()
         if abs(n) > MAX_EXPONENT:
-            raise ParseError(f"exponent or quantum integer beyond "
-                             f"{MAX_EXPONENT} in absolute value", pos)
+            raise self.error(f"exponent or quantum integer beyond "
+                             f"{MAX_EXPONENT} in absolute value", at)
         return n
 
-    def factor(self) -> NCPoly:
-        tok = self.peek()
+    def factor(self) -> list:
+        """A factor's terms, one per word."""
+        tok = self.tokens[self.i]
         if tok == "(":
             if self.depth == MAX_PAREN_DEPTH:
-                raise ParseError(f"parentheses nested deeper than "
-                                 f"{MAX_PAREN_DEPTH}", self.pos())
-            self.take()
+                raise self.error(f"parentheses nested deeper than "
+                                 f"{MAX_PAREN_DEPTH}")
+            self.i += 1
             self.depth += 1
-            value = self.expr()
+            terms = self.expr()
             self.depth -= 1
-            self.take(")")
-            return value
-        if tok in ("W", "G", "Gt"):
-            fam = self.take()
-            self.take("[")
-            pos = self.pos()
+            self.expect(")")
+            return list(_combine(terms).items())
+        if tok == "W" or tok == "G" or tok == "Gt":
+            self.i += 1
+            self.expect("[")
+            at = self.i
             n = self._signed_int()
-            self.take("]")
-            if fam in ("G", "Gt") and n < 0:
-                raise ParseError(f"{fam}[{n}]: negative subscript", pos)
+            self.expect("]")
+            if tok != "W" and n < 0:
+                raise self.error(f"{tok}[{n}]: negative subscript", at)
             if abs(n) > MAX_EXPONENT:
-                raise ParseError(f"{fam}[{n}]: subscript beyond {MAX_EXPONENT} "
-                                 f"in absolute value", pos)
-            return NCPoly.symbol(symbol_from_subscript(fam, n))
+                raise self.error(f"{tok}[{n}]: subscript beyond {MAX_EXPONENT} "
+                                 f"in absolute value", at)
+            s = symbol_from_subscript(tok, n)
+            return [((s,), QONE)] if isinstance(s, Generator) else [(EMPTY_WORD, s)]
         if tok == "q":
-            self.take()
-            if self.peek() == "^":
-                self.take()
-                return NCPoly.scalar(qfield.q_pow(self._exponent()))
-            return NCPoly.scalar(qfield.Q)
+            self.i += 1
+            if self.tokens[self.i] == "^":
+                self.i += 1
+                return [(EMPTY_WORD, qfield.q_pow(self._exponent()))]
+            return [(EMPTY_WORD, qfield.Q)]
         if tok == "[":
-            self.take()
+            self.i += 1
             n = self._exponent()
-            self.take("]")
-            self.take("q")
-            return NCPoly.scalar(qfield.q_int(n))
+            self.expect("]")
+            self.expect("q")
+            return _scalar(qfield.q_int(n))
         if tok is None:
-            raise ParseError("unexpected end of input", self.pos())
+            raise self.error("unexpected end of input")
         if tok.isdigit():
-            self.take()
-            return NCPoly.scalar(qfield.of(int(tok)))
-        raise ParseError(f"unexpected token {tok!r}", self.pos())
+            self.i += 1
+            return _scalar(qfield.of(int(tok)))
+        raise self.error(f"unexpected token {tok!r}")
 
 
 def parse_to_poly(text: str) -> NCPoly:

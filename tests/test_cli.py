@@ -375,11 +375,13 @@ def test_bad_division_is_parse_error_at_the_slash(capsys, text, message):
 
 
 def test_tokens_carry_their_columns():
-    assert cli._tokenize(" W[12] *\tGt[3]q^-3 \n") == [
+    # the tokens end with None, at the column of the text's end
+    text = " W[12] *\tGt[3]q^-3 \n"
+    assert list(zip(cli._tokenize(text), cli._columns(text))) == [
         ("W", 1), ("[", 2), ("12", 3), ("]", 5), ("*", 7), ("Gt", 9),
         ("[", 11), ("3", 12), ("]", 13), ("q", 14), ("^", 15), ("-", 16),
-        ("3", 17)]
-    assert cli._tokenize("") == cli._tokenize(" \t") == []
+        ("3", 17), (None, len(text))]
+    assert cli._tokenize("") == cli._tokenize(" \t") == [None]
 
 
 @pytest.mark.parametrize("text,message", [
