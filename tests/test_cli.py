@@ -1,9 +1,11 @@
 import fcntl
 import json
+import math
 import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -486,3 +488,77 @@ _LETTERS = [g_(1), g_(2), wm(0), wm(1), wp(1), wp(2), gt_(1), gt_(2)]
 def test_render_parse_round_trip_on_normal_forms(terms):
     nf = rewrite.normal_form(NCPoly([(tuple(w), c) for w, c in terms]))
     assert cli.parse_to_poly(render_poly(nf)) == nf
+
+
+def test_a_sum_is_combined_when_its_parenthesis_closes():
+    # kept uncombined, the first product would hold 4^10 terms and the
+    # second 2^30; each combined value is small and parses at once
+    w = wp(1)
+    binomial = NCPoly({(w,) * (2 * k): (-1) ** k * math.comb(10, k)
+                       for k in range(11)})
+    for text, value in (("*".join(["((1 + W[1])*(1 - W[1]))"] * 10), binomial),
+                        ("*".join(["(W[1] - W[1])"] * 30), NCPoly())):
+        start = time.perf_counter()
+        assert cli.parse_to_poly(text) == value
+        assert time.perf_counter() - start < 1.0
+    assert len(binomial.terms) == 11
+
+
+# An expression tree as (text, value, level), its value built by NCPoly
+# arithmetic: level 0 is a sum, 1 a product and 2 a factor, and a child
+# below the level of its slot is parenthesized.  Few letters, so that words
+# repeat across terms.
+def _slot(tree, level):
+    text, _, own = tree
+    return text if own >= level else f"({text})"
+
+
+def _sum(a, b):
+    return f"{a[0]} + {_slot(b, 1)}", a[1] + b[1], 0
+
+
+def _difference(a, b):
+    return f"{a[0]} - {_slot(b, 1)}", a[1] - b[1], 0
+
+
+def _negation(a):
+    return f"-{_slot(a, 1)}", -a[1], 0
+
+
+def _cancelled(a):
+    return f"{a[0]} - ({a[0]})", a[1] - a[1], 0
+
+
+def _product(a, b):
+    return f"{_slot(a, 1)}*{_slot(b, 2)}", a[1] * b[1], 1
+
+
+def _quotient(a, s):
+    return f"{_slot(a, 1)}/{_slot(s, 2)}", a[1] * s[1].inverse(), 1
+
+
+# the five scalar forms of the benchmark's normalize stream, as
+# (text, Q(q) value, level)
+_SCALAR_TREES = st.one_of(
+    st.integers(0, 9).map(lambda i: (str(i), qf.of(i), 2)),
+    st.integers(-3, 3).map(lambda k: (f"q^{k}", qf.q_pow(k), 2)),
+    st.integers(2, 4).map(lambda n: (f"[{n}]q", qf.q_int(n), 2)),
+    st.just(("(q - q^-1)", qf.Q - qf.q_pow(-1), 2)),
+    st.just(("1/(q^2 + q^-2)", (qf.q_pow(2) + qf.q_pow(-2)).inverse(), 1)))
+_TREES = st.recursive(
+    st.one_of(st.sampled_from([wm(0), wp(1), g_(1), gt_(2)]).map(
+                  lambda g: (g.text(), NCPoly.gen(g), 2)),
+              _SCALAR_TREES.map(lambda s: (s[0], NCPoly.scalar(s[1]), s[2]))),
+    lambda trees: st.one_of(
+        st.builds(_sum, trees, trees), st.builds(_difference, trees, trees),
+        st.builds(_negation, trees), st.builds(_cancelled, trees),
+        st.builds(_product, trees, trees),
+        st.builds(_quotient, trees, _SCALAR_TREES.filter(lambda s: s[1]))),
+    max_leaves=10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tree=_TREES)
+def test_the_parser_agrees_with_ncpoly_arithmetic(tree):
+    text, value, _ = tree
+    assert cli.parse_to_poly(text) == value
