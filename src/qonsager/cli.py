@@ -49,8 +49,7 @@ def _tokenize(text: str) -> List[Optional[str]]:
     tokens = _TOKEN_RE.findall(text)
     if "" in tokens:
         m = list(_TOKEN_RE.finditer(text))[tokens.index("")]
-        # placed at the match's start: after a blank, the blank is named
-        pos = m.start()
+        pos = m.end() - 1   # the character, not the blanks before it
         raise ParseError(f"unexpected character {text[pos]!r}", pos)
     tokens.append(None)
     return tokens

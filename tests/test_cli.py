@@ -390,6 +390,7 @@ def test_tokens_carry_their_columns():
     ("x", "unexpected character 'x' (at column 1)"),
     ("W[1]*$", "unexpected character '$' (at column 6)"),
     ("W[1] +é+ $", "unexpected character 'é' (at column 7)"),
+    ("W[1] $", "unexpected character '$' (at column 6)"),
 ])
 def test_an_unknown_character_is_a_parse_error(capsys, text, message):
     rc = cli.main(["normalize", text])

@@ -24,7 +24,7 @@ LETTERS = ([(f"W[{n}]", 1 - 2 * n if n <= 0 else 2 * n - 1) for n in range(-3, 5
            + [(f"{fam}[{n}]", 2 * n) for fam in ("G", "Gt") for n in range(1, 5)])
 SCALARS = ("{i}", "q^{k}", "[{n}]q", "(q - q^-1)", "1/(q^2 + q^-2)")
 
-DIGEST = "bfe886990768ef49d3c7fedbe738ec26567de1bb26280033737d83410408abbc"
+DIGEST = "5113b2d541978390a4919aecf32eb96b3fda35c00e7bef5618e2e279cfdfda3b"
 
 
 def random_string(rng):
