@@ -73,6 +73,7 @@ MAX_EXPONENT = 10_000
 
 
 def _scalar(x: qfield.QRat) -> list:
+    """The terms of the scalar x: none for zero."""
     return [(EMPTY_WORD, x)] if x else []
 
 
@@ -136,21 +137,17 @@ class _Parser:
     def expr(self) -> list:
         """A sum's terms, not yet combined."""
         tokens = self.tokens
-        if tokens[self.i] == "-":
+        terms = []
+        op = tokens[self.i]
+        if op == "-":   # a leading minus
             self.i += 1
-            terms = [(w, -c) for w, c in self.term()]
-        else:
-            terms = self.term()
         while True:
+            value = self.term()
+            terms += [(w, -c) for w, c in value] if op == "-" else value
             op = tokens[self.i]
-            if op == "+":
-                self.i += 1
-                terms += self.term()
-            elif op == "-":
-                self.i += 1
-                terms += [(w, -c) for w, c in self.term()]
-            else:
+            if op != "+" and op != "-":
                 return terms
+            self.i += 1
 
     def term(self) -> list:
         tokens = self.tokens
@@ -222,13 +219,13 @@ class _Parser:
                 raise self.error(f"{tok}[{n}]: subscript beyond {MAX_EXPONENT} "
                                  f"in absolute value", at)
             s = symbol_from_subscript(tok, n)
-            return [((s,), QONE)] if isinstance(s, Generator) else [(EMPTY_WORD, s)]
+            return [((s,), QONE)] if isinstance(s, Generator) else _scalar(s)
         if tok == "q":
             self.i += 1
             if self.tokens[self.i] == "^":
                 self.i += 1
-                return [(EMPTY_WORD, qfield.q_pow(self._exponent()))]
-            return [(EMPTY_WORD, qfield.Q)]
+                return _scalar(qfield.q_pow(self._exponent()))
+            return _scalar(qfield.Q)
         if tok == "[":
             self.i += 1
             n = self._exponent()
