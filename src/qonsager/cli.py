@@ -25,7 +25,6 @@ from typing import List, Optional
 
 from . import __version__, central, dims, qfield, rewrite, series
 from .series import Report
-from .qfield import QONE
 from .words import (EMPTY_WORD, Family, Generator, NCPoly, render_poly,
                     symbol_from_subscript)
 
@@ -92,7 +91,7 @@ def _combine(terms: list) -> dict:
     combined = dict(terms)
     if len(combined) == len(terms):   # no word repeats: nothing to sum
         return combined
-    return qfield.lincomb([(QONE, {w: c}) for w, c in terms])
+    return qfield.lincomb([(qfield.QONE, {w: c}) for w, c in terms])
 
 
 class _Parser:
@@ -219,7 +218,7 @@ class _Parser:
                 raise self.error(f"{tok}[{n}]: subscript beyond {MAX_EXPONENT} "
                                  f"in absolute value", at)
             s = symbol_from_subscript(tok, n)
-            return [((s,), QONE)] if isinstance(s, Generator) else _scalar(s)
+            return [((s,), qfield.QONE)] if isinstance(s, Generator) else _scalar(s)
         if tok == "q":
             self.i += 1
             if self.tokens[self.i] == "^":
