@@ -182,8 +182,17 @@ class _Parser:
             raise self.error("unexpected end of input")
         if not tok.isdigit():
             raise self.error(f"expected an integer, got {tok!r}")
+        return sign * self._int()
+
+    def _int(self) -> int:
+        """The value of the current token, a run of digits, which it takes."""
+        tok = self.tokens[self.i]
+        try:
+            n = int(tok)
+        except ValueError:   # beyond the interpreter's integer digit limit
+            raise self.error(f"integer of {len(tok)} digits is too long") from None
         self.i += 1
-        return sign * int(tok)
+        return n
 
     def _exponent(self) -> int:
         at = self.i
@@ -234,8 +243,7 @@ class _Parser:
         if tok is None:
             raise self.error("unexpected end of input")
         if tok.isdigit():
-            self.i += 1
-            return _scalar(qfield.of(int(tok)))
+            return _scalar(qfield.of(self._int()))
         raise self.error(f"unexpected token {tok!r}")
 
 

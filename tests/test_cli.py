@@ -399,6 +399,27 @@ def test_an_unknown_character_is_a_parse_error(capsys, text, message):
     assert captured.err == f"parse error: {message}\n"
 
 
+# 5,000 digits is past the interpreter's default limit of 4,300 digits for
+# int(str), which would otherwise escape the parser as a bare ValueError
+_LONG = "1" * 5000
+
+
+@pytest.mark.parametrize("text,message", [
+    (_LONG, "integer of 5000 digits is too long (at column 1)"),
+    (f"W[1] + 2*{_LONG}", "integer of 5000 digits is too long (at column 10)"),
+    (f"q^{_LONG}", "integer of 5000 digits is too long (at column 3)"),
+    (f"q^-{_LONG}", "integer of 5000 digits is too long (at column 4)"),
+    (f"W[{_LONG}]", "integer of 5000 digits is too long (at column 3)"),
+    (f"[{_LONG}]q", "integer of 5000 digits is too long (at column 2)"),
+])
+def test_an_integer_beyond_the_digit_limit_is_a_parse_error(capsys, text,
+                                                             message):
+    rc = cli.main(["normalize", text])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (2, "")
+    assert captured.err == f"parse error: {message}\n"
+
+
 def test_exponent_limit(capsys, monkeypatch):
     cap = cli.MAX_EXPONENT
     assert cli.parse_to_poly(f"q^{cap}") == NCPoly.scalar(qf.q_pow(cap))
