@@ -51,8 +51,17 @@ the operands' shape alone:
 * `lincomb` is the one place coefficients are accumulated: the normal
   forms of `rewrite`, `qdot`, and NCPoly's `+`, `-`, `*`, `sum` and
   constructor from (word, coefficient) pairs (and through them the series
-  and central sums) all combine terms there.  While no key has been reached, a map scaled by one is
-  copied whole with `dict.update`, a C-level copy;
+  and central sums) all combine terms there.  While no key has been
+  reached, a pair's summands are copied whole with `dict.update`, a
+  C-level copy;
+* a product c * x in `lincomb` with c != 1 is looked up in c's product
+  table: `_PRODUCTS` maps each c to a table {x: c * x}, and a miss is
+  computed by `__mul__` (a cold bound-4 ambiguity run forms 605,563 such
+  products, of 1,622 distinct pairs (c, x) over 16 distinct c).  A
+  product enters only while the tables hold fewer than 65,536 entries in
+  all (`_PRODUCTS_SIZE`) and only if c, x and c * x each have
+  len(U) + len(V) <= `_MEMO_CAP`; any other product is computed each
+  time.  `clear_memos` empties it;
 * a sum in `lincomb` at a key reached more than once is memoized by its
   summands: `_SUMS` maps the tuple of the products c * x, in the order
   they arrived, to their sum (a cold bound-4 ambiguity run looks up
@@ -322,8 +331,10 @@ class QRat:
         return self.p == 0
 
     def is_one(self):
-        return (self.p, self.r, self.a, self.b, self.c, self.d, self.u,
-                self.v) == (1, 1, 0, 0, 0, 0, P_ONE, P_ONE)
+        # field by field, so most values stop at p
+        return (self.p == 1 and self.r == 1 and self.u == P_ONE
+                and self.v == P_ONE
+                and not (self.a or self.b or self.c or self.d))
 
     def __bool__(self):
         return self.p != 0
@@ -525,34 +536,32 @@ def lincomb(scaled) -> dict:
     """The nonzero entries of sum(c * t) over the (c, t) pairs, where each
     c is nonzero and each t maps keys to nonzero values.
 
-    A key reached once gets the product c * t[key] (t[key] itself for
-    c = 1).  A key reached again collects its products in a list, and its
-    sum is looked up in the sum memo `_SUMS` by the tuple of the products;
-    `_sum_terms` computes a missing one.  A factor-basis monomial c
-    multiplies on the fields; any other c first multiplies with `__mul__`.
-    While no key has been reached, a map whose c is one (or the products
-    of a non-monomial c) is copied whole with `dict.update`.
+    For c = 1 the values of t are the summands themselves; for any other c
+    each product c * x is looked up in c's table of the product memo
+    `_PRODUCTS`, and `_product` computes a missing one.  While no key has
+    been reached, the summands of a pair are copied whole with
+    `dict.update`.  A key reached once gets its summand; a key reached
+    again collects its summands in a list, and its sum is looked up in the
+    sum memo `_SUMS` by the tuple of the summands; `_sum_terms` computes a
+    missing one.
     """
     acc: dict = {}
     shared = []   # the keys reached more than once
     for c, t in scaled:
-        if c.u == P_ONE and c.v == P_ONE:
+        if c.is_one():
             items = t.items()
         else:
-            items = [(key, c * x) for key, x in t.items()]
-            c = QONE
-        # c is a monomial here, so its p, r and exponents decide c == 1
-        one = c.p == c.r == 1 and not (c.a or c.b or c.c or c.d)
-        if one and not acc:
+            table = _PRODUCTS.get(c) or {}
+            try:
+                items = [(key, table[x]) for key, x in t.items()]
+            except KeyError:   # a miss; the caps are checked only here
+                items = [(key, table[x] if x in table
+                          else _product(c, x, table))
+                         for key, x in t.items()]
+        if not acc:
             acc.update(items)   # no key reached yet: a C-level copy
             continue
-        cp, cr, ca, cb, cc, cd = c.p, c.r, c.a, c.b, c.c, c.d
         for key, x in items:
-            if not one:
-                p, r = x.p * cp, x.r * cr
-                g = gcd(p, r)
-                x = _make(p // g, r // g, x.a + ca, x.b + cb, x.c + cc,
-                          x.d + cd, x.u, x.v)
             prev = acc.get(key)
             if prev is None:
                 acc[key] = x
@@ -572,6 +581,27 @@ def lincomb(scaled) -> dict:
         else:
             del acc[key]
     return acc
+
+
+# The product memo (see the module docstring): c -> {x: c * x}.  A cold
+# bound-4 ambiguity run forms 605,563 products with c != 1 and 1,622
+# distinct ones.
+_PRODUCTS: dict = {}
+_PRODUCTS_SIZE = 65536
+_products_stored = 0   # the entries of all the tables together
+
+
+def _product(c: QRat, x: QRat, table: dict) -> QRat:
+    """c * x, stored in table, c's table of `_PRODUCTS`, under the caps."""
+    global _products_stored
+    y = c * x
+    if (_products_stored < _PRODUCTS_SIZE
+            and len(c.u) + len(c.v) <= _MEMO_CAP
+            and len(x.u) + len(x.v) <= _MEMO_CAP
+            and len(y.u) + len(y.v) <= _MEMO_CAP):
+        _PRODUCTS.setdefault(c, table)[x] = y
+        _products_stored += 1
+    return y
 
 
 # The sum memo (see the module docstring): bound 6 of the ambiguity suite
@@ -649,10 +679,13 @@ _CONSTANTS = {tuple(getattr(x, f) for f in _FIELDS): x
 
 
 def clear_memos():
-    """Empty the polynomial memos, the sum memo and the value memo, all but
-    the module constants QZERO, QONE and Q."""
+    """Empty the polynomial memos, the product and sum memos and the value
+    memo, all but the module constants QZERO, QONE and Q."""
+    global _products_stored
     _shape.cache_clear()
     _mono.cache_clear()
+    _PRODUCTS.clear()
+    _products_stored = 0
     _SUMS.clear()
     _VALUES.clear()
     _VALUES.update(_CONSTANTS)

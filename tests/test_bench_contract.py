@@ -62,6 +62,7 @@ def test_mono_cache_can_be_cleared():
 def _memo_sizes():
     return (qfield._shape.cache_info().currsize,
             qfield._mono.cache_info().currsize,
+            sum(map(len, qfield._PRODUCTS.values())),
             len(qfield._SUMS),
             len(qfield._VALUES))
 
@@ -76,6 +77,9 @@ def test_values_above_the_memo_cap_leave_the_memos_alone():
     qfield.Q - qfield.q_pow(-1) + 1, qfield.Q - 1
     (qfield.Q - qfield.q_pow(-1)).inverse(), (qfield.Q - 1) ** 70
     qfield.q_pow(5000), -qfield.q_pow(-5000), qfield.q_pow(6000)
+    # factors of a product above the cap: [19]q and [21]q have 38 and 42
+    # coefficients in U and V, their product 78
+    c19, c21 = qfield.q_int(19), qfield.q_int(21)
     before = _memo_sizes()
     # q^5000 - q^-5000 and q^6000 + 1 expand q^10000 and q^6000, and the
     # numerator of (q - 1)^70 expands (q - 1)^70
@@ -91,6 +95,9 @@ def test_values_above_the_memo_cap_leave_the_memos_alone():
     assert qfield.qdot([one] * 3, [big, one, -big]) == one
     wide = qfield.qdot([one] * 3, [big, qfield.q_pow(6000), big])
     assert len(wide.u) > qfield._MEMO_CAP
+    # products in `lincomb` above the cap: of a big x, of a big c, and of a
+    # small c and x
+    prods = qfield.qdot([qfield.Q, big, c21], [big, qfield.Q, c19])
     assert _memo_sizes() == before
     assert max(len(y.u) + len(y.v)
                for y in qfield._VALUES.values()) <= qfield._MEMO_CAP
@@ -98,6 +105,7 @@ def test_values_above_the_memo_cap_leave_the_memos_alone():
                 for terms, s in qfield._SUMS.items()
                 for y in terms + (s,)), default=0) <= qfield._MEMO_CAP
     assert wide == big + big + qfield.q_pow(6000)
+    assert prods == 2 * qfield.Q * big + c21 * c19
     assert len(x.u) > qfield._MEMO_CAP
     # exact: the pair round-trips, w cancels, and the value is right at a point
     assert qfield.from_num_den(num, x.denominator()) == x
@@ -113,7 +121,7 @@ def test_clear_caches_empties_the_polynomial_memos():
     words.render_poly(rewrite.normal_form(poly))
     assert min(_memo_sizes()) > 0
     rewrite.clear_caches()
-    assert _memo_sizes() == (0, 0, 0, len(qfield._CONSTANTS))
+    assert _memo_sizes() == (0, 0, 0, 0, len(qfield._CONSTANTS))
 
 
 # Caches whose entries are fixed values of Q(q), the same in every run: they
@@ -146,7 +154,7 @@ def test_clear_caches_empties_every_kernel_memo():
             if name not in _CONSTANT_CACHES}
     assert left == dict.fromkeys(left, 0)
     assert rewrite._NF_CACHE == {} and rewrite._RULE_CACHE == {}
-    assert qfield._SUMS == {}
+    assert qfield._PRODUCTS == {} and qfield._SUMS == {}
     assert qfield._VALUES == qfield._CONSTANTS
 
 

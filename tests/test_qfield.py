@@ -454,6 +454,19 @@ def test_sums_past_a_full_memo_are_computed_but_not_stored(monkeypatch):
     assert qf._SUMS == {}
 
 
+def test_products_past_a_full_memo_are_computed_but_not_stored(monkeypatch):
+    cs, xs = [qf.QONE, _HALF, qf.Q], [qf.q_int(3), _V2, qf.q_int(3)]
+    expected = _fields(_fold(cs, xs))
+    qf.clear_memos()
+    monkeypatch.setattr(qf, "_PRODUCTS_SIZE", 0)
+    assert _fields(qf.qdot(cs, xs)) == expected
+    assert qf._PRODUCTS == {}
+    monkeypatch.undo()   # the products of _HALF and Q are stored again
+    assert _fields(qf.qdot(cs, xs)) == expected
+    assert {c: len(t) for c, t in qf._PRODUCTS.items()} == {_HALF: 1, qf.Q: 1}
+    assert qf._products_stored == 2
+
+
 def _sympy_value(x, q):
     num, den = x.numerator(), x.denominator()
     return (sum(c * q ** i for i, c in enumerate(num))
