@@ -8,7 +8,12 @@ v under the antiautomorphism dagger, which reverses words and swaps G with
 Gt, and are generated from them.
 Rewriting strictly decreases the (length, weight) lexicographic measure,
 which is asserted at every step, so termination is a runtime-checked
-fact rather than a step cap.
+fact rather than a step cap.  The assertion costs no weight of a whole
+word: a rule stores, for each two-letter descendant u of its pair a*b,
+the letter-weight deltas D0 = w(u0) - w(a) and D1 = w(u1) - w(b), and a
+step at position pos of a word of length n changes the weight by exactly
+m*D0 + (m - 1)*D1 with m = n - pos; a shorter descendant is below the
+word by length.
 Every left side has two letters, so the ambiguities are the overlaps: the
 C(4(b + 1), 3) strictly decreasing triples of letters with indices <= b.
 
@@ -146,25 +151,53 @@ def _rule_terms(a: Generator, b: Generator) -> List[Tuple[QRat, Word]]:
     raise RewriteInternalError(f"no rule for pair {a} {b}")
 
 
-def _rule_poly(a: Generator, b: Generator) -> NCPoly:
+def _rule(a: Generator, b: Generator) -> tuple:
+    """The rule for the pair a*b, built and checked once: its body as an
+    NCPoly, and for `_word_nf` the steps (u, c, d) over the body's terms
+    c*u, where d is the closed form of u's weight change (`_step_delta`)."""
     key = (a, b)
     cached = _RULE_CACHE.get(key)
     if cached is None:
-        cached = NCPoly([(w, c) for c, w in _rule_terms(a, b)])
+        poly = NCPoly([(w, c) for c, w in _rule_terms(a, b)])
         pair_measure = (2, word_weight((a, b)))
-        for w in cached.words():
+        for w in poly.words():
             if (len(w), word_weight(w)) >= pair_measure:
                 raise RewriteInternalError(
                     f"descendant {w} does not decrease the measure of ({a}, {b})")
-        _RULE_CACHE[key] = cached
+        steps = tuple((u, c, _step_delta(a, b, u))
+                      for u, c in poly.terms.items())
+        cached = _RULE_CACHE[key] = (poly, steps)
     return cached
+
+
+def _step_delta(a: Generator, b: Generator, u: Word):
+    """How the weight changes when the pair a*b at position pos of a word
+    is replaced by u: None for a shorter u, and otherwise the letter-weight
+    deltas (D0, D1) = (w(u0) - w(a), w(u1) - w(b)) as one 6-tuple.
+
+    A letter at position i of a word of length n weighs n - i times its
+    own weight, so with m = n - pos the word's weight changes by exactly
+    m*D0 + (m - 1)*D1 (`_decreases`).
+    """
+    if len(u) < 2:
+        return None
+    return tuple(x - y for x, y in zip(u[0].weight() + u[1].weight(),
+                                       a.weight() + b.weight()))
+
+
+def _decreases(m: int, d) -> bool:
+    """Whether a step with the deltas d, m letters from the word's end,
+    lowers the word's weight: m*D0 + (m - 1)*D1 < (0, 0, 0)."""
+    a0, b0, c0, a1, b1, c1 = d
+    n = m - 1
+    return (m * a0 + n * a1, m * b0 + n * b1, m * c0 + n * c1) < (0, 0, 0)
 
 
 def apply_rule(a: Generator, b: Generator) -> NCPoly:
     """Rewrite the reducible pair a*b as a combination of smaller words."""
     if not a > b:
         raise ValueError(f"pair ({a}, {b}) is not reducible")
-    return _rule_poly(a, b)
+    return _rule(a, b)[0]
 
 
 def rule_application(a: Generator, b: Generator) -> RuleApplication:
@@ -208,17 +241,18 @@ def _word_nf(w: Word) -> dict:
                 _NF_CACHE[top] = {top: QONE}
                 stack.pop()
                 continue
-            rule = _rule_poly(top[pos], top[pos + 1])
+            steps = _rule(top[pos], top[pos + 1])[1]
             prefix, suffix = top[:pos], top[pos + 2:]
-            measure = (len(top), word_weight(top))
+            m = len(top) - pos
             expansion = []
             stack[-1] = (top, expansion)
             depth = len(stack)
-            for u, c in rule.terms.items():
-                candidate = prefix + u + suffix
-                if (len(candidate), word_weight(candidate)) >= measure:
+            for u, c, d in steps:
+                # a shorter candidate (d is None) is below top by length
+                if d is not None and not _decreases(m, d):
                     raise RewriteInternalError(
                         f"rewrite step failed to decrease the measure at {top}")
+                candidate = prefix + u + suffix
                 expansion.append((candidate, c))
                 if candidate not in _NF_CACHE:
                     stack.append((candidate, None))
@@ -261,8 +295,7 @@ def reduce_with_strategy(p: NCPoly, rng) -> NCPoly:
             terms[w] = c
             continue
         i = rng.choice(positions)
-        rule = _rule_poly(w[i], w[i + 1])
-        for u, cu in rule.terms.items():
+        for u, cu in _rule(w[i], w[i + 1])[0].terms.items():
             candidate = w[:i] + u + w[i + 2:]
             prev = terms.get(candidate)
             s = c * cu if prev is None else prev + c * cu

@@ -132,8 +132,8 @@ def word_degree(w: Word) -> int:
     return sum(a.degree() for a in w)
 
 
-# letter -> its Weight; word_weight runs on every rewrite candidate, and a
-# letter's weight never changes
+# letter -> its Weight; word_weight runs on each rule descendant and in
+# measure_decreases, and a letter's weight never changes
 _LETTER_WEIGHT: dict = {}
 
 

@@ -172,6 +172,50 @@ def test_measure_decreases_everywhere():
         assert R.measure_decreases((gt_(5), a, b), 1, app)
 
 
+# hosts of 2 to 6 letters with indices up to 4, and a replacement of 0 to
+# 2 letters for a pair of the host: any pair, not only a rule's
+_ALL_LETTERS = [W.Generator(f, k) for f in W.Family for k in range(5)]
+
+
+@example(host=(wm(3), g_(1), g_(1)), pos=0, u=(g_(1), gt_(1)))
+@example(host=(wm(3), g_(1)), pos=0, u=(g_(1), gt_(1)))
+@given(host=st.lists(st.sampled_from(_ALL_LETTERS), min_size=2,
+                     max_size=6).map(tuple),
+       pos=st.integers(0, 4),
+       u=st.lists(st.sampled_from(_ALL_LETTERS), max_size=2).map(tuple))
+def test_step_delta_decides_as_the_word_weights(host, pos, u):
+    pos = min(pos, len(host) - 2)
+    pair = host[pos:pos + 2]
+    app = R.RuleApplication("any", pair, NCPoly.word(u))
+    d = R._step_delta(*pair, u)
+    closed = d is None or R._decreases(len(host) - pos, d)
+    assert closed == R.measure_decreases(host, pos, app)
+
+
+def test_a_descendant_that_grows_only_inside_a_word_is_caught(monkeypatch):
+    # G[1]*Gt[1] weighs (2, 0, 3) against (2, 0, 7) for W[-3]*G[1], so the
+    # rule passes its pair check (m = 2); at m = 3 the deltas D0 = (-1, 0,
+    # -2) and D1 = (2, 0, 0) give 3*D0 + 2*D1 = (1, 0, -6) >= (0, 0, 0)
+    rule_terms = R._rule_terms
+
+    def mutant(a, b):
+        terms = rule_terms(a, b)
+        if (a, b) == (wm(3), g_(1)):
+            terms = terms + [(qf.QONE, (g_(1), gt_(1)))]
+        return terms
+
+    monkeypatch.setattr(R, "_rule_terms", mutant)
+    R.clear_caches()
+    try:
+        assert (g_(1), gt_(1)) in R.apply_rule(wm(3), g_(1)).terms
+        R.normal_form(NCPoly.word((wm(3), g_(1))))
+        with pytest.raises(R.RewriteInternalError,
+                           match="failed to decrease the measure"):
+            R.normal_form(NCPoly.word((wm(3), g_(1), g_(1))))
+    finally:
+        R.clear_caches()
+
+
 def test_check_overlap_examples():
     rep = R.check_overlap((wp(1), wm(0), g_(1)))
     assert rep.agrees
@@ -208,8 +252,8 @@ def test_confluence_small_bound():
 
 
 def test_rule_coefficients_are_signed_basis_monomials():
-    # every rule coefficient is +-q^a (q-1)^b (q+1)^c (q^2+1)^d, so the walk
-    # multiplies on the fields and never through QRat.__mul__
+    # every rule coefficient is +-q^a (q-1)^b (q+1)^c (q^2+1)^d, so a miss
+    # of the walk's product tables takes QRat.__mul__'s monomial path
     for a, b in reducible_pairs(6):
         for c in R.apply_rule(a, b).terms.values():
             assert (abs(c.p), c.r, c.u, c.v) == (1, 1, qf.P_ONE, qf.P_ONE), \
@@ -221,13 +265,13 @@ def test_word_nf_looks_up_one_rule_per_filled_word(monkeypatch, capsys):
     monkeypatch.delenv("ONSAGER_WORKERS", raising=False)
     R.clear_caches()
     calls = []
-    rule_poly = R._rule_poly
+    rule = R._rule
 
     def counted(a, b):
         calls.append((a, b))
-        return rule_poly(a, b)
+        return rule(a, b)
 
-    monkeypatch.setattr(R, "_rule_poly", counted)
+    monkeypatch.setattr(R, "_rule", counted)
     assert cli.main(["check", "ambiguities", "--bound", "2"]) == 0
     capsys.readouterr()
     filled = [w for w in R._NF_CACHE if W.first_descent(w) is not None]
@@ -268,6 +312,12 @@ def _fields(x):
     return (x.p, x.r, x.a, x.b, x.c, x.d, x.u, x.v)
 
 
+def _assert_equal_terms(got, expected):
+    assert got.keys() == expected.keys()
+    for u, c in expected.items():
+        assert _fields(got[u]) == _fields(c), u
+
+
 @example(scaled=[(qf.QONE, {"a": qf.Q}), (-qf.QONE, {"a": qf.Q})])
 @example(scaled=[(qf.q_int(2), {"a": qf.Q, "b": qf.QONE}),
                  (qf.Q, {"a": qf.QONE, "b": qf.q_int(2)}),
@@ -275,8 +325,16 @@ def _fields(x):
 @given(scaled=st.lists(st.tuples(
     _scalars, st.dictionaries(_KEYS, _coeffs, max_size=4)), max_size=5))
 def test_combine_equals_the_binary_fold(scaled):
-    got = R._combine(scaled)
-    expected = _fold(scaled)
-    assert got.keys() == expected.keys()
-    for u, c in expected.items():
-        assert _fields(got[u]) == _fields(c), u
+    _assert_equal_terms(R._combine(scaled), _fold(scaled))
+
+
+@given(scaled=st.lists(st.tuples(
+    _scalars, st.dictionaries(_KEYS, _coeffs, max_size=4)), max_size=5))
+def test_combine_with_warm_product_tables_equals_the_binary_fold(scaled):
+    qf.clear_memos()
+    R._combine(scaled)   # fills the product tables
+    for c, t in scaled:
+        if not c.is_one():
+            for x in t.values():
+                assert _fields(qf._PRODUCTS[c][x]) == _fields(c * x)
+    _assert_equal_terms(R._combine(scaled), _fold(scaled))
