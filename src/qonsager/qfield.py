@@ -583,9 +583,9 @@ def lincomb(scaled) -> dict:
     return acc
 
 
-# The product memo (see the module docstring): c -> {x: c * x}.  A cold
-# bound-4 ambiguity run forms 605,563 products with c != 1 and 1,622
-# distinct ones.
+# The product memo (see the module docstring): c -> {x: c * x}.  Bound 6
+# of the ambiguity suite stores 2,382 products over 16 c, the word
+# Gt[4]*W[4]*W[-3]*G[4] 15,666, and `check matrix --order 5` 5,805 over 870 c.
 _PRODUCTS: dict = {}
 _PRODUCTS_SIZE = 65536
 _products_stored = 0   # the entries of all the tables together

@@ -181,8 +181,9 @@ def _step_delta(a: Generator, b: Generator, u: Word):
     """
     if len(u) < 2:
         return None
-    return tuple(x - y for x, y in zip(u[0].weight() + u[1].weight(),
-                                       a.weight() + b.weight()))
+    d0 = [x - y for x, y in zip(u[0].weight(), a.weight())]
+    d1 = [x - y for x, y in zip(u[1].weight(), b.weight())]
+    return (*d0, *d1)
 
 
 def _decreases(m: int, d) -> bool:

@@ -400,7 +400,8 @@ def test_an_unknown_character_is_a_parse_error(capsys, text, message):
 
 
 # 5,000 digits is past the interpreter's default limit of 4,300 digits for
-# int(str), which would otherwise escape the parser as a bare ValueError
+# int(str), which would otherwise escape the parser as a bare ValueError;
+# the test sets that limit, which PYTHONINTMAXSTRDIGITS can change
 _LONG = "1" * 5000
 
 
@@ -414,7 +415,12 @@ _LONG = "1" * 5000
 ])
 def test_an_integer_beyond_the_digit_limit_is_a_parse_error(capsys, text,
                                                              message):
-    rc = cli.main(["normalize", text])
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        rc = cli.main(["normalize", text])
+    finally:
+        sys.set_int_max_str_digits(limit)
     captured = capsys.readouterr()
     assert (rc, captured.out) == (2, "")
     assert captured.err == f"parse error: {message}\n"
