@@ -132,19 +132,11 @@ def word_degree(w: Word) -> int:
     return sum(a.degree() for a in w)
 
 
-# letter -> its Weight; word_weight runs on each rule descendant and in
-# measure_decreases, and a letter's weight never changes
-_LETTER_WEIGHT: dict = {}
-
-
 def word_weight(w: Word) -> Weight:
     m = len(w)
     a = b = c = 0
     for letter in w:
-        lw = _LETTER_WEIGHT.get(letter)
-        if lw is None:
-            lw = _LETTER_WEIGHT[letter] = letter.weight()
-        la, lb, lc = lw
+        la, lb, lc = letter.weight()
         a += m * la
         b += m * lb
         c += m * lc
