@@ -181,9 +181,9 @@ def _step_delta(a: Generator, b: Generator, u: Word):
     """
     if len(u) < 2:
         return None
-    d0 = [x - y for x, y in zip(u[0].weight(), a.weight())]
-    d1 = [x - y for x, y in zip(u[1].weight(), b.weight())]
-    return (*d0, *d1)
+    (a0, b0, c0), (a1, b1, c1) = u[0].weight(), u[1].weight()
+    (aa, ba, ca), (ab, bb, cb) = a.weight(), b.weight()
+    return (a0 - aa, b0 - ba, c0 - ca, a1 - ab, b1 - bb, c1 - cb)
 
 
 def _decreases(m: int, d) -> bool:
