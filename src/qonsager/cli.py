@@ -478,16 +478,13 @@ def cmd_zn(args) -> int:
 
 def cmd_dims(args) -> int:
     params = _check_limits("dims", {"max_degree": args.max_degree})
-    degrees = range(args.max_degree + 1)
-    table = dims.hilbert_Aq(args.max_degree)
-    counts = [len(dims.enumerate_irreducible(d)) for d in degrees]
-    report = Report("dims")
-    for d in degrees:
-        report.add(f"degree {d}", counts[d] == table[d], str(counts[d]))
+    report = dims.check_word_counts(args.max_degree)
+    counts = [int(r.detail) for r in report.results]
     return _emit(args, "dims", params, report,
-                 text=["degree:    " + " ".join(map(str, degrees)),
+                 text=["degree:    " + " ".join(
+                           map(str, range(args.max_degree + 1))),
                        "dimension: " + " ".join(map(str, counts))],
-                 dimensions=counts, series=table)
+                 dimensions=counts, series=dims.hilbert_Aq(args.max_degree))
 
 
 def cmd_series(args) -> int:

@@ -37,17 +37,18 @@ the operands' shape alone:
   hit.  Only expansions of at most `_MEMO_CAP` (64) coefficients enter;
   the memos hold 4,096 entries each.  Larger ones run the same functions
   unmemoized.  `clear_memos` empties the memos;
-* values are hash-consed: `_make`, the one place a value is built, returns
-  the existing object for a canonical field tuple from the value memo, so
-  the normal-form caches hold one object per distinct coefficient (a cold
-  bound-4 ambiguity run stores 248,392 coefficients with 689 distinct
-  values).  A value enters only while the memo holds fewer than 65,536
-  entries (`_VALUES_SIZE`) and only if len(U) + len(V) <= `_MEMO_CAP`;
-  any other value is built unshared.  Identity never carries meaning: the
-  memo is bounded and `clear_memos` empties it (all but QZERO, QONE and
-  Q), so equality and hashing stay structural and no code compares values
-  with `is`.  `_make` also stores each value's hash, the hash of its field
-  tuple, so hashing a value costs one slot read;
+* values are hash-consed completely: `_make`, the one place a value is
+  built, returns the live object for a canonical field tuple from the
+  value table `_VALUES`, a `weakref.WeakValueDictionary` with no cap, and
+  stores every value it builds there.  So identity is equality: two live
+  values are equal exactly when they are the same object, `__eq__` is
+  `is` once an int or Fraction operand is embedded, `is_one` is `is QONE`,
+  and the hash is `object.__hash__`, computed in C from the address.  A
+  value leaves the table when its last reference goes, so the table holds
+  only live values and `clear_memos` leaves it alone; a value rebuilt
+  later is a new object, equal to nothing that is gone.  The normal-form
+  caches hold one object per distinct coefficient (a cold bound-4
+  ambiguity run stores 248,392 coefficients with 689 distinct values);
 * `lincomb` is the one place coefficients are accumulated: the normal
   forms of `rewrite`, `qdot`, and NCPoly's `+`, `-`, `*`, `sum` and
   constructor from (word, coefficient) pairs (and through them the series
@@ -78,21 +79,23 @@ the operands' shape alone:
   value, so a value printed in many expressions is rendered once (a
   pass of the normalize benchmark, seed 1, prints 106,429 coefficients
   with 2,949 distinct values, one object each).  Equality, hashing and
-  pickling never read the slot, so a copy rebuilt from the fields
-  renders its text again.
+  pickling never read the slot, so a value rebuilt after its last
+  reference went renders its text again.
 
 The exposed numerator/denominator pair is always fully reduced over
-Z[q] with a positive-leading-coefficient denominator, so equality and
-hashing are structural.  Values are immutable and safe to share: `QRat`
-refuses attribute assignment and deletion (`scalar_text` fills the text
-slot through the slot's descriptor, not by assignment).  `_make` builds
-each value with plain slot stores on `_Slots`, the same layout without
-that guard, and then retags it as `QRat`; pickling rebuilds a value
-through `_make`.
+Z[q] with a positive-leading-coefficient denominator, so the field tuple
+is canonical and interning it makes equality identity.  Values are
+immutable and safe to share: `QRat` refuses attribute assignment and
+deletion (`scalar_text` fills the text slot through the slot's
+descriptor, not by assignment).  `_make` builds each value with plain
+slot stores on `_Slots`, the layout without that guard, and then retags
+it as `QRat`, its subclass that adds no slot; pickling and copying
+return the value through `_make`, so a live value comes back as itself.
 """
 
 from __future__ import annotations
 
+import weakref
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import zip_longest
@@ -265,30 +268,28 @@ def _expand(k, b, c, d, w):
     return f
 
 
-_FIELDS = ("p", "r", "a", "b", "c", "d", "u", "v")
-# the fields, the stored hash of the field tuple, and the value's text,
-# stored by `scalar_text` at the first render (`_make` leaves it unset)
-_SLOTS = _FIELDS + ("_hash", "_text")
-
-
 class _Slots:
-    """QRat's slot layout without the immutability guard (see `_make`)."""
+    """QRat's slot layout without the immutability guard (see `_make`): the
+    fields, the value's text, stored by `scalar_text` at the first render
+    (`_make` leaves it unset), and the weak reference of `_VALUES`."""
 
-    __slots__ = _SLOTS
+    __slots__ = ("p", "r", "a", "b", "c", "d", "u", "v", "_text",
+                 "__weakref__")
 
 
-# The value memo (see the module docstring): bound 6 of the ambiguity suite
-# builds about 1,800 values, the word Gt[4]*W[4]*W[-3]*G[4] about 14,000.
-_VALUES: dict = {}
-_VALUES_SIZE = 65536
+# The value table (see the module docstring): every live value under its
+# field tuple.  `_make` reads the plain dict of weak references under it.
+_VALUES = weakref.WeakValueDictionary()
+_VALUE_REFS = _VALUES.data
 
 
 def _make(p, r, a, b, c, d, u, v):
     key = (p, r, a, b, c, d, u, v)
-    try:
-        return _VALUES[key]
-    except KeyError:   # a miss; the caps are checked only here
-        pass
+    ref = _VALUE_REFS.get(key)
+    if ref is not None:
+        self = ref()
+        if self is not None:
+            return self
     # plain slot stores on the unguarded layout, then a retag as QRat:
     # a fifth of the cost of eight object.__setattr__ calls
     self = object.__new__(_Slots)
@@ -300,17 +301,15 @@ def _make(p, r, a, b, c, d, u, v):
     self.d = d
     self.u = u
     self.v = v
-    self._hash = hash(key)
     self.__class__ = QRat
-    if len(_VALUES) < _VALUES_SIZE and len(u) + len(v) <= _MEMO_CAP:
-        _VALUES[key] = self
+    _VALUES[key] = self
     return self
 
 
-class QRat:
+class QRat(_Slots):
     """An element of Q(q).  Use module factories; instances are immutable."""
 
-    __slots__ = _SLOTS
+    __slots__ = ()
 
     def __init__(self):
         raise TypeError("use qfield factories (of, q_pow, q_int, ...) to build QRat")
@@ -331,10 +330,7 @@ class QRat:
         return self.p == 0
 
     def is_one(self):
-        # field by field, so most values stop at p
-        return (self.p == 1 and self.r == 1 and self.u == P_ONE
-                and self.v == P_ONE
-                and not (self.a or self.b or self.c or self.d))
+        return self is QONE
 
     def __bool__(self):
         return self.p != 0
@@ -430,15 +426,14 @@ class QRat:
     # -- comparison / hashing ------------------------------------------
 
     def __eq__(self, other):
-        other = _co(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return (self.p, self.r, self.a, self.b, self.c, self.d, self.u,
-                self.v) == (other.p, other.r, other.a, other.b, other.c,
-                            other.d, other.u, other.v)
+        # values are interned (see `_make`): equal values are one object
+        if type(other) is not QRat:
+            other = _co(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return self is other
 
-    def __hash__(self):
-        return self._hash
+    __hash__ = object.__hash__
 
     # -- views ----------------------------------------------------------
 
@@ -548,7 +543,7 @@ def lincomb(scaled) -> dict:
     acc: dict = {}
     shared = []   # the keys reached more than once
     for c, t in scaled:
-        if c.is_one():
+        if c is QONE:
             items = t.items()
         else:
             table = _PRODUCTS.get(c) or {}
@@ -673,39 +668,33 @@ def _sum(groups) -> QRat:
 QZERO = _make(0, 1, 0, 0, 0, 0, P_ONE, P_ONE)
 QONE = _make(1, 1, 0, 0, 0, 0, P_ONE, P_ONE)
 Q = _make(1, 1, 1, 0, 0, 0, P_ONE, P_ONE)
-# kept in the value memo across clears: a computed 1 is then QONE itself
-_CONSTANTS = {tuple(getattr(x, f) for f in _FIELDS): x
-              for x in (QZERO, QONE, Q)}
 
 
 def clear_memos():
-    """Empty the polynomial memos, the product and sum memos and the value
-    memo, all but the module constants QZERO, QONE and Q."""
+    """Empty the polynomial memos and the product and sum memos.  The value
+    table holds only live values, so it is left alone."""
     global _products_stored
     _shape.cache_clear()
     _mono.cache_clear()
     _PRODUCTS.clear()
     _products_stored = 0
     _SUMS.clear()
-    _VALUES.clear()
-    _VALUES.update(_CONSTANTS)
 
 
 def _co(x):
     if isinstance(x, QRat):
         return x
-    if isinstance(x, int):
-        return of(x)
-    if isinstance(x, Fraction):
+    if type(x) is int or isinstance(x, Fraction):
         return of(x)
     return NotImplemented
 
 
 def of(x) -> QRat:
-    """Embed an int or Fraction into Q(q)."""
+    """Embed an int or Fraction into Q(q).  Only an exact int is a scalar:
+    the letters of `words` are ints too, and never embed."""
     if isinstance(x, QRat):
         return x
-    if isinstance(x, int):
+    if type(x) is int:
         if x == 0:
             return QZERO
         return _make(x, 1, 0, 0, 0, 0, P_ONE, P_ONE)   # already canonical

@@ -29,14 +29,15 @@ immutable values.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import List, Tuple
 
 from . import qfield
 from .qfield import QONE, QRat, lincomb as _combine
 from .words import (Family, Generator, NCPoly, Word, dagger_letter,
-                    first_descent, g_, gt_, symbol_from_subscript, wm,
-                    word_weight, wp, w_sub)
+                    first_descent, g_, gt_, letter_weight,
+                    symbol_from_subscript, wm, word_weight, wp, w_sub)
 
 
 class RewriteInternalError(RuntimeError):
@@ -86,22 +87,31 @@ def _term(coeff: QRat, *symbols) -> Tuple[QRat, Word]:
 _RULE_CACHE: dict = {}
 
 
+@lru_cache(maxsize=None)
+def _prefactors() -> Tuple[QRat, QRat, QRat, QRat]:
+    """The prefactors of rules ii, iii, iv and v, built once from
+    q^2 - q^-2 and q - q^-1: 1/((q^2 - q^-2)*[2]q^2), (q^2 - q^-2)^3,
+    q*(q - q^-1) and q^-1*(q - q^-1)."""
+    q = qfield.q_pow
+    Q2 = q(2) - q(-2)            # q^2 - q^-2
+    qm = qfield.Q - q(-1)        # q - q^-1
+    return ((Q2 * qfield.q_int(2) ** 2).inverse(), Q2 ** 3, qfield.Q * qm,
+            q(-1) * qm)
+
+
 def _rule_terms(a: Generator, b: Generator) -> List[Tuple[QRat, Word]]:
     fa, fb = a.family, b.family
     if fa == Family.Gtilde and fb in (Family.Wplus, Family.Wminus):
         # rules vi and vii: the dagger images of rules iv and v
         return [(c, tuple(dagger_letter(g) for g in reversed(w)))
                 for c, w in _rule_terms(dagger_letter(b), dagger_letter(a))]
-    q = qfield.q_pow
-    Q2 = q(2) - q(-2)            # q^2 - q^-2
-    qm = qfield.Q - q(-1)        # q - q^-1
+    e, c_iii, c_iv, c_v = _prefactors()
     i, j = a.k, b.k
     terms: List[Tuple[QRat, Word]] = []
     if fa == fb:
         # same-family letters commute
         return [(QONE, (b, a))]
     if (fa, fb) == (Family.Wplus, Family.Wminus):
-        e = (Q2 * qfield.q_int(2) ** 2).inverse()
         terms.append((QONE, (b, a)))
         for l in range(min(i, j) + 1):
             terms.append(_term(e, symbol_from_subscript("G", l),
@@ -110,7 +120,7 @@ def _rule_terms(a: Generator, b: Generator) -> List[Tuple[QRat, Word]]:
                                symbol_from_subscript("Gt", l)))
         return terms
     if (fa, fb) == (Family.Gtilde, Family.G):
-        c = Q2 ** 3
+        c = c_iii
         terms.append((QONE, (g_(j + 1), gt_(i + 1))))
         terms.append((-c, (wm(i), wm(j))))
         terms.append((c, (wp(i + 1), wp(j + 1))))
@@ -122,7 +132,7 @@ def _rule_terms(a: Generator, b: Generator) -> List[Tuple[QRat, Word]]:
             terms.append(_term(c, w_sub(l - i - j), w_sub(l)))
         return terms
     if (fa, fb) == (Family.Wplus, Family.G):
-        c = qfield.Q * qm
+        c = c_iv
         terms.append((QONE, (g_(j + 1), wp(i + 1))))
         for l in range(min(i, j) + 1):
             terms.append(_term(c, symbol_from_subscript("G", l), w_sub(l - i - j)))
@@ -135,7 +145,7 @@ def _rule_terms(a: Generator, b: Generator) -> List[Tuple[QRat, Word]]:
                                w_sub(1 - l)))
         return terms
     if (fa, fb) == (Family.Wminus, Family.G):
-        c = q(-1) * qm
+        c = c_v
         terms.append((QONE, (g_(j + 1), wm(i))))
         for l in range(min(i, j) + 1):
             terms.append(_term(-c, symbol_from_subscript("G", l),
@@ -181,8 +191,8 @@ def _step_delta(a: Generator, b: Generator, u: Word):
     """
     if len(u) < 2:
         return None
-    (a0, b0, c0), (a1, b1, c1) = u[0].weight(), u[1].weight()
-    (aa, ba, ca), (ab, bb, cb) = a.weight(), b.weight()
+    (a0, b0, c0), (a1, b1, c1) = letter_weight(u[0]), letter_weight(u[1])
+    (aa, ba, ca), (ab, bb, cb) = letter_weight(a), letter_weight(b)
     return (a0 - aa, b0 - ba, c0 - ca, a1 - ab, b1 - bb, c1 - cb)
 
 

@@ -5,6 +5,11 @@ PBW order: every G letter comes before every W-minus letter, then the
 W-plus letters, then the G-tilde letters; inside a family, smaller
 index comes first.  Degree-zero G symbols are scalars, never letters.
 
+A letter is an int, family * 2^32 + k with 0 <= k < 2^32, so the int
+order is the PBW order and a word, a tuple of letters, hashes and
+compares in C; `family` and `k` are read back by shift and mask.  A
+letter is never a scalar: `qfield.of` embeds exact ints only.
+
 NCPoly sums, differences, products, `NCPoly.sum` and the constructor
 from (word, coefficient) pairs combine their terms through
 `qfield.lincomb`, which sums each word's coefficient once and drops it if
@@ -27,9 +32,35 @@ class Family(IntEnum):
     Gtilde = 3
 
 
-class Generator(NamedTuple):
-    family: Family
-    k: int  # G_{k+1}, W_{-k}, W_{k+1}, Gtilde_{k+1}
+_K_BITS = 32
+_K_MASK = (1 << _K_BITS) - 1
+_FAMILIES = tuple(Family)   # by rank: a tuple index, not an enum lookup
+
+
+class Generator(int):
+    """The letter with the given family and index k: G_{k+1}, W_{-k},
+    W_{k+1} or Gtilde_{k+1}, stored as the int family * 2^32 + k."""
+
+    __slots__ = ()
+
+    def __new__(cls, family: Family, k: int):
+        if not 0 <= k <= _K_MASK:
+            raise ValueError(f"letter index {k} is outside [0, 2^32)")
+        return int.__new__(cls, family << _K_BITS | k)
+
+    @property
+    def family(self) -> Family:
+        return _FAMILIES[self >> _K_BITS]
+
+    @property
+    def k(self) -> int:
+        return self & _K_MASK
+
+    def __getnewargs__(self):
+        return self.family, self.k
+
+    def __repr__(self):
+        return f"Generator(family={self.family!r}, k={self.k})"
 
     def subscript(self) -> int:
         if self.family == Family.Wminus:
@@ -138,14 +169,19 @@ def word_degree(w: Word) -> int:
 _LETTER_WEIGHT: dict = {}
 
 
+def letter_weight(letter: Generator) -> Weight:
+    """letter.weight(), read through the `_LETTER_WEIGHT` memo."""
+    lw = _LETTER_WEIGHT.get(letter)
+    if lw is None:
+        lw = _LETTER_WEIGHT[letter] = letter.weight()
+    return lw
+
+
 def word_weight(w: Word) -> Weight:
     m = len(w)
     a = b = c = 0
     for letter in w:
-        lw = _LETTER_WEIGHT.get(letter)
-        if lw is None:
-            lw = _LETTER_WEIGHT[letter] = letter.weight()
-        la, lb, lc = lw
+        la, lb, lc = letter_weight(letter)
         a += m * la
         b += m * lb
         c += m * lc
@@ -424,7 +460,7 @@ def render_poly(p: NCPoly) -> str:
         c = p.terms[w]
         if not w:
             parts.append(qfield.scalar_text(c))
-        elif c.is_one():
+        elif c is QONE:
             parts.append(render_word(w))
         else:
             parts.append(f"{qfield.scalar_text(c)}*{render_word(w)}")

@@ -63,8 +63,13 @@ def _memo_sizes():
     return (qfield._shape.cache_info().currsize,
             qfield._mono.cache_info().currsize,
             sum(map(len, qfield._PRODUCTS.values())),
-            len(qfield._SUMS),
-            len(qfield._VALUES))
+            len(qfield._SUMS))
+
+
+def _interned(*values):
+    """Whether each value is the one live object for its fields."""
+    return all(qfield._VALUES[(x.p, x.r, x.a, x.b, x.c, x.d, x.u, x.v)] is x
+               for x in values)
 
 
 def test_values_above_the_memo_cap_leave_the_memos_alone():
@@ -99,8 +104,8 @@ def test_values_above_the_memo_cap_leave_the_memos_alone():
     # small c and x
     prods = qfield.qdot([qfield.Q, big, c21], [big, qfield.Q, c19])
     assert _memo_sizes() == before
-    assert max(len(y.u) + len(y.v)
-               for y in qfield._VALUES.values()) <= qfield._MEMO_CAP
+    # the value table has no cap: the big values are interned like any other
+    assert _interned(big, x, wide, prods)
     assert max((len(y.u) + len(y.v)
                 for terms, s in qfield._SUMS.items()
                 for y in terms + (s,)), default=0) <= qfield._MEMO_CAP
@@ -118,15 +123,20 @@ def test_clear_caches_empties_the_polynomial_memos():
     rewrite.clear_caches()
     poly = cli.parse_to_poly(
         "1/(q^2 + q^-2)*[3]q*W[1]*G[2] + Gt[1]*W[1]*W[0]*G[1]")
-    words.render_poly(rewrite.normal_form(poly))
+    held = rewrite.normal_form(poly)
+    words.render_poly(held)
     assert min(_memo_sizes()) > 0
     rewrite.clear_caches()
-    assert _memo_sizes() == (0, 0, 0, 0, len(qfield._CONSTANTS))
+    assert _memo_sizes() == (0, 0, 0, 0)
+    # the value table is no memo: a value held across the clear stays the
+    # one object for its fields
+    assert _interned(*held.terms.values(), qfield.QONE)
 
 
 # Caches whose entries are fixed values of Q(q), the same in every run: they
 # may outlive clear_caches.
-_CONSTANT_CACHES = {"qfield.q_int", "qfield.rho_const", "qfield.g0_const"}
+_CONSTANT_CACHES = {"qfield.q_int", "qfield.rho_const", "qfield.g0_const",
+                    "rewrite._prefactors"}
 
 
 def _kernel_lru_caches():
@@ -148,6 +158,7 @@ def test_clear_caches_empties_every_kernel_memo():
     assert _CONSTANT_CACHES | {"qfield._shape", "qfield._mono"} <= set(caches)
     poly = cli.parse_to_poly("1/(q^2 + q^-2)*W[1]*G[2] + Gt[1]*W[1]*W[0]*G[1]")
     words.render_poly(rewrite.normal_form(poly))
+    live = len(qfield._VALUES)
     rewrite.clear_caches()
     left = {name: cache.cache_info().currsize
             for name, cache in caches.items()
@@ -155,7 +166,10 @@ def test_clear_caches_empties_every_kernel_memo():
     assert left == dict.fromkeys(left, 0)
     assert rewrite._NF_CACHE == {} and rewrite._RULE_CACHE == {}
     assert qfield._PRODUCTS == {} and qfield._SUMS == {}
-    assert qfield._VALUES == qfield._CONSTANTS
+    # the value table holds only live values: those only the caches held
+    # are gone with them, and the module constants stay
+    assert len(qfield._VALUES) < live
+    assert _interned(qfield.QZERO, qfield.QONE, qfield.Q)
 
 
 def test_normal_forms_hold_one_object_per_coefficient_value():

@@ -2,6 +2,7 @@ import copy
 import operator
 import pickle
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -586,27 +587,41 @@ def test_values_are_immutable():
     (qf.q_pow(2) + qf.q_pow(-2)).inverse(), qf.q_int(40)],
     ids=["zero", "monomial", "[3]q", "V!=1", "above the memo cap"])
 def test_pickle_round_trip(x):
-    for y in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x)):
-        assert type(y) is qf.QRat
-        assert y == x and hash(y) == hash(x)
+    for y in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x), copy.copy(x)):
+        assert y is x
         with pytest.raises(AttributeError):
             y.p = 0
 
 
-# -- the value memo ----------------------------------------------------------
-# Identity is only ever a memory saving: the kernel compares values with ==,
-# so these are the only tests that look at it.
+# -- the value table -----------------------------------------------------------
+# Every live value is one object (see `_make`), so identity is equality and
+# the hash is the identity hash.
 
-@given(x=_values)
-def test_a_value_rebuilt_from_its_fields_is_equal(x):
-    # through the memo, through the dense pair, and from an emptied memo
+@given(x=_values, y=_values)
+def test_two_values_are_equal_iff_they_are_one_object(x, y):
+    assert (x == y) == (x is y) == (_fields(x) == _fields(y))
+    assert (x != y) == (x is not y)
+    assert (hash(x) == hash(y)) == (x is y)
+
+
+@given(x=_values, k=st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5)))
+def test_a_value_rebuilt_from_its_fields_is_equal(x, k):
+    # a live value comes back as itself: through the table, the dense
+    # pair, pickling and copying, and from emptied memos
     rebuilt = [qf._make(*_fields(x)),
-               qf.from_num_den(x.numerator(), x.denominator())]
+               qf.from_num_den(x.numerator(), x.denominator()),
+               pickle.loads(pickle.dumps(x)), copy.deepcopy(x)]
     qf.clear_memos()
     rebuilt.append(qf._make(*_fields(x)))
     for y in rebuilt:
-        assert _fields(y) == _fields(x)
-        assert y == x and hash(y) == hash(x)
+        assert y is x
+    # an embedded Fraction or int, however it is built
+    y = qf.of(k)
+    assert qf.of(Fraction(k.numerator, k.denominator)) is y
+    assert pickle.loads(pickle.dumps(y)) is y and qf._co(k) is y
+    assert y == k and k == y
+    if k.denominator == 1:
+        assert qf.of(k.numerator) is y and y == k.numerator
 
 
 def test_values_small_enough_for_the_memo_are_shared():
@@ -616,41 +631,52 @@ def test_values_small_enough_for_the_memo_are_shared():
     assert qf.from_num_den(x.numerator(), x.denominator()) is x
     assert qf.q_pow(7) is qf.q_pow(7)
     assert (qf.Q - 1) * (qf.Q + 1) is qf.q_pow(2) - 1
-    # the module constants stay in an emptied memo: a computed 1 is QONE
+    # the module constants outlive emptied memos: a computed 1 is QONE
     qf.clear_memos()
     assert _V2 * _V2.inverse() is qf.QONE
     assert qf.q_pow(3) * qf.q_pow(-2) is qf.Q
 
 
-def test_values_above_the_cap_or_past_a_full_memo_are_built_unshared(
-        monkeypatch):
+def test_values_of_every_size_are_interned():
     big = qf.q_int(40)
     assert len(big.u) + len(big.v) > qf._MEMO_CAP
-    again = qf._make(*_fields(big))
-    assert again == big and again is not big
-    qf.clear_memos()
-    monkeypatch.setattr(qf, "_VALUES_SIZE", len(qf._VALUES))
-    x = qf.q_pow(9)
-    assert qf.q_pow(9) == x and qf.q_pow(9) is not x
-    assert qf._VALUES == qf._CONSTANTS
+    assert qf._make(*_fields(big)) is big
+    assert qf.q_int.__wrapped__(40) is big
+    assert qf._VALUES[_fields(big)] is big
+    # no cap: the table is a WeakValueDictionary, never full
+    assert type(qf._VALUES) is weakref.WeakValueDictionary
+    assert not hasattr(qf, "_VALUES_SIZE")
+    huge = qf.q_pow(5000) - qf.q_pow(-5000)
+    assert len(huge.u) > 9000 and qf._VALUES[_fields(huge)] is huge
 
 
-def test_the_stored_hash_is_the_hash_of_the_fields(monkeypatch):
+def test_a_value_with_no_references_leaves_the_table():
+    fields = (7, 11, 123, 4, 0, 1, qf.P_ONE, qf.P_ONE)
+    assert fields not in qf._VALUES   # nothing else builds this value
+    x = qf._make(*fields)
+    ref = weakref.ref(x)
+    assert qf._VALUES[fields] is x and fields in qf._VALUE_REFS
+    del x
+    assert ref() is None
+    assert fields not in qf._VALUES and fields not in qf._VALUE_REFS
+    # rebuilt, it is a new object, interned again
+    y = qf._make(*fields)
+    assert _fields(y) == fields and qf._VALUES[fields] is y
+
+
+def test_the_hash_is_the_identity_hash():
+    assert qf.QRat.__hash__ is object.__hash__
+    assert qf.QRat.__eq__ is not object.__eq__   # ints and Fractions embed
+    assert "_hash" not in qf._Slots.__slots__
     shared, big = qf.q_int(3) * _V2, qf.q_int(40)
-    assert shared is qf._make(*_fields(shared))
-    qf.clear_memos()
-    monkeypatch.setattr(qf, "_VALUES_SIZE", len(qf._VALUES))
-    unshared = qf.q_pow(9)   # built past a full memo
-    values = [shared, big, unshared]
+    values = [shared, big]
     values += [pickle.loads(pickle.dumps(x)) for x in values]
     values += [qf._make(*_fields(x)) for x in values]
     for x in values:
-        assert hash(x) == hash(_fields(x))
+        assert hash(x) == object.__hash__(x)
         for y in values:
-            assert (x == y) == (_fields(x) == _fields(y))
-            if x == y:
-                assert hash(x) == hash(y)
-    assert len(set(values)) == 3
+            assert (x == y) == (x is y) == (_fields(x) == _fields(y))
+    assert len(set(values)) == len({id(x) for x in values}) == 2
 
 
 # The renderer as it was before it read its text off the factored form:
@@ -709,34 +735,40 @@ def test_scalar_text_matches_reference_and_parses_back(x, k):
 # scalar_text keeps each value's text on the value: the slot is a property of
 # the one object, never of its equality, hash or pickled form.
 
-def _unshared_copy(x):
-    """x rebuilt by `_make` as a new object: the value memo is emptied and
-    then treated as full, so the rebuilt value is not shared."""
+def _fresh(fields):
+    """The value with these fields as a new object, or None when it is
+    still alive elsewhere (a module constant, an lru cache, a test value):
+    the memos are emptied, so only such holders keep it."""
     qf.clear_memos()
-    size = qf._VALUES_SIZE
-    qf._VALUES_SIZE = len(qf._VALUES)
-    try:
-        return qf._make(*_fields(x))
-    finally:
-        qf._VALUES_SIZE = size
+    if fields in qf._VALUES:
+        return None
+    return qf._make(*fields)
 
 
-@given(x=_values)
+@given(x=_nonzero)
 def test_a_stored_text_is_the_reference_text(x):
-    expected = _reference_scalar_text(x)
-    z = _unshared_copy(x)   # a new object: its first render happens here
-    assert z is not x or _fields(x) in qf._CONSTANTS
+    # hypothesis keeps the values it draws alive, so the value rendered here
+    # is x times 7919, which nothing else holds: its first render is here
+    fields = _fields(x * 7919)
+    z = _fresh(fields)
+    assert z is not None and not hasattr(z, "_text")
+    expected = _reference_scalar_text(z)
     h = hash(z)
     assert qf.scalar_text(z) == expected
+    assert z._text == expected
     assert qf.scalar_text(z) == expected   # read back from the slot
     # rendering moves neither the hash nor equality
-    assert hash(z) == h == hash(x) == hash(_fields(x))
-    assert z == x and x == z and z != x + qf.QONE
-    # copies rebuilt from the fields carry no text and render the same
-    for y in (pickle.loads(pickle.dumps(z)), _unshared_copy(z)):
-        assert y is not z or _fields(x) in qf._CONSTANTS
-        assert y == z and hash(y) == h
-        assert qf.scalar_text(y) == expected
+    assert hash(z) == h and z == qf._make(*fields) and z != z + qf.QONE
+    # pickling returns the live value, text and all
+    assert pickle.loads(pickle.dumps(z)) is z
+    # a value rebuilt after its last reference went is a new object with
+    # no text, and renders the same
+    ref = weakref.ref(z)
+    del z
+    assert ref() is None
+    again = _fresh(fields)
+    assert again is not None and not hasattr(again, "_text")
+    assert qf.scalar_text(again) == expected
 
 
 def test_a_value_is_rendered_once(monkeypatch):
@@ -748,16 +780,18 @@ def test_a_value_is_rendered_once(monkeypatch):
 
     poly_text = qf.poly_text
     monkeypatch.setattr(qf, "poly_text", counted)
-    qf.clear_memos()
-    x = qf.q_int(5) * _V3   # numerator and denominator: two poly_text calls
-    text = qf.scalar_text(x)
+    x = _fresh(_fields(qf.q_int(5) * _V3))
+    assert x is not None   # nothing else holds [5]q/(q^3 + q^-3)
+    text = qf.scalar_text(x)   # numerator and denominator: two calls
     assert len(calls) == 2
     assert qf.scalar_text(x) == text and len(calls) == 2
-    # an equal value built after the memo is emptied is a new object,
+    assert qf.scalar_text(qf.q_int(5) * _V3) == text and len(calls) == 2
+    # an equal value built after the last reference went is a new object,
     # rendered once on its own
-    qf.clear_memos()
-    y = qf.q_int.__wrapped__(5) * _V3
-    assert y == x and y is not x
+    ref = weakref.ref(x)
+    del x
+    assert ref() is None
+    y = qf.q_int(5) * _V3
+    assert not hasattr(y, "_text")
     assert qf.scalar_text(y) == text and len(calls) == 4
     assert qf.scalar_text(y) == text and len(calls) == 4
-    assert qf.scalar_text(x) == text and len(calls) == 4

@@ -35,6 +35,63 @@ def test_gen_cmp_total_order():
     assert g_(11) < wm(0) < wp(1) < gt_(1)
 
 
+# -- letters are ints: family * 2^32 + k -----------------------------------
+
+_K_TOP = 2 ** 32 - 1
+_letter_args = st.tuples(st.sampled_from(list(W.Family)),
+                         st.one_of(st.integers(0, _K_TOP), st.just(_K_TOP),
+                                   st.integers(0, 3)))
+
+
+@given(x=_letter_args, y=_letter_args)
+def test_letter_order_is_the_family_then_index_order(x, y):
+    g, h = W.Generator(*x), W.Generator(*y)
+    assert (g.family, g.k) == x and (h.family, h.k) == y
+    assert type(g.family) is W.Family
+    assert (g < h) == (x < y) and (g == h) == (x == y)
+    assert (hash(g) == hash(h)) == (x == y)
+    assert W.gen_cmp(g, h) == (x > y) - (x < y)
+    assert repr(g) == f"Generator(family={x[0]!r}, k={x[1]})"
+
+
+@given(w=st.lists(_letter_args.map(lambda x: W.Generator(*x)), max_size=4))
+def test_letters_and_words_round_trip_through_pickle(w):
+    import copy
+    import pickle
+
+    w = tuple(w)
+    for proto in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(w, proto))
+        assert back == w and hash(back) == hash(w)
+        assert all(type(g) is W.Generator for g in back)
+        assert [(g.family, g.k) for g in back] == [(g.family, g.k) for g in w]
+    assert copy.deepcopy(w) == w
+
+
+def test_a_letter_index_outside_32_bits_is_refused():
+    for k in (2 ** 32, -1, 2 ** 40):
+        with pytest.raises(ValueError):
+            W.Generator(W.Family.G, k)
+    top = W.Generator(W.Family.G, _K_TOP)
+    assert top < wm(0) and top.k == _K_TOP and top.family is W.Family.G
+
+
+def test_letters_hash_as_ints_and_are_never_scalars():
+    assert W.Generator.__hash__ is int.__hash__
+    assert not hasattr(wm(0), "__dict__")
+    # int arithmetic would silently turn a letter into a coefficient
+    for letter in (g_(1), wm(0), wp(3)):
+        with pytest.raises(TypeError):
+            qf.of(letter)
+        with pytest.raises(TypeError):
+            NCPoly.gen(wm(0)) * letter
+        with pytest.raises(TypeError):
+            letter * NCPoly.gen(wm(0))
+        with pytest.raises(TypeError):
+            qf.Q * letter
+        assert qf.Q != letter
+
+
 def test_word_degree_examples():
     w = (wp(2), wm(1), g_(3), wp(4))
     assert W.word_degree(w) == 3 + 3 + 6 + 7
