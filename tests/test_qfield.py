@@ -736,12 +736,10 @@ def test_scalar_text_matches_reference_and_parses_back(x, k):
 # the one object, never of its equality, hash or pickled form.
 
 def _fresh(fields):
-    """The value with these fields as a new object, or None when it is
-    still alive elsewhere (a module constant, an lru cache, a test value):
-    the memos are emptied, so only such holders keep it."""
+    """The value with these fields, built as a new object: the memos are
+    emptied, and nothing else may still hold it."""
     qf.clear_memos()
-    if fields in qf._VALUES:
-        return None
+    assert fields not in qf._VALUES
     return qf._make(*fields)
 
 
@@ -751,7 +749,7 @@ def test_a_stored_text_is_the_reference_text(x):
     # is x times 7919, which nothing else holds: its first render is here
     fields = _fields(x * 7919)
     z = _fresh(fields)
-    assert z is not None and not hasattr(z, "_text")
+    assert not hasattr(z, "_text")
     expected = _reference_scalar_text(z)
     h = hash(z)
     assert qf.scalar_text(z) == expected
@@ -767,7 +765,7 @@ def test_a_stored_text_is_the_reference_text(x):
     del z
     assert ref() is None
     again = _fresh(fields)
-    assert again is not None and not hasattr(again, "_text")
+    assert not hasattr(again, "_text")
     assert qf.scalar_text(again) == expected
 
 
@@ -780,8 +778,7 @@ def test_a_value_is_rendered_once(monkeypatch):
 
     poly_text = qf.poly_text
     monkeypatch.setattr(qf, "poly_text", counted)
-    x = _fresh(_fields(qf.q_int(5) * _V3))
-    assert x is not None   # nothing else holds [5]q/(q^3 + q^-3)
+    x = _fresh(_fields(qf.q_int(5) * _V3))   # nothing else holds it
     text = qf.scalar_text(x)   # numerator and denominator: two calls
     assert len(calls) == 2
     assert qf.scalar_text(x) == text and len(calls) == 2
