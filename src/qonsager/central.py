@@ -386,8 +386,10 @@ def check_matrix_factorization(order: int) -> Report:
     left, right = _matrix_pair(order)
 
     def prod(m1, m2):
-        return [[m1[i][0] * m2[0][j] + m1[i][1] * m2[1][j] for j in range(2)]
-                for i in range(2)]
+        one = qfield.QONE
+        return [[series._products(((one, m1[i][0], m2[0][j]),
+                                   (one, m1[i][1], m2[1][j])))
+                 for j in range(2)] for i in range(2)]
 
     for tag, m1, m2 in (("LR", left, right), ("RL", right, left)):
         product = prod(m1, m2)

@@ -298,13 +298,17 @@ CHECKS = {
                {"order": 4}),
 }
 
+# The generating functions `series` lists, by name, and the named series
+# A..S it lists; G names the generating function.
+GF_FAMILIES = {"W-": Family.Wminus, "W+": Family.Wplus, "G": Family.G,
+               "Gt": Family.Gtilde}
+SERIES_NAMES = tuple(n for n in series.APPENDIX_A_NAMES if n not in GF_FAMILIES)
+
 # (command, parameter) -> (least, largest, reason): a value outside the
 # range is refused before any work starts.  Each largest value is the
 # largest measured to stay under about a minute and 1 GB peak RSS on 2 vCPUs
 # (times and peak RSS of one cold CLI run in the comments); every size
-# parameter has a row.  `series --order` has none: its cost depends on the
-# series named, from 2 s at order 100,000 for W- to over 90 s at order 64
-# for Z (4.3 s and 70 MB at order 32).
+# parameter has a row.
 LIMITS = {
     # the relation list grows with the square of the bound: bound 24 took
     # 2.8 s and 57 MB peak RSS, bound 40 11 s and 176 MB, bound 64 33 s and
@@ -329,16 +333,16 @@ LIMITS = {
     # 78 s and 213 MB
     ("check central", "n"): (
         0, 22, "it checks each of Z_0 to Z_n against every letter"),
-    # order 32 took 13 s and 102 MB, order 48 41 s and 282 MB, order 60 72 s
-    # and 521 MB
+    # order 32 took 7.6 s and 163 MB, order 48 22 s and 468 MB; order 60,
+    # run as a direct call of the check, took 40 s and 870 MB
     ("check gf", "order"): (
         0, 48, "its cost grows about as the cube of the order"),
-    # order 36 took 7 s and 32 MB, order 64 33 s and 68 MB, order 96 91 s
-    # and 122 MB
+    # order 36 took 2.6 s and 48 MB, order 64 13 s and 118 MB; order 96, run
+    # as a direct call of the check, took 26 s and 244 MB
     ("check prop41", "order"): (
         0, 64, "its cost grows faster than the square of the order"),
-    # order 32 took 35 s and 212 MB, order 36 55 s and 269 MB, order 40 86 s
-    # and 375 MB
+    # order 32 took 24 s and 205 MB, order 36 40 s and 274 MB; order 40, run
+    # as a direct call of the check, took 47 s and 389 MB
     ("check matrix", "order"): (
         0, 36, "its cost grows about as the fourth power of the order"),
     # n 50 took 16 s and 157 MB, n 64 43 s and 318 MB, n 80 97 s and 612 MB
@@ -350,6 +354,24 @@ LIMITS = {
     # 43 s and 289 MB: each degree costs about 1.4 times the one before
     ("dims", "max_degree"): (
         0, 34, "the number of words grows exponentially with the degree"),
+    # `series --order` has one row per name, since the cost depends on the
+    # series named; each group's cap is measured on its costliest name.
+    # Z: order 48 took 19 s and 221 MB, order 56 42 s and 374 MB (38 s and
+    # 482 MB with --format json), order 64 79 s and 597 MB.  A..S: P at
+    # order 96 took 4.3 s and 58 MB, Q at order 192 34 s and 300 MB (33 s
+    # and 378 MB as JSON), Q at order 256 61 s and 523 MB.  The generating
+    # functions: W- at order 100,000 took 1.6 s and 107 MB, at order
+    # 400,000 7.3 s and 379 MB; as JSON, which holds the whole listing
+    # twice, W+ at order 400,000 took 9.1 s and 755 MB.
+    **{(f"series {name}", "order"): (0, largest, reason)
+       for names, largest, reason in (
+           (("Z",), 56, "its cost grows faster than the fourth power of "
+                        "the order"),
+           (SERIES_NAMES, 192,
+            "its cost grows about as the cube of the order"),
+           (tuple(GF_FAMILIES), 400_000,
+            "it lists one coefficient per power of the variable"))
+       for name in names},
 }
 
 
@@ -489,16 +511,15 @@ def cmd_dims(args) -> int:
 
 def cmd_series(args) -> int:
     spec = args.name
-    if spec in ("W-", "W+", "G", "Gt"):
-        fam = {"W-": Family.Wminus, "W+": Family.Wplus,
-               "G": Family.G, "Gt": Family.Gtilde}[spec]
-        ts = series.gf(fam, args.var, args.order)
-    elif spec in series.APPENDIX_A_NAMES:
-        ts = series.appendixA_series(spec, order=args.order)
+    if (f"series {spec}", "order") not in LIMITS:   # every name has a row
+        raise ValueError(f"unknown series {spec!r}")
+    _check_limits(f"series {spec}", {"order": args.order})
+    if spec in GF_FAMILIES:
+        ts = series.gf(GF_FAMILIES[spec], args.var, args.order)
     elif spec == "Z":
         ts = central.z_series(args.order)
     else:
-        raise ValueError(f"unknown series {spec!r}")
+        ts = series.appendixA_series(spec, order=args.order)
     report = Report("series")
     for e in ts.nonzero_exponents():
         mono = "*".join(f"{v}^{k}" for v, k in zip(ts.vars, e) if k)
@@ -576,7 +597,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("series", help="print a generating-function expansion")
     p.add_argument("name", help="W-, W+, G, Gt, one of A..S, or Z")
-    p.add_argument("--order", type=_non_negative_int, default=4)
+    p.add_argument("--order", type=_non_negative_int, default=4,
+                   help=f"accepts {_accepted('series Z', 'order')} for Z, "
+                        f"{_accepted('series A', 'order')} for A..S, and "
+                        f"{_accepted('series W-', 'order')} for W-, W+, G "
+                        f"and Gt")
     p.add_argument("--var", default="t")
     p.set_defaults(func=cmd_series)
 

@@ -8,27 +8,32 @@ o1, o2 with floors f1, f2 is exact up to min(o1 + f2, o2 + f1).  All
 window bookkeeping is automatic, so identities checked coefficientwise
 are exact wherever a coefficient is reported at all.
 
-Sums, products and exact division by (u - v) group each exponent's
-contributions and sum them once with `NCPoly.sum`, that is through
-`qfield.lincomb`; an exponent with a single contribution keeps it as it
-is, and the constructor drops the coefficients that cancel.
+A product, and a sum of products such as a bracket or an entry of a
+matrix product, forms each output coefficient in one `qfield.lincomb`
+call over the pairs of terms of its factors' coefficients (`_products`);
+a scalar multiple looks its products up in lincomb's product tables.
+Exact division by (u - v) groups each exponent's contributions and sums
+them once with `NCPoly.sum`; an exponent with a single contribution keeps
+it as it is.  The constructor drops the coefficients that cancel.
 
 Eight of the named combinations A..S are not written out: B, F, G, I,
 M, N, Q and S are the images of A, E, D, H, L, K, P and R under the
 automorphism sigma, which swaps W- with W+ and G with Gt, and are
-generated from them.  The weighted sums of rules vi and vii are not
-written out either: they are the images of those of rules iv and v under
-the antiautomorphism dagger, which reverses words and swaps G with Gt,
-and are generated from them.
+generated from them.  A check builds each name it needs once, in a
+lookup that lives for the one call (`_appendix_a`).  The weighted sums
+of rules vi and vii are not written out either: they are the images of
+those of rules iv and v under the antiautomorphism dagger, which
+reverses words and swaps G with Gt, and are generated from them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add, gt
 from typing import Dict, List, Tuple
 
 from . import qfield, rewrite
-from .qfield import QRat
+from .qfield import QONE, QRat
 from .words import (Family, NCPoly, dagger, g_, gt_, sigma,
                     symbol_from_subscript, wm, wp)
 
@@ -120,9 +125,9 @@ class TruncSeries:
             return _mul(self, other)
         if isinstance(other, (QRat, int)):
             c = qfield.of(other) if isinstance(other, int) else other
-            if c.is_zero():
-                return TruncSeries(self.vars, self.order, self.floor, {})
-            return self.map_coeffs(lambda p: p * c)
+            coeffs = {} if c.is_zero() else {
+                e: _poly(t) for e, t in _scaled_terms(self, c).items()}
+            return TruncSeries(self.vars, self.order, self.floor, coeffs)
         if isinstance(other, NCPoly):
             return _mul(self, constant(other, self.vars))
         return NotImplemented
@@ -194,23 +199,62 @@ def _promote(a: TruncSeries, vars: Tuple[str, ...]) -> TruncSeries:
 
 
 def _mul(x: TruncSeries, y: TruncSeries) -> TruncSeries:
-    a, b = _align(x, y)
-    order = tuple(min(oa + fb, ob + fa, INF)
-                  for oa, ob, fa, fb in zip(a.order, b.order, a.floor, b.floor))
-    floor = []
-    for fa, fb in zip(a.floor, b.floor):
-        floor.append(max(fa + fb, FLOOR_MIN))
-    groups: Dict[Tuple[int, ...], List[NCPoly]] = {}
-    for e1, p1 in a.coeffs.items():
-        for e2, p2 in b.coeffs.items():
-            e = tuple(i + j for i, j in zip(e1, e2))
-            if any(x > o for x, o in zip(e, order)):
-                continue
-            if any(x < FLOOR_MIN for x in e):
-                raise FloorUnderflowError(f"product exponent {e} underflows")
-            groups.setdefault(e, []).append(p1 * p2)
-    coeffs = _summed(groups)
-    return TruncSeries(a.vars, order, tuple(floor), coeffs)
+    return _products(((QONE, x, y),))
+
+
+def _products(triples) -> TruncSeries:
+    """The sum of c * x * y over the (c, x, y) triples, each c a nonzero
+    scalar; each output coefficient is formed by one `qfield.lincomb` call
+    over the pairs (c * c1, {u1 + w: v}) of the terms c1 * u1 of x's and
+    v * w of y's coefficients, with no NCPoly per pair of coefficients.
+
+    The window is that of the sum of the separate products: a product of
+    x and y known to orders ox, oy with floors fx, fy is exact up to
+    min(ox + fy, oy + fx), its floor is fx + fy clamped at FLOOR_MIN, and
+    the sum is known up to the least order, from the least floor.  A
+    product's exponent below FLOOR_MIN inside its own order raises
+    FloorUnderflowError, even where the sum's window drops it.
+    """
+    vars = tuple(sorted({v for _, x, y in triples for v in (*x.vars, *y.vars)},
+                        key=_rank))
+    parts = []
+    for c, x, y in triples:
+        x, y = _promote(x, vars), _promote(y, vars)
+        own = tuple(min(ox + fy, oy + fx, INF) for ox, oy, fx, fy
+                    in zip(x.order, y.order, x.floor, y.floor))
+        floor = tuple(max(fx + fy, FLOOR_MIN) for fx, fy in zip(x.floor, y.floor))
+        parts.append((c, x, y, own, floor))
+    order = tuple(map(min, zip(*(own for *_, own, _ in parts))))
+    floor = tuple(map(min, zip(*(f for *_, f in parts))))
+    groups: Dict[Tuple[int, ...], list] = {}
+    for c, x, y, own, _ in parts:
+        left = _scaled_terms(x, c) if c is not QONE else {
+            e: p.terms for e, p in x.coeffs.items()}
+        right = [(e2, p2.terms.items()) for e2, p2 in y.coeffs.items()]
+        for e1, t1 in left.items():
+            for e2, t2 in right:
+                e = tuple(map(add, e1, e2))
+                if min(e, default=0) < FLOOR_MIN and not any(map(gt, e, own)):
+                    raise FloorUnderflowError(f"product exponent {e} underflows")
+                if any(map(gt, e, order)):
+                    continue
+                groups.setdefault(e, []).extend(
+                    (c1, {u + w: v for w, v in t2}) for u, c1 in t1.items())
+    coeffs = {e: _poly(qfield.lincomb(pairs)) for e, pairs in groups.items()}
+    return TruncSeries(vars, order, floor, coeffs)
+
+
+def _scaled_terms(ts: TruncSeries, c: QRat) -> Dict[Tuple[int, ...], dict]:
+    """The terms of each coefficient of ts times the nonzero scalar c, each
+    product c * x looked up in `qfield.lincomb`'s product tables."""
+    return {e: qfield.lincomb(((c, p.terms),)) for e, p in ts.coeffs.items()}
+
+
+def _poly(terms: dict) -> NCPoly:
+    """The NCPoly with the given terms, one nonzero coefficient per word."""
+    out = NCPoly.__new__(NCPoly)
+    out.terms = terms
+    return out
 
 
 def _summed(groups) -> Dict[Tuple[int, ...], NCPoly]:
@@ -220,11 +264,14 @@ def _summed(groups) -> Dict[Tuple[int, ...], NCPoly]:
 
 
 def bracket(a: TruncSeries, b: TruncSeries) -> TruncSeries:
-    return a * b - b * a
+    """a*b - b*a, each coefficient formed in one pass by `_products`."""
+    return _products(((QONE, a, b), (-QONE, b, a)))
 
 
 def q_bracket(a: TruncSeries, b: TruncSeries, power: int = 1) -> TruncSeries:
-    return qfield.q_pow(power) * (a * b) - qfield.q_pow(-power) * (b * a)
+    """q^power a*b - q^-power b*a, each coefficient formed in one pass by
+    `_products`."""
+    return _products(((qfield.q_pow(power), a, b), (-qfield.q_pow(-power), b, a)))
 
 
 def constant(x, vars=()) -> TruncSeries:
@@ -372,13 +419,34 @@ def _gf_env(order: int):
 def appendixA_series(name: str, order: int = 4) -> TruncSeries:
     """One of the named A..S combinations of generating functions.
 
-    Built in the free algebra; no quotient relations are applied.
+    Built in the free algebra; no quotient relations are applied.  A sigma
+    image is built from its source, which is built on the way; a check
+    that needs several names looks them up in one `_appendix_a` instead,
+    so that each is built once.
     """
-    if name in _SIGMA_SOURCE:
-        return appendixA_series(_SIGMA_SOURCE[name], order).map_coeffs(sigma)
-    if name not in _APPENDIX_A_BUILDERS:
-        raise ValueError(f"unknown series name {name!r}")
-    return _APPENDIX_A_BUILDERS[name](_gf_env(order))
+    return _appendix_a(order)(name)
+
+
+def _appendix_a(order: int):
+    """A lookup of the named series at one order: each name is built on
+    its first lookup and kept by the lookup alone, and a sigma image is
+    made from its source's kept series."""
+    env = _gf_env(order)
+    built: Dict[str, TruncSeries] = {}
+
+    def lookup(name: str) -> TruncSeries:
+        ts = built.get(name)
+        if ts is None:
+            if name in _SIGMA_SOURCE:
+                ts = lookup(_SIGMA_SOURCE[name]).map_coeffs(sigma)
+            elif name in _APPENDIX_A_BUILDERS:
+                ts = _APPENDIX_A_BUILDERS[name](env)
+            else:
+                raise ValueError(f"unknown series name {name!r}")
+            built[name] = ts
+        return ts
+
+    return lookup
 
 
 def _aA(env):
@@ -517,16 +585,17 @@ def check_gf_relations(order: int) -> Report:
     rhs3 = rho * gWp - rho * gWm.shift("t", 1)
     _vanishes_in_quotient(report, "3pp3a", q_bracket(gG, w1) - rhs3)
     _vanishes_in_quotient(report, "3pp3b", q_bracket(w1, gGt) - rhs3)
+    sA = _appendix_a(order)
     two_var = {
         "3pp4a": "A", "3pp4b": "B", "3pp5": "C", "3pp6": "D", "3pp7": "E",
         "3pp8": "F", "3pp9": "G", "3pp10a": "H", "3pp10b": "I", "3pp11": "J",
     }
     for label, name in two_var.items():
-        _vanishes_in_quotient(report, label, appendixA_series(name, order=order))
+        _vanishes_in_quotient(report, label, sA(name))
     for name in ("K", "L", "M", "N", "R", "S"):
-        _vanishes_in_quotient(report, name, appendixA_series(name, order=order))
+        _vanishes_in_quotient(report, name, sA(name))
     for name in ("P", "Q"):
-        cleared = appendixA_series(name, order=order).shift("s", 1).shift("t", 1)
+        cleared = sA(name).shift("s", 1).shift("t", 1)
         _vanishes_in_quotient(report, f"st*{name}", cleared)
     return report
 
@@ -540,11 +609,20 @@ def _smt(ts: TruncSeries) -> TruncSeries:
 _DAGGER_SOURCE = {"vi": "iv", "vii": "v"}
 
 
-def _ws_parts(rule: str, env):
-    """The weighted sum of a reduction rule as (plain, numerator-over-(s-t))."""
-    if rule in _DAGGER_SOURCE:
-        plain, num = _ws_parts(_DAGGER_SOURCE[rule], env)
-        return plain, num.map_coeffs(dagger)
+def _ws_parts(env):
+    """The weighted sum of each reduction rule as (plain,
+    numerator-over-(s-t)); those of rules vi and vii are the dagger images
+    of the parts of rules iv and v."""
+    parts = {rule: _ws_part(rule, env) for rule in ("ii", "iii", "iv", "v")}
+    for rule, source in _DAGGER_SOURCE.items():
+        plain, num = parts[source]
+        parts[rule] = plain, num.map_coeffs(dagger)
+    return parts
+
+
+def _ws_part(rule: str, env):
+    """The weighted sum of rule ii, iii, iv or v as (plain,
+    numerator-over-(s-t))."""
     q = qfield.q_pow
     qm = qfield.Q - q(-1)
     Q2 = q(2) - q(-2)
@@ -603,11 +681,8 @@ def check_prop41_decompositions(order: int) -> Report:
     q2 = qfield.q_int(2)  # q + q^-1
     qq = qfield.q_pow
 
-    def sA(name):
-        return appendixA_series(name, order=order)
-
-    for rule in ("ii", "iii", "iv", "v", "vi", "vii"):
-        plain, num = _ws_parts(rule, env)
+    sA = _appendix_a(order)
+    for rule, (plain, num) in _ws_parts(env).items():
         lhs_cleared = _smt(_rule_lhs(rule, env) - plain) - num
         if rule == "ii":
             lhs_cleared = lhs_cleared * (q2 * rho)
@@ -637,9 +712,7 @@ def check_prop41_decompositions(order: int) -> Report:
         _vanishes_free(report, f"decomposition-{rule}", lhs_cleared - rhs)
 
     bound = min(3, max(order - 1, 0))
-    big = _gf_env(2 * (bound + 1) + 1)
-    for rule in ("ii", "iii", "iv", "v", "vi", "vii"):
-        plain, num = _ws_parts(rule, big)
+    for rule, (plain, num) in _ws_parts(_gf_env(2 * (bound + 1) + 1)).items():
         ws = plain + exact_divide(num, "s-t")
         pairs = ((es, et) for es in range(bound + (1 if rule == "ii" else 2))
                  for et in range(bound + 1))

@@ -243,6 +243,10 @@ _WORK = {
     "zn": [(central, "z_n")],
     "recover": [(central, "z_n"), (central, "recover_generators")],
     "dims": [(dims, "hilbert_Aq"), (dims, "enumerate_irreducible")],
+    "series Z": [(central, "z_series")],
+    **{f"series {name}": [(series, "appendixA_series")]
+       for name in cli.SERIES_NAMES},
+    **{f"series {name}": [(series, "gf")] for name in cli.GF_FAMILIES},
 }
 
 
@@ -258,7 +262,8 @@ def test_check_ambiguities_above_the_bound_cap_is_usage_error(capsys,
         monkeypatch.setattr(module, name, no_work)
     for (command, name), (least, largest, reason) in cli.LIMITS.items():
         option = "--" + name.replace("_", "-")
-        refused = [(largest + 1, f"<= {largest}"), (100_000, f"<= {largest}")]
+        huge = max(100_000, 10 * largest)
+        refused = [(largest + 1, f"<= {largest}"), (huge, f"<= {largest}")]
         if least > 0:
             refused.append((least - 1, f">= {least}"))
         for value, needs in refused:
@@ -283,6 +288,55 @@ def test_check_ambiguities_above_the_bound_cap_is_usage_error(capsys,
         n = len(small)
         assert f"{n}/{n} passed" in capsys.readouterr().out
         monkeypatch.undo()
+
+
+def _refuses_series_above_the_cap(capsys, monkeypatch, names, module, work,
+                                  cap, reason):
+    # each name of a group shares the group's cap; an order above it is
+    # refused before the work function runs, which then lists a small
+    # stand-in series at the cap
+    def no_work(*args, **kwargs):
+        raise AssertionError("series ran before rejecting its order")
+
+    small = series.gf(words.Family.Wminus, "t", 1)
+    for name in names:
+        assert cli.LIMITS[f"series {name}", "order"] == (0, cap, reason)
+        monkeypatch.setattr(module, work, no_work)
+        for fmt in ("text", "json"):
+            rc = cli.main(["--format", fmt, "series", name, "--order",
+                           str(cap + 1)])
+            captured = capsys.readouterr()
+            assert (rc, captured.out, captured.err) == (
+                2, "", f"error: series {name} needs --order <= {cap}: "
+                       f"{reason}\n")
+        monkeypatch.setattr(module, work, lambda *args, **kwargs: small)
+        assert cli.main(["series", name, "--order", str(cap)]) == 0
+        assert capsys.readouterr().out == "[1] W[0]\n[t^1] W[-1]\n"
+        monkeypatch.undo()
+
+
+def test_series_z_above_its_order_cap_is_usage_error(capsys, monkeypatch):
+    _refuses_series_above_the_cap(
+        capsys, monkeypatch, ["Z"], central, "z_series", 56,
+        "its cost grows faster than the fourth power of the order")
+
+
+def test_named_series_above_their_order_cap_are_usage_errors(capsys,
+                                                            monkeypatch):
+    # G names the generating function, so `series` lists 17 of the 18
+    assert cli.SERIES_NAMES == tuple(
+        n for n in series.APPENDIX_A_NAMES if n != "G")
+    _refuses_series_above_the_cap(
+        capsys, monkeypatch, cli.SERIES_NAMES, series,
+        "appendixA_series", 192,
+        "its cost grows about as the cube of the order")
+
+
+def test_generating_functions_above_their_order_cap_are_usage_errors(
+        capsys, monkeypatch):
+    _refuses_series_above_the_cap(
+        capsys, monkeypatch, ["W-", "W+", "G", "Gt"], series, "gf", 400_000,
+        "it lists one coefficient per power of the variable")
 
 
 def test_python_dash_m_runs_the_cli():

@@ -1,12 +1,12 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qonsager import qfield as qf
 from qonsager import series as S
-from qonsager.words import Family, NCPoly, g_, gt_, wm, wp
+from qonsager.words import Family, NCPoly, g_, gt_, sigma, wm, wp
 
 
 def test_gf_coefficients():
@@ -341,3 +341,152 @@ def test_sum_and_product_keep_single_and_drop_cancelled_exponents():
                               (3,): w - w * w}
     assert (total.order, total.floor) == ((2,), (0,))
     assert (product.order, product.floor) == ((3,), (0,))
+
+
+# `_products` against the route it replaced: one NCPoly product per pair of
+# coefficients, `NCPoly.sum` per exponent, a scalar map per product, and
+# `_pointwise` to add the products up.
+def _pairwise_product(x, y):
+    a, b = S._align(x, y)
+    order = tuple(min(oa + fb, ob + fa, S.INF)
+                  for oa, ob, fa, fb in zip(a.order, b.order, a.floor, b.floor))
+    floor = tuple(max(fa + fb, S.FLOOR_MIN) for fa, fb in zip(a.floor, b.floor))
+    groups = {}
+    for e1, p1 in a.coeffs.items():
+        for e2, p2 in b.coeffs.items():
+            e = tuple(i + j for i, j in zip(e1, e2))
+            if any(k > o for k, o in zip(e, order)):
+                continue
+            if any(k < S.FLOOR_MIN for k in e):
+                raise S.FloorUnderflowError(f"product exponent {e} underflows")
+            groups.setdefault(e, []).append(p1 * p2)
+    return S.TruncSeries(a.vars, order, floor,
+                         {e: NCPoly.sum(ps) for e, ps in groups.items()})
+
+
+def _pairwise_products(triples):
+    total = None
+    for c, x, y in triples:
+        xy = _pairwise_product(x, y)
+        term = S.TruncSeries(xy.vars, xy.order, xy.floor,
+                             {e: p * c for e, p in xy.coeffs.items()})
+        total = term if total is None else S._pointwise(total, term, False)
+    return total
+
+
+def _outcome(fn, *args):
+    """(order, floor, coefficients) of fn(*args), or the underflow."""
+    try:
+        ts = fn(*args)
+    except S.FloorUnderflowError:
+        return "underflow"
+    return ts.vars, ts.order, ts.floor, ts.coeffs
+
+
+# q^2 + 1 + q^-2 and its inverse are not factor-basis monomials
+_scalars = st.one_of(st.integers(-2, 2).map(qf.q_pow),
+                     st.integers(-3, 3).filter(bool).map(qf.of),
+                     st.sampled_from([qf.q_int(3), qf.q_int(3).inverse(),
+                                      qf.Q + qf.of(2), -qf.QONE]))
+_scaled_polys = st.lists(
+    st.tuples(st.lists(st.sampled_from(_letters), max_size=2).map(tuple),
+              _scalars),
+    min_size=1, max_size=3).map(NCPoly).filter(bool)
+
+
+@st.composite
+def _series(draw, vars=None):
+    vars = vars or draw(st.sampled_from([("t",), ("s",), ("s", "t")]))
+    floor = tuple(draw(st.integers(-2, 1)) for _ in vars)
+    order = tuple(draw(st.one_of(st.integers(f, f + 3), st.just(S.INF)))
+                  for f in floor)
+    exps = st.tuples(*[st.integers(f, min(o, f + 3))
+                       for f, o in zip(floor, order)])
+    return S.TruncSeries(vars, order, floor,
+                         draw(st.dictionaries(exps, _scaled_polys, max_size=4)))
+
+
+@settings(deadline=None)
+@given(triples=st.lists(st.tuples(_scalars, _series(), _series()),
+                        min_size=1, max_size=3))
+# the second product has the lower order and floor, so the sum's window
+# is the first's cut to the second's
+@example(triples=[
+    (qf.QONE, S.gf(Family.Wminus, "t", 3), S.gf(Family.G, "t", 3)),
+    (qf.q_int(3), S.gf(Family.Wplus, "t", 1).shift("t", -1),
+     S.gf(Family.G, "s", 1))])
+def test_products_equal_the_pairwise_route(triples):
+    assert (_outcome(S._products, triples)
+            == _outcome(_pairwise_products, triples))
+
+
+@settings(deadline=None)
+@given(a=_series(), b=_series(), power=st.integers(-2, 2))
+def test_brackets_equal_their_product_forms(a, b, power):
+    assert _outcome(S.bracket, a, b) == _outcome(lambda: a * b - b * a)
+    assert _outcome(S.q_bracket, a, b, power) == _outcome(
+        lambda: qf.q_pow(power) * (a * b) - qf.q_pow(-power) * (b * a))
+
+
+@settings(deadline=None)
+@given(x=_series(), c=st.one_of(_scalars, st.just(qf.QZERO)))
+def test_a_series_times_a_scalar_scales_each_coefficient(x, c):
+    got = x * c
+    assert (got.vars, got.order, got.floor) == (x.vars, x.order, x.floor)
+    assert got.coeffs == {e: p * c for e, p in x.coeffs.items() if p * c}
+    assert (c * x).coeffs == got.coeffs
+
+
+def test_products_raise_an_underflow_their_window_drops():
+    # x * y reaches t^-3 inside its own window; the sum's window, cut at
+    # the other product's order, would drop it
+    one = NCPoly.one()
+    x = S.TruncSeries(("t",), (S.INF,), (-2,), {(-2,): one})
+    y = S.TruncSeries(("t",), (S.INF,), (-1,), {(-1,): one})
+    z = S.constant(1, ("t",)).shift("t", -2)
+    short = S.TruncSeries(("t",), (-4,), (-4,), {})
+    for triples in ([(qf.QONE, x, y)], [(qf.QONE, x, y), (qf.QONE, z, short)]):
+        with pytest.raises(S.FloorUnderflowError):
+            S._products(triples)
+
+
+def _counted_builders(monkeypatch):
+    counts = dict.fromkeys(S._APPENDIX_A_BUILDERS, 0)
+    for name, build in S._APPENDIX_A_BUILDERS.items():
+        def counted(env, name=name, build=build):
+            counts[name] += 1
+            return build(env)
+        monkeypatch.setitem(S._APPENDIX_A_BUILDERS, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("check, order, built", [
+    (S.check_gf_relations, 3, set(S._APPENDIX_A_BUILDERS)),
+    (S.check_prop41_decompositions, 2,
+     {"A", "C", "D", "E", "J", "K", "L", "P", "R"}),
+])
+def test_each_check_builds_each_named_series_once(monkeypatch, check, order,
+                                                  built):
+    counts = _counted_builders(monkeypatch)
+    assert check(order).passed
+    assert counts == {name: int(name in built) for name in counts}
+    # the lookup lives for one call: a second call builds them again
+    assert check(order).passed
+    assert counts == {name: 2 * int(name in built) for name in counts}
+
+
+def test_the_lookup_makes_each_sigma_image_from_its_source(monkeypatch):
+    counts = _counted_builders(monkeypatch)
+    lookup = S._appendix_a(3)
+    for name, source in S._SIGMA_SOURCE.items():
+        got = lookup(name)
+        assert got is lookup(name)
+        want = S.appendixA_series(source, 3).map_coeffs(sigma)
+        assert (got.vars, got.order, got.floor) == (want.vars, want.order,
+                                                     want.floor), name
+        assert got.coeffs == want.coeffs, name
+    # each source once for the lookup and once for appendixA_series
+    assert counts == {name: 2 * int(name in S._SIGMA_SOURCE.values())
+                      for name in counts}
+    with pytest.raises(ValueError, match="unknown series name 'X'"):
+        lookup("X")
