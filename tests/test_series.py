@@ -375,7 +375,7 @@ def _pairwise_products(triples):
 
 
 def _outcome(fn, *args):
-    """(order, floor, coefficients) of fn(*args), or the underflow."""
+    """(vars, order, floor, coefficients) of fn(*args), or "underflow"."""
     try:
         ts = fn(*args)
     except S.FloorUnderflowError:
