@@ -24,6 +24,7 @@ import sys
 from typing import List, Optional
 
 from . import __version__, central, dims, qfield, rewrite, series
+from .qfield import QONE
 from .series import Report
 from .words import (EMPTY_WORD, Family, Generator, NCPoly, render_poly,
                     symbol_from_subscript)
@@ -76,12 +77,13 @@ def _scalar(x: qfield.QRat) -> list:
     return [(EMPTY_WORD, x)] if x else []
 
 
-def _product(a: list, b: list) -> list:
+def _product(a, b) -> list:
     """The terms of a*b, for a and b with one term per word."""
     if len(a) == 1 and len(b) == 1:
         (u, c), = a
         (w, x), = b
-        return [(u + w, c * x)]
+        # a letter's coefficient is 1: no product to form
+        return [(u + w, x if c is QONE else c if x is QONE else c * x)]
     return list(qfield.lincomb([(c, {u + w: x for w, x in b})
                                 for u, c in a]).items())
 
@@ -91,7 +93,20 @@ def _combine(terms: list) -> dict:
     combined = dict(terms)
     if len(combined) == len(terms):   # no word repeats: nothing to sum
         return combined
-    return qfield.lincomb([(qfield.QONE, {w: c}) for w, c in terms])
+    return qfield.lincomb([(QONE, {w: c}) for w, c in terms])
+
+
+# (family token, subscript) -> the letter's terms, for the subscripts of at
+# most four digits that `_Parser.factor` reads by lookahead; a tuple, so no
+# caller can change the shared terms.  At most 39,999 keys, each a fixed
+# value, so `rewrite.clear_caches` leaves it.
+_LETTER_TERMS: dict = {}
+
+
+def _letter_terms(family: str, n: int) -> tuple:
+    """The terms of the symbol family[n], for a subscript in range."""
+    s = symbol_from_subscript(family, n)
+    return (((s,), QONE),) if isinstance(s, Generator) else tuple(_scalar(s))
 
 
 class _Parser:
@@ -99,13 +114,20 @@ class _Parser:
     translation): sums and products fold left to right in loops, and only
     parentheses recurse.
 
-    A value is a list of (word, nonzero coefficient) terms.  A product's
-    value has one term per word: two one-term factors multiply to one term,
-    and any other product is combined by one `qfield.lincomb`.  A sum
-    concatenates its summands' terms, and is combined once, when its `)`
-    closes or, for the whole expression, at the end; so an operator costs
-    no combine of its own.  The tokens are indexed in place, and a token's
-    column is found only for a ParseError.
+    A value is a list (or, for a letter, a shared tuple) of (word, nonzero
+    coefficient) terms.  A product's value has one term per word: two
+    one-term factors multiply to one term, with no product formed when
+    either coefficient is 1, and any other product is combined by one
+    `qfield.lincomb`.  A sum concatenates its summands' terms, and is
+    combined once, when its `)` closes or, for the whole expression, at the
+    end; so an operator costs no combine of its own.  The tokens are indexed
+    in place, and a token's column is found only for a ParseError.
+
+    A letter written the usual way, `W[n]`, `W[-n]`, `G[n]` or `Gt[n]` with
+    at most four digits, is read by one lookahead over its tokens, and its
+    terms are read from `_LETTER_TERMS`; any other shape (`W[+1]`, five
+    digits, `G[-1]`, a missing `]`) takes the general path, which parses
+    the subscript and reports its errors.
     """
 
     def __init__(self, text: str):
@@ -131,7 +153,9 @@ class _Parser:
         tok = self.tokens[self.i]
         if tok is not None:
             raise self.error(f"trailing input {tok!r}")
-        return NCPoly(_combine(terms))
+        out = NCPoly.__new__(NCPoly)   # the coefficients are QRats already
+        out.terms = _combine(terms)
+        return out
 
     def expr(self) -> list:
         """A sum's terms, not yet combined."""
@@ -216,6 +240,21 @@ class _Parser:
             self.expect(")")
             return list(_combine(terms).items())
         if tok == "W" or tok == "G" or tok == "Gt":
+            # the lookahead: |n| <= 9,999 is never an error, and only the
+            # last token is None, so a token that is not has a successor
+            tokens = self.tokens
+            i = self.i
+            if tokens[i + 1] == "[":
+                minus = tok == "W" and tokens[i + 2] == "-"
+                digits = tokens[i + 2 + minus]
+                if (digits is not None and len(digits) <= 4 and digits.isdigit()
+                        and tokens[i + 3 + minus] == "]"):
+                    self.i = i + 4 + minus
+                    n = -int(digits) if minus else int(digits)
+                    terms = _LETTER_TERMS.get((tok, n))
+                    if terms is None:
+                        terms = _LETTER_TERMS[tok, n] = _letter_terms(tok, n)
+                    return terms
             self.i += 1
             self.expect("[")
             at = self.i
@@ -226,8 +265,7 @@ class _Parser:
             if abs(n) > MAX_EXPONENT:
                 raise self.error(f"{tok}[{n}]: subscript beyond {MAX_EXPONENT} "
                                  f"in absolute value", at)
-            s = symbol_from_subscript(tok, n)
-            return [((s,), qfield.QONE)] if isinstance(s, Generator) else _scalar(s)
+            return _letter_terms(tok, n)
         if tok == "q":
             self.i += 1
             if self.tokens[self.i] == "^":
@@ -337,8 +375,8 @@ LIMITS = {
     # run as a direct call of the check, took 40 s and 870 MB
     ("check gf", "order"): (
         0, 48, "its cost grows about as the cube of the order"),
-    # order 36 took 2.6 s and 48 MB, order 64 13 s and 118 MB; order 96, run
-    # as a direct call of the check, took 26 s and 244 MB
+    # order 36 took 1.8 s and 42 MB, order 64 12 s and 99 MB; order 96, run
+    # as a direct call of the check, took 29 s and 200 MB
     ("check prop41", "order"): (
         0, 64, "its cost grows faster than the square of the order"),
     # order 32 took 24 s and 205 MB, order 36 40 s and 274 MB; order 40, run

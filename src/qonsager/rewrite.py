@@ -33,7 +33,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import List, Tuple
 
-from . import qfield
+from . import qfield, words
 from .qfield import QONE, QRat, lincomb as _combine
 from .words import (Family, Generator, NCPoly, Word, dagger_letter,
                     first_descent, g_, gt_, letter_weight,
@@ -362,4 +362,5 @@ def enumerate_overlaps(bound: int) -> List[Word]:
 def clear_caches():
     _RULE_CACHE.clear()
     _NF_CACHE.clear()
+    words._WORD_TEXT.clear()
     qfield.clear_memos()

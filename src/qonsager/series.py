@@ -610,14 +610,24 @@ _DAGGER_SOURCE = {"vi": "iv", "vii": "v"}
 
 
 def _ws_parts(env):
-    """The weighted sum of each reduction rule as (plain,
-    numerator-over-(s-t)); those of rules vi and vii are the dagger images
-    of the parts of rules iv and v."""
-    parts = {rule: _ws_part(rule, env) for rule in ("ii", "iii", "iv", "v")}
+    """Yield each reduction rule with its weighted sum as (plain,
+    numerator-over-(s-t)), one rule at a time, so that a caller can drop
+    each rule's parts before the next are built.  Those of rules vi and vii
+    are the dagger images of the parts of rules iv and v, which are kept
+    only until their images are made."""
+    sources = {}
+    for rule in ("ii", "iii", "iv", "v"):
+        parts = _ws_part(rule, env)
+        if rule in _DAGGER_SOURCE.values():
+            sources[rule] = parts
+        yield rule, parts
+        del parts
     for rule, source in _DAGGER_SOURCE.items():
-        plain, num = parts[source]
-        parts[rule] = plain, num.map_coeffs(dagger)
-    return parts
+        plain, num = sources.pop(source)
+        image = plain, num.map_coeffs(dagger)
+        del plain, num
+        yield rule, image
+        del image
 
 
 def _ws_part(rule: str, env):
@@ -682,7 +692,7 @@ def check_prop41_decompositions(order: int) -> Report:
     qq = qfield.q_pow
 
     sA = _appendix_a(order)
-    for rule, (plain, num) in _ws_parts(env).items():
+    for rule, (plain, num) in _ws_parts(env):
         lhs_cleared = _smt(_rule_lhs(rule, env) - plain) - num
         if rule == "ii":
             lhs_cleared = lhs_cleared * (q2 * rho)
@@ -710,9 +720,10 @@ def check_prop41_decompositions(order: int) -> Report:
         else:
             rhs = sA("G").shift("s", 1) - sA("E") + sA("M").shift("s", 1) * qq(-1)
         _vanishes_free(report, f"decomposition-{rule}", lhs_cleared - rhs)
+        del plain, num, lhs_cleared, rhs   # before the next rule's parts
 
     bound = min(3, max(order - 1, 0))
-    for rule, (plain, num) in _ws_parts(_gf_env(2 * (bound + 1) + 1)).items():
+    for rule, (plain, num) in _ws_parts(_gf_env(2 * (bound + 1) + 1)):
         ws = plain + exact_divide(num, "s-t")
         pairs = ((es, et) for es in range(bound + (1 if rule == "ii" else 2))
                  for et in range(bound + 1))

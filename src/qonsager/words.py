@@ -435,33 +435,36 @@ def defining_relations(kmax: int, lmax=None):
 # -- rendering ----------------------------------------------------------------
 
 
-# letter -> its text; render_word runs on every term of every rendered
-# element, and a letter's text never changes
-_LETTER_TEXT: dict = {}
+# word -> its text; render_poly renders every term of every element, and a
+# warm normalize stream renders the same normal-form words again and again.
+# A word enters only while the memo holds fewer than _WORD_TEXT_SIZE
+# entries, so past the cap a word is rendered letter by letter each time;
+# `rewrite.clear_caches` empties it.
+_WORD_TEXT: dict = {}
+_WORD_TEXT_SIZE = 65536
 
 
 def render_word(w: Word) -> str:
-    if not w:
-        return "1"
-    texts = []
-    for letter in w:
-        t = _LETTER_TEXT.get(letter)
-        if t is None:
-            t = _LETTER_TEXT[letter] = letter.text()
-        texts.append(t)
-    return "*".join(texts)
+    t = _WORD_TEXT.get(w)
+    if t is None:
+        t = "*".join([letter.text() for letter in w]) if w else "1"
+        if len(_WORD_TEXT) < _WORD_TEXT_SIZE:
+            _WORD_TEXT[w] = t
+    return t
 
 
 def render_poly(p: NCPoly) -> str:
-    if not p.terms:
+    terms = p.terms
+    if not terms:
         return "0"
+    texts = _WORD_TEXT
+    scalar_text = qfield.scalar_text
     parts = []
-    for w in sorted(p.terms):
-        c = p.terms[w]
+    for w in sorted(terms):
+        c = terms[w]
         if not w:
-            parts.append(qfield.scalar_text(c))
-        elif c is QONE:
-            parts.append(render_word(w))
-        else:
-            parts.append(f"{qfield.scalar_text(c)}*{render_word(w)}")
+            parts.append(scalar_text(c))
+            continue
+        t = texts.get(w) or render_word(w)
+        parts.append(t if c is QONE else f"{scalar_text(c)}*{t}")
     return " + ".join(parts)

@@ -166,6 +166,7 @@ def test_clear_caches_empties_every_kernel_memo():
     assert left == dict.fromkeys(left, 0)
     assert rewrite._NF_CACHE == {} and rewrite._RULE_CACHE == {}
     assert qfield._PRODUCTS == {} and qfield._SUMS == {}
+    assert words._WORD_TEXT == {}
     # the value table holds only live values: those only the caches held
     # are gone with them, and the module constants stay
     assert len(qfield._VALUES) < live

@@ -516,6 +516,53 @@ def test_subscript_limit(capsys):
                 f"(at column {column})") in captured.err
 
 
+# Outcomes recorded from the parser before it read letters by lookahead;
+# the lookahead takes a family token, `[`, an optional `-` (W only), at most
+# four digits and `]` (blanks are no tokens), and every other shape takes
+# the general path.
+@pytest.mark.parametrize("text,outcome,looked_ahead", [
+    ("W[9999]", "W[9999]", True),
+    ("W[-9999]", "W[-9999]", True),
+    ("W[10000]", "W[10000]", False),
+    ("W[10001]", "ParseError: W[10001]: subscript beyond 10000 in absolute "
+                 "value (at column 3)", False),
+    ("W[-10001]", "ParseError: W[-10001]: subscript beyond 10000 in absolute "
+                  "value (at column 3)", False),
+    ("G[0]", "(-q^6 - q^4 + q^2 + 1)*q^-3", True),
+    ("Gt[-1]", "ParseError: Gt[-1]: negative subscript (at column 4)", False),
+    ("G[-0]", "(-q^6 - q^4 + q^2 + 1)*q^-3", False),
+    ("W [ 1 ]", "W[1]", True),
+    ("W[+1]", "W[1]", False),
+    ("W[01]", "W[1]", True),
+    ("W[-0]", "W[0]", True),
+    ("Gt[0009]", "Gt[9]", True),
+    ("G[1", "ParseError: unexpected end of input (at column 4)", False),
+    ("W[-1", "ParseError: unexpected end of input (at column 5)", False),
+    ("W[1]]", "ParseError: trailing input ']' (at column 5)", True),
+    ("W[1]/W[1]", "ParseError: division by a non-scalar expression "
+                  "(at column 5)", True),
+])
+def test_letter_lookahead_edges(text, outcome, looked_ahead):
+    cli._LETTER_TERMS.clear()
+    try:
+        got = render_poly(cli.parse_to_poly(text))
+    except cli.ParseError as exc:
+        got = f"ParseError: {exc}"
+    assert got == outcome
+    assert bool(cli._LETTER_TERMS) == looked_ahead
+
+
+def test_letter_terms_are_not_changed_by_their_uses():
+    w1 = NCPoly.gen(wp(1))
+    for text, expected in (("W[1] + W[1]", w1 * 2), ("-W[1] - W[1]", w1 * -2),
+                           ("W[1]*W[1] + W[1]", w1 * w1 + w1),
+                           ("W[1]/2 + G[0]*W[1]", w1 * (qf.of(Fraction(1, 2))
+                                                        + qf.g0_const()))):
+        assert cli.parse_to_poly(text) == expected
+        assert cli.parse_to_poly("W[1]") == w1
+    assert cli._LETTER_TERMS["W", 1] == (((wp(1),), qf.QONE),)
+
+
 @pytest.mark.parametrize("error,code,prefix", [
     (rewrite.RewriteInternalError("no rule for pair"), 3, "internal error:"),
     (KeyError("recursion touched G[1] before recovery"), 3, "internal error:"),

@@ -259,3 +259,29 @@ def test_ncpoly_arithmetic_equals_the_term_fold(pair, extra):
         assert got.terms == expected
         assert all(not c.is_zero() for c in got.terms.values())
     assert (x - x).is_zero()
+
+
+_rendered_words = st.lists(_letter_args.map(lambda x: W.Generator(*x)),
+                           max_size=5).map(tuple)
+
+
+@given(w=_rendered_words)
+def test_render_word_is_the_join_of_its_letter_texts(w):
+    expected = "*".join(letter.text() for letter in w) if w else "1"
+    assert W.render_word(w) == expected   # the first call may fill the memo
+    assert W.render_word(w) == expected   # a repeat may read it
+
+
+def test_the_word_text_memo_stops_at_its_cap(monkeypatch):
+    rewrite.clear_caches()
+    monkeypatch.setattr(W, "_WORD_TEXT_SIZE", 3)
+    ws = [(wp(k),) for k in range(1, 6)] + [(wm(2), g_(1)), ()]
+    assert [W.render_word(w) for w in ws] == [
+        "W[1]", "W[2]", "W[3]", "W[4]", "W[5]", "W[-2]*G[1]", "1"]
+    assert list(W._WORD_TEXT) == ws[:3]
+    # past the cap a word still renders right, and a memo word reads back
+    assert W.render_poly(NCPoly({ws[5]: qf.QONE, ws[0]: qf.of(2)})) == (
+        "W[-2]*G[1] + (2)*W[1]")
+    assert len(W._WORD_TEXT) == 3
+    rewrite.clear_caches()
+    assert W._WORD_TEXT == {}
