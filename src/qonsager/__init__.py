@@ -1,6 +1,6 @@
 """Exact kernel for the alternating central extension of the q-Onsager algebra."""
 
-from .qfield import QRat, g0_const, q_int, q_pow, rho_const
+from .qfield import G0, RHO, QRat, q_int, q_pow
 from .words import (Family, Generator, NCPoly, Weight, dagger, gen_cmp,
                     is_irreducible, sigma, symbol_from_subscript, word_degree,
                     word_weight)

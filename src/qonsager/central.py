@@ -22,6 +22,9 @@ from .series import Report, TruncSeries
 from .words import (Family, Generator, NCPoly, commutator, dagger, g_, gt_,
                     q_commutator, sigma, wm, wp)
 
+# 1/(q^2 - q^-2)^2, the factor of the G terms of Z(t) and of the recursion
+INV_Q2M_SQ = (qfield.Q2M ** 2).inverse()
+
 
 def down_transform(a: Callable[[int], NCPoly], n: int) -> NCPoly:
     """The resummation with binomials C(n-1-l, l): ddown of the shifted a."""
@@ -126,12 +129,11 @@ def z_series(order: int, reduce: bool = True) -> TruncSeries:
     gs = subst_ST(Family.G, "S", "plain", m)
     gtt = subst_ST(Family.Gtilde, "T", "plain", m)
     q = qfield.q_pow
-    inv = ((q(2) - q(-2)) ** 2).inverse()
     z = ((swm * twp).shift("t", -1)
          + (swp * twm).shift("t", 1)
          - q(2) * (swm * twm)
          - q(-2) * (swp * twp)
-         + inv * (gs * gtt))
+         + INV_Q2M_SQ * (gs * gtt))
     z = _window(z, order, "central series")
     return z.normal_form() if reduce else z
 
@@ -165,9 +167,8 @@ def z_series_pbw_form(order: int) -> TruncSeries:
     swm, swp, twm, twp, gs, gts, g_T, gt_T = _st_bundle(m)
     S, T = st_series("S", m), st_series("T", m)
     q = qfield.q_pow
-    ec = ((q(2) - q(-2)) * qfield.q_int(2) ** 2).inverse()
     u = (g_T * gts).shift("t", 1) - (gs * gt_T).shift("t", -1)
-    gpart = series.exact_divide(u, S - T) * ec
+    gpart = series.exact_divide(u, S - T) * rewrite.E_II
     z = ((swm * twp).shift("t", -1)
          + (twm * swp).shift("t", 1)
          - q(2) * (swm * twm)
@@ -189,7 +190,6 @@ def _five_sum_terms(n: int, elem, g_range) -> List[NCPoly]:
     polynomials."""
     q = qfield.q_pow
     q2 = qfield.q_int(2)
-    inv = ((q(2) - q(-2)) ** 2).inverse()
     w = partial(_w_dd, elem=elem)
     g, gt = _seq(Family.G, elem), _seq(Family.Gtilde, elem)
     return ([(w(-k) * w(n - k)) * (q2 * q(n - 1 - 2 * k)) for k in range(n)]
@@ -199,7 +199,7 @@ def _five_sum_terms(n: int, elem, g_range) -> List[NCPoly]:
             + [(w(k + 1) * w(n - k - 1)) * -q(n - 2 * k - 4)
                for k in range(n - 1)]
             + [(down_transform(g, k) * down_transform(gt, n - k))
-               * (inv * q(n - 2 * k)) for k in g_range])
+               * (INV_Q2M_SQ * q(n - 2 * k)) for k in g_range])
 
 
 def z_n_direct_poly(n: int) -> NCPoly:
@@ -227,9 +227,8 @@ def z_bar(n: int) -> NCPoly:
     if n < 1:
         raise ValueError("the adjusted central element needs n >= 1")
     zn = z_n(n).as_poly
-    qm = qfield.Q - qfield.q_pow(-1)
     corr = (NCPoly.gen(g_(n)) * qfield.q_pow(-n)
-            + NCPoly.gen(gt_(n)) * qfield.q_pow(n)) * qm.inverse()
+            + NCPoly.gen(gt_(n)) * qfield.q_pow(n)) * qfield.QM.inverse()
     return rewrite.normal_form(zn + corr)
 
 
@@ -238,10 +237,9 @@ def z_bar_subtracted_form(n: int) -> NCPoly:
     if n < 1:
         raise ValueError("n >= 1 required")
     zn = z_n(n).as_poly
-    q = qfield.q_pow
-    inv = ((q(2) - q(-2)) ** 2).inverse()
-    g0 = qfield.g0_const()
-    sub = (NCPoly.gen(gt_(n)) * (g0 * q(n)) + NCPoly.gen(g_(n)) * (g0 * q(-n))) * inv
+    q, g0 = qfield.q_pow, qfield.G0
+    sub = ((NCPoly.gen(gt_(n)) * (g0 * q(n)) + NCPoly.gen(g_(n)) * (g0 * q(-n)))
+           * INV_Q2M_SQ)
     return rewrite.normal_form(zn - sub)
 
 
@@ -257,13 +255,13 @@ def z_bar_expanded_poly(n: int, elem=None) -> NCPoly:
     if elem is None:
         elem = series.family_element
     q = qfield.q_pow
-    qm = qfield.Q - q(-1)
+    qm_inv = qfield.QM.inverse()
     inv2sq = qfield.q_int(2) ** -2
     terms = _five_sum_terms(n, elem, range(1, n))
     for l in range(1, (n - 1) // 2 + 1):
         c = qfield.of((-1) ** l * comb(n - 1 - l, l)) * inv2sq ** l
-        terms.append(elem(Family.G, n - 2 * l) * -(c * q(-n) * qm.inverse()))
-        terms.append(elem(Family.Gtilde, n - 2 * l) * -(c * q(n) * qm.inverse()))
+        terms.append(elem(Family.G, n - 2 * l) * -(c * q(-n) * qm_inv))
+        terms.append(elem(Family.Gtilde, n - 2 * l) * -(c * q(n) * qm_inv))
     return NCPoly.sum(terms)
 
 
@@ -275,8 +273,7 @@ def delta_n(n: int) -> NCPoly:
 
 
 def delta_scale(n: int) -> QRat:
-    return (qfield.of(-2) * (qfield.Q - qfield.q_pow(-1))
-            / (qfield.q_pow(n) + qfield.q_pow(-n)))
+    return qfield.of(-2) * qfield.QM / (qfield.q_pow(n) + qfield.q_pow(-n))
 
 
 def generators_up_to(index_bound: int) -> List[Generator]:
@@ -327,7 +324,6 @@ def recover_generators(N: int, zs=None) -> Dict[Generator, NCPoly]:
 
     q = qfield.q_pow
     q2 = qfield.q_int(2)
-    rho_sq_inv = ((q(2) - q(-2)) ** 2).inverse()
     for n in range(1, N + 1):
         zn = zs[n]
         zn_poly = zn.as_poly if isinstance(zn, CentralElement) else zn
@@ -335,17 +331,16 @@ def recover_generators(N: int, zs=None) -> Dict[Generator, NCPoly]:
         w0, w1 = table[wm(0)], table[wp(1)]
         wn = table[wp(n)]
         br = rewrite.normal_form(commutator(w0, wn))
-        qm = qfield.Q - q(-1)
-        gn = ((zbar - zn_poly) * qm - br * (q(n) * q2)) * (
+        gn = ((zbar - zn_poly) * qfield.QM - br * (q(n) * q2)) * (
             (q(n) + q(-n)).inverse())
         gn = rewrite.normal_form(gn)
         table[g_(n)] = gn
         table[gt_(n)] = rewrite.normal_form(gn + br * q2)
         table[wm(n)] = rewrite.normal_form(
-            wn - q_commutator(w0, gn) * rho_sq_inv)
+            wn - q_commutator(w0, gn) * INV_Q2M_SQ)
         w1mn = table[wm(n - 1)]
         table[wp(n + 1)] = rewrite.normal_form(
-            w1mn - q_commutator(gn, w1) * rho_sq_inv)
+            w1mn - q_commutator(gn, w1) * INV_Q2M_SQ)
     return table
 
 
@@ -367,7 +362,7 @@ def check_recovery(N: int, table: Dict[Generator, NCPoly]) -> Report:
 def _matrix_pair(order: int):
     swm, swp, twm, twp, gs, gts, g_T, gt_T = _st_bundle(order + 4)
     q = qfield.q_pow
-    inv = (q(2) - q(-2)).inverse()
+    inv = qfield.Q2M.inverse()
     left = [
         [swp.shift("t", 1) * q(-1) - swm * qfield.Q, gs * inv],
         [gts * inv, swp.shift("t", -1) * qfield.Q - swm * q(-1)],
@@ -412,7 +407,7 @@ def check_matrix_factorization(order: int) -> Report:
 def dolan_grady_polys():
     """The two cubic relations of the degree-one pair, as LHS - RHS."""
     w0, w1 = NCPoly.gen(wm(0)), NCPoly.gen(wp(1))
-    c = (qfield.q_pow(2) - qfield.q_pow(-2)) ** 2
+    c = -qfield.RHO   # (q^2 - q^-2)^2
     inner = q_commutator(w0, w1)
     mid = q_commutator(w0, inner, -1)
     first = commutator(w0, mid) - c * commutator(w1, w0)
@@ -481,7 +476,7 @@ def check_appendix_b() -> Report:
         trows = [(c, pw, gt_(g.k + 1)) for (c, pw, g) in rows]
         report.add(f"Gtilde down n={n}", gt_down(n) == entry(trows))
     report.add("G down n=0 is the scalar",
-               g_down(0) == NCPoly.scalar(qfield.g0_const()))
+               g_down(0) == NCPoly.scalar(qfield.G0))
     report.add("Gtilde down n=0 is the scalar",
-               gt_down(0) == NCPoly.scalar(qfield.g0_const()))
+               gt_down(0) == NCPoly.scalar(qfield.G0))
     return report

@@ -153,9 +153,7 @@ class _Parser:
         tok = self.tokens[self.i]
         if tok is not None:
             raise self.error(f"trailing input {tok!r}")
-        out = NCPoly.__new__(NCPoly)   # the coefficients are QRats already
-        out.terms = _combine(terms)
-        return out
+        return NCPoly.from_terms(_combine(terms))   # the coefficients are QRats
 
     def expr(self) -> list:
         """A sum's terms, not yet combined."""
@@ -551,6 +549,9 @@ def cmd_series(args) -> int:
     spec = args.name
     if (f"series {spec}", "order") not in LIMITS:   # every name has a row
         raise ValueError(f"unknown series {spec!r}")
+    if spec not in GF_FAMILIES and args.var != "t":
+        raise ValueError(f"series {spec} takes only --var t; the other "
+                         f"variables are for W-, W+, G and Gt")
     _check_limits(f"series {spec}", {"order": args.order})
     if spec in GF_FAMILIES:
         ts = series.gf(GF_FAMILIES[spec], args.var, args.order)
@@ -640,7 +641,9 @@ def build_parser() -> argparse.ArgumentParser:
                         f"{_accepted('series A', 'order')} for A..S, and "
                         f"{_accepted('series W-', 'order')} for W-, W+, G "
                         f"and Gt")
-    p.add_argument("--var", default="t")
+    p.add_argument("--var", default="t",
+                   help="the variable of W-, W+, G and Gt (default t); Z and "
+                        "A..S take only t")
     p.set_defaults(func=cmd_series)
 
     p = sub.add_parser("recover", help="rebuild generators from the central "

@@ -80,7 +80,11 @@ the operands' shape alone:
   pass of the normalize benchmark, seed 1, prints 106,429 coefficients
   with 2,949 distinct values, one object each).  Equality, hashing and
   pickling never read the slot, so a value rebuilt after its last
-  reference went renders its text again.
+  reference went renders its text again;
+* the scalars of the paper's relations are module values, built once at
+  import after `q_int`: `QM` = q - q^-1, `Q2M` = q^2 - q^-2, `RHO` =
+  -(q^2 - q^-2)^2 and `G0` = -(q - q^-1)[2]_q^2, the value of the
+  degree-zero G symbols.  The other modules read them and rebuild none.
 
 The exposed numerator/denominator pair is always fully reduced over
 Z[q] with a positive-leading-coefficient denominator, so the field tuple
@@ -724,19 +728,14 @@ def q_int(n: int) -> QRat:
     """The quantum integer [n]_q = (q^n - q^-n)/(q - q^-1)."""
     if n == 0:
         return QZERO
-    return (q_pow(n) - q_pow(-n)) / (Q - q_pow(-1))
+    return (q_pow(n) - q_pow(-n)) / QM
 
 
-@lru_cache(maxsize=None)
-def rho_const() -> QRat:
-    """The structure constant -(q^2 - q^-2)^2 of the defining relations."""
-    return -((q_pow(2) - q_pow(-2)) ** 2)
-
-
-@lru_cache(maxsize=None)
-def g0_const() -> QRat:
-    """The scalar value shared by the two degree-zero G-symbols."""
-    return -(Q - q_pow(-1)) * q_int(2) ** 2
+# The scalars of the paper's relations, built once here.
+QM = Q - q_pow(-1)               # q - q^-1
+Q2M = q_pow(2) - q_pow(-2)       # q^2 - q^-2
+RHO = -(Q2M ** 2)                # the structure constant of the relations
+G0 = -QM * q_int(2) ** 2         # the value of the degree-zero G symbols
 
 
 # -- rendering --------------------------------------------------------------

@@ -29,7 +29,6 @@ immutable values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 from typing import List, Tuple
 
@@ -87,16 +86,11 @@ def _term(coeff: QRat, *symbols) -> Tuple[QRat, Word]:
 _RULE_CACHE: dict = {}
 
 
-@lru_cache(maxsize=None)
-def _prefactors() -> Tuple[QRat, QRat, QRat, QRat]:
-    """The prefactors of rules ii, iii, iv and v, built once from
-    q^2 - q^-2 and q - q^-1: 1/((q^2 - q^-2)*[2]q^2), (q^2 - q^-2)^3,
-    q*(q - q^-1) and q^-1*(q - q^-1)."""
-    q = qfield.q_pow
-    Q2 = q(2) - q(-2)            # q^2 - q^-2
-    qm = qfield.Q - q(-1)        # q - q^-1
-    return ((Q2 * qfield.q_int(2) ** 2).inverse(), Q2 ** 3, qfield.Q * qm,
-            q(-1) * qm)
+# The prefactors of rules ii, iii, iv and v, built once.
+E_II = (qfield.Q2M * qfield.q_int(2) ** 2).inverse()   # 1/((q^2 - q^-2)[2]q^2)
+C_III = qfield.Q2M ** 3                                 # (q^2 - q^-2)^3
+C_IV = qfield.Q * qfield.QM                             # q(q - q^-1)
+C_V = qfield.q_pow(-1) * qfield.QM                      # q^-1(q - q^-1)
 
 
 def _rule_terms(a: Generator, b: Generator) -> List[Tuple[QRat, Word]]:
@@ -105,7 +99,6 @@ def _rule_terms(a: Generator, b: Generator) -> List[Tuple[QRat, Word]]:
         # rules vi and vii: the dagger images of rules iv and v
         return [(c, tuple(dagger_letter(g) for g in reversed(w)))
                 for c, w in _rule_terms(dagger_letter(b), dagger_letter(a))]
-    e, c_iii, c_iv, c_v = _prefactors()
     i, j = a.k, b.k
     terms: List[Tuple[QRat, Word]] = []
     if fa == fb:
@@ -114,13 +107,13 @@ def _rule_terms(a: Generator, b: Generator) -> List[Tuple[QRat, Word]]:
     if (fa, fb) == (Family.Wplus, Family.Wminus):
         terms.append((QONE, (b, a)))
         for l in range(min(i, j) + 1):
-            terms.append(_term(e, symbol_from_subscript("G", l),
+            terms.append(_term(E_II, symbol_from_subscript("G", l),
                                symbol_from_subscript("Gt", i + j + 1 - l)))
-            terms.append(_term(-e, symbol_from_subscript("G", i + j + 1 - l),
+            terms.append(_term(-E_II, symbol_from_subscript("G", i + j + 1 - l),
                                symbol_from_subscript("Gt", l)))
         return terms
     if (fa, fb) == (Family.Gtilde, Family.G):
-        c = c_iii
+        c = C_III
         terms.append((QONE, (g_(j + 1), gt_(i + 1))))
         terms.append((-c, (wm(i), wm(j))))
         terms.append((c, (wp(i + 1), wp(j + 1))))
@@ -132,7 +125,7 @@ def _rule_terms(a: Generator, b: Generator) -> List[Tuple[QRat, Word]]:
             terms.append(_term(c, w_sub(l - i - j), w_sub(l)))
         return terms
     if (fa, fb) == (Family.Wplus, Family.G):
-        c = c_iv
+        c = C_IV
         terms.append((QONE, (g_(j + 1), wp(i + 1))))
         for l in range(min(i, j) + 1):
             terms.append(_term(c, symbol_from_subscript("G", l), w_sub(l - i - j)))
@@ -145,7 +138,7 @@ def _rule_terms(a: Generator, b: Generator) -> List[Tuple[QRat, Word]]:
                                w_sub(1 - l)))
         return terms
     if (fa, fb) == (Family.Wminus, Family.G):
-        c = c_v
+        c = C_V
         terms.append((QONE, (g_(j + 1), wm(i))))
         for l in range(min(i, j) + 1):
             terms.append(_term(-c, symbol_from_subscript("G", l),
@@ -278,9 +271,8 @@ def _word_nf(w: Word) -> dict:
 
 def normal_form(p: NCPoly) -> NCPoly:
     """The unique PBW expansion of p: every word non-decreasing in the order."""
-    out = NCPoly.__new__(NCPoly)
-    out.terms = _combine([(c, _word_nf(w)) for w, c in p.terms.items()])
-    return out
+    return NCPoly.from_terms(
+        _combine([(c, _word_nf(w)) for w, c in p.terms.items()]))
 
 
 def reduce_with_strategy(p: NCPoly, rng) -> NCPoly:
@@ -316,9 +308,7 @@ def reduce_with_strategy(p: NCPoly, rng) -> NCPoly:
                 terms[candidate] = s
                 if prev is None and first_descent(candidate) is not None:
                     worklist.append(candidate)
-    out = NCPoly.__new__(NCPoly)
-    out.terms = terms
-    return out
+    return NCPoly.from_terms(terms)
 
 
 # -- overlap ambiguities -------------------------------------------------------

@@ -21,9 +21,10 @@ M, N, Q and S are the images of A, E, D, H, L, K, P and R under the
 automorphism sigma, which swaps W- with W+ and G with Gt, and are
 generated from them.  A check builds each name it needs once, in a
 lookup that lives for the one call (`_appendix_a`).  The weighted sums
-of rules vi and vii are not written out either: they are the images of
-those of rules iv and v under the antiautomorphism dagger, which
-reverses words and swaps G with Gt, and are generated from them.
+of rules vi and vii, and their left sides, are not written out either:
+they are the images of those of rules iv and v under the
+antiautomorphism dagger, which reverses words and swaps G with Gt, and
+are generated from them.
 """
 
 from __future__ import annotations
@@ -126,7 +127,8 @@ class TruncSeries:
         if isinstance(other, (QRat, int)):
             c = qfield.of(other) if isinstance(other, int) else other
             coeffs = {} if c.is_zero() else {
-                e: _poly(t) for e, t in _scaled_terms(self, c).items()}
+                e: NCPoly.from_terms(t)
+                for e, t in _scaled_terms(self, c).items()}
             return TruncSeries(self.vars, self.order, self.floor, coeffs)
         if isinstance(other, NCPoly):
             return _mul(self, constant(other, self.vars))
@@ -240,7 +242,8 @@ def _products(triples) -> TruncSeries:
                     continue
                 groups.setdefault(e, []).extend(
                     (c1, {u + w: v for w, v in t2}) for u, c1 in t1.items())
-    coeffs = {e: _poly(qfield.lincomb(pairs)) for e, pairs in groups.items()}
+    coeffs = {e: NCPoly.from_terms(qfield.lincomb(pairs))
+              for e, pairs in groups.items()}
     return TruncSeries(vars, order, floor, coeffs)
 
 
@@ -248,13 +251,6 @@ def _scaled_terms(ts: TruncSeries, c: QRat) -> Dict[Tuple[int, ...], dict]:
     """The terms of each coefficient of ts times the nonzero scalar c, each
     product c * x looked up in `qfield.lincomb`'s product tables."""
     return {e: qfield.lincomb(((c, p.terms),)) for e, p in ts.coeffs.items()}
-
-
-def _poly(terms: dict) -> NCPoly:
-    """The NCPoly with the given terms, one nonzero coefficient per word."""
-    out = NCPoly.__new__(NCPoly)
-    out.terms = terms
-    return out
 
 
 def _summed(groups) -> Dict[Tuple[int, ...], NCPoly]:
@@ -295,9 +291,9 @@ def family_element(family: Family, n: int) -> NCPoly:
     if family == Family.Wplus:
         return NCPoly.gen(wp(n + 1))
     if family == Family.G:
-        return NCPoly.scalar(qfield.g0_const()) if n == 0 else NCPoly.gen(g_(n))
+        return NCPoly.scalar(qfield.G0) if n == 0 else NCPoly.gen(g_(n))
     if family == Family.Gtilde:
-        return NCPoly.scalar(qfield.g0_const()) if n == 0 else NCPoly.gen(gt_(n))
+        return NCPoly.scalar(qfield.G0) if n == 0 else NCPoly.gen(gt_(n))
     raise ValueError(f"unknown family {family!r}")
 
 
@@ -488,7 +484,7 @@ def _aL(env):
 
 
 def _aP(env):
-    rho_b = (qfield.rho_const() * qfield.q_int(2)).inverse()
+    rho_b = (qfield.RHO * qfield.q_int(2)).inverse()
     head = (bracket(env["G_s"], env["Gt_t"]).shift("t", -1)
             - bracket(env["G_t"], env["Gt_s"]).shift("s", -1)) * rho_b
     return (head
@@ -503,7 +499,7 @@ def _aP(env):
 
 
 def _aR(env):
-    c = qfield.q_int(2) * qfield.rho_const()
+    c = qfield.q_int(2) * qfield.RHO
     return (q_bracket(env["G_s"], env["Gt_t"]) - q_bracket(env["G_t"], env["Gt_s"])
             - c * bracket(env["Wm_t"], env["Wp_s"]).shift("t", 1)
             + c * bracket(env["Wm_s"], env["Wp_t"]).shift("s", 1))
@@ -568,7 +564,7 @@ def _vanishes_free(report: Report, name: str, ts: TruncSeries):
 def check_gf_relations(order: int) -> Report:
     """All generating-function relations vanish in the quotient algebra."""
     report = Report("gf-relations")
-    rho = qfield.rho_const()
+    rho = qfield.RHO
     inv2 = qfield.q_int(2).inverse()
     w0 = constant(NCPoly.gen(wm(0)), ("t",))
     w1 = constant(NCPoly.gen(wp(1)), ("t",))
@@ -634,15 +630,13 @@ def _ws_part(rule: str, env):
     """The weighted sum of rule ii, iii, iv or v as (plain,
     numerator-over-(s-t))."""
     q = qfield.q_pow
-    qm = qfield.Q - q(-1)
-    Q2 = q(2) - q(-2)
     if rule == "ii":
-        ec = (Q2 * qfield.q_int(2) ** 2).inverse()
         plain = env["Wm_t"] * env["Wp_s"]
-        num = (env["G_t"] * env["Gt_s"] - env["G_s"] * env["Gt_t"]) * ec
+        num = ((env["G_t"] * env["Gt_s"] - env["G_s"] * env["Gt_t"])
+               * rewrite.E_II)
         return plain, num
     if rule == "iii":
-        c = Q2 ** 3
+        c = rewrite.C_III
         plain = (env["G_t"] * env["Gt_s"]
                  + ((env["Wp_s"] * env["Wp_t"]) - (env["Wm_s"] * env["Wm_t"]))
                  .shift("s", 1).shift("t", 1) * c)
@@ -655,14 +649,14 @@ def _ws_part(rule: str, env):
     t4 = env["G_s"] * env["Wp_t"]
     if rule == "iv":
         # coefficient names a', A', A, a on the four ordered products
-        c1, c2, c3 = qfield.Q * qm, -(qfield.Q * qm), -(qfield.Q * qm)
+        c1, c2, c3 = rewrite.C_IV, -rewrite.C_IV, -rewrite.C_IV
         num = (t1.shift("s", 2) * c1
                + t2.shift("s", 1).shift("t", 1) * c2
                + t3.shift("s", 1) * c3
                + t4.shift("s", 1) * (q(2)) - t4.shift("t", 1))
         return zero(("s", "t")), num
     if rule == "v":
-        c1 = q(-1) * qm
+        c1 = rewrite.C_V
         num = (t1.shift("s", 1) * c1
                + t2.shift("s", 1) * q(-2) - t2.shift("t", 1)
                - t3.shift("s", 2) * c1
@@ -671,15 +665,18 @@ def _ws_part(rule: str, env):
     raise ValueError(f"unknown rule {rule!r}")
 
 
+# The two factors of the left side of rules ii, iii, iv and v.
+_RULE_LHS = {"ii": ("Wp_s", "Wm_t"), "iii": ("Gt_s", "G_t"),
+             "iv": ("Wp_t", "G_s"), "v": ("Wm_t", "G_s")}
+
+
 def _rule_lhs(rule: str, env) -> TruncSeries:
-    return {
-        "ii": lambda: env["Wp_s"] * env["Wm_t"],
-        "iii": lambda: env["Gt_s"] * env["G_t"],
-        "iv": lambda: env["Wp_t"] * env["G_s"],
-        "v": lambda: env["Wm_t"] * env["G_s"],
-        "vi": lambda: env["Gt_s"] * env["Wp_t"],
-        "vii": lambda: env["Gt_s"] * env["Wm_t"],
-    }[rule]()
+    """The left side of a rule's weighted sum; those of rules vi and vii
+    are the dagger images of those of rules iv and v."""
+    if rule in _DAGGER_SOURCE:
+        return _rule_lhs(_DAGGER_SOURCE[rule], env).map_coeffs(dagger)
+    x, y = _RULE_LHS[rule]
+    return env[x] * env[y]
 
 
 def check_prop41_decompositions(order: int) -> Report:
@@ -687,7 +684,7 @@ def check_prop41_decompositions(order: int) -> Report:
     coefficient-extraction consistency of the GF rules with the index rules."""
     report = Report("prop41")
     env = _gf_env(order)
-    rho = qfield.rho_const()
+    rho = qfield.RHO
     q2 = qfield.q_int(2)  # q + q^-1
     qq = qfield.q_pow
 
@@ -746,11 +743,11 @@ def _expected_pair_poly(rule: str, es: int, et: int):
     if rule == "iv":
         if es >= 1:
             return rewrite.apply_rule(wp(et + 1), g_(es))
-        return NCPoly.gen(wp(et + 1)) * qfield.g0_const()
+        return NCPoly.gen(wp(et + 1)) * qfield.G0
     if rule == "v":
         if es >= 1:
             return rewrite.apply_rule(wm(et), g_(es))
-        return NCPoly.gen(wm(et)) * qfield.g0_const()
+        return NCPoly.gen(wm(et)) * qfield.G0
     if rule in _DAGGER_SOURCE:
         return dagger(_expected_pair_poly(_DAGGER_SOURCE[rule], es, et))
     raise ValueError(rule)

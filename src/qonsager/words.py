@@ -147,7 +147,7 @@ def symbol_from_subscript(family: str, n: int) -> Union[Generator, QRat]:
         if n < 0:
             raise IndexError(f"{family} subscript must be >= 0, got {n}")
         if n == 0:
-            return qfield.g0_const()
+            return qfield.G0
         return g_(n) if family == "G" else gt_(n)
     raise ValueError(f"unknown family {family!r}")
 
@@ -220,11 +220,17 @@ class NCPoly:
     # -- constructors ---------------------------------------------------
 
     @staticmethod
+    def from_terms(terms: dict) -> "NCPoly":
+        """The NCPoly holding the finished terms dict as it is: one nonzero
+        QRat per word, neither embedded nor summed again."""
+        out = NCPoly.__new__(NCPoly)
+        out.terms = terms
+        return out
+
+    @staticmethod
     def sum(polys) -> "NCPoly":
         """The sum of the NCPolys in polys, each coefficient summed once."""
-        out = NCPoly.__new__(NCPoly)
-        out.terms = lincomb([(QONE, p.terms) for p in polys])
-        return out
+        return NCPoly.from_terms(lincomb([(QONE, p.terms) for p in polys]))
 
     @staticmethod
     def zero() -> "NCPoly":
@@ -280,28 +286,23 @@ class NCPoly:
     def __add__(self, other: "NCPoly") -> "NCPoly":
         if not isinstance(other, NCPoly):
             return NotImplemented
-        out = NCPoly.__new__(NCPoly)
-        out.terms = lincomb(((QONE, self.terms), (QONE, other.terms)))
-        return out
+        return NCPoly.from_terms(
+            lincomb(((QONE, self.terms), (QONE, other.terms))))
 
     def __neg__(self) -> "NCPoly":
-        out = NCPoly.__new__(NCPoly)
-        out.terms = {w: -c for w, c in self.terms.items()}
-        return out
+        return NCPoly.from_terms({w: -c for w, c in self.terms.items()})
 
     def __sub__(self, other: "NCPoly") -> "NCPoly":
         if not isinstance(other, NCPoly):
             return NotImplemented
-        out = NCPoly.__new__(NCPoly)
-        out.terms = lincomb(((QONE, self.terms), (-QONE, other.terms)))
-        return out
+        return NCPoly.from_terms(
+            lincomb(((QONE, self.terms), (-QONE, other.terms))))
 
     def __mul__(self, other):
         if isinstance(other, NCPoly):
-            out = NCPoly.__new__(NCPoly)
-            out.terms = lincomb([(c, {u + w: x for w, x in other.terms.items()})
-                                 for u, c in self.terms.items()])
-            return out
+            return NCPoly.from_terms(
+                lincomb([(c, {u + w: x for w, x in other.terms.items()})
+                         for u, c in self.terms.items()]))
         if isinstance(other, (QRat, int)):
             return self._scaled(qfield.of(other) if isinstance(other, int) else other)
         return NotImplemented
@@ -315,9 +316,7 @@ class NCPoly:
     def _scaled(self, c: QRat) -> "NCPoly":
         if c.is_zero():
             return NCPoly()
-        out = NCPoly.__new__(NCPoly)
-        out.terms = {w: x * c for w, x in self.terms.items()}
-        return out
+        return NCPoly.from_terms({w: x * c for w, x in self.terms.items()})
 
     def __eq__(self, other):
         if not isinstance(other, NCPoly):
@@ -367,17 +366,14 @@ def dagger_letter(g: Generator) -> Generator:
 
 def sigma(p: NCPoly) -> NCPoly:
     """The involutive automorphism swapping the two W and two G families."""
-    out = NCPoly.__new__(NCPoly)
-    out.terms = {tuple(sigma_letter(g) for g in w): c for w, c in p.terms.items()}
-    return out
+    return NCPoly.from_terms({tuple(sigma_letter(g) for g in w): c
+                              for w, c in p.terms.items()})
 
 
 def dagger(p: NCPoly) -> NCPoly:
     """The involutive antiautomorphism: reverses words, swaps G and Gt."""
-    out = NCPoly.__new__(NCPoly)
-    out.terms = {tuple(dagger_letter(g) for g in reversed(w)): c
-                 for w, c in p.terms.items()}
-    return out
+    return NCPoly.from_terms({tuple(dagger_letter(g) for g in reversed(w)): c
+                              for w, c in p.terms.items()})
 
 
 # -- the defining relations -------------------------------------------------
@@ -391,7 +387,7 @@ def defining_relations(kmax: int, lmax=None):
     """
     if lmax is None:
         lmax = kmax
-    rho = qfield.rho_const()
+    rho = qfield.RHO
     qp1 = qfield.q_int(2)  # q + q^-1
     out = []
     for k in range(kmax + 1):

@@ -135,8 +135,7 @@ def test_clear_caches_empties_the_polynomial_memos():
 
 # Caches whose entries are fixed values of Q(q), the same in every run: they
 # may outlive clear_caches.
-_CONSTANT_CACHES = {"qfield.q_int", "qfield.rho_const", "qfield.g0_const",
-                    "rewrite._prefactors"}
+_CONSTANT_CACHES = {"qfield.q_int"}
 
 
 def _kernel_lru_caches():

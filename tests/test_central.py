@@ -17,7 +17,7 @@ def test_down_transform_examples():
     inv2sq = qf.q_int(2) ** -2
     got = C.down_transform(gseq, 3)
     assert got == NCPoly.gen(g_(3)) - NCPoly.gen(g_(1)) * inv2sq
-    assert C.down_transform(gseq, 0) == NCPoly.scalar(qf.g0_const())
+    assert C.down_transform(gseq, 0) == NCPoly.scalar(qf.G0)
     gt9 = C.down_transform(letter_seq(Family.Gtilde), 9)
     expected = (NCPoly.gen(gt_(9))
                 - NCPoly.gen(gt_(7)) * (7 * inv2sq)

@@ -26,7 +26,7 @@ def test_parse_simple_word():
 
 def test_parse_g0_scalar():
     p = cli.parse_to_poly("G[0]")
-    assert p == NCPoly.scalar(qf.g0_const())
+    assert p == NCPoly.scalar(qf.G0)
 
 
 def test_parse_mixed_expression():
@@ -339,6 +339,28 @@ def test_generating_functions_above_their_order_cap_are_usage_errors(
         "it lists one coefficient per power of the variable")
 
 
+def test_series_with_fixed_variables_refuse_another_var(capsys,
+                                                        monkeypatch):
+    # Z lists in t and A..S in s and t whatever --var says, so a --var
+    # other than t is refused before any series is built
+    def no_work(*args, **kwargs):
+        raise AssertionError("series ran before rejecting its variable")
+
+    monkeypatch.setattr(central, "z_series", no_work)
+    monkeypatch.setattr(series, "appendixA_series", no_work)
+    for name, var in (("Z", "r"), ("A", "z"), ("Q", "s")):
+        for fmt in ("text", "json"):
+            rc = cli.main(["--format", fmt, "series", name, "--var", var])
+            captured = capsys.readouterr()
+            assert (rc, captured.out, captured.err) == (
+                2, "", f"error: series {name} takes only --var t; the other "
+                       f"variables are for W-, W+, G and Gt\n")
+    monkeypatch.undo()
+    assert cli.main(["series", "W-", "--order", "1", "--var", "s"]) == 0
+    assert capsys.readouterr().out == "[1] W[0]\n[s^1] W[-1]\n"
+    assert cli.main(["series", "A", "--order", "0", "--var", "t"]) == 0
+
+
 def test_python_dash_m_runs_the_cli():
     env = {**os.environ, "PYTHONPATH": "src"}
     proc = subprocess.run(
@@ -557,7 +579,7 @@ def test_letter_terms_are_not_changed_by_their_uses():
     for text, expected in (("W[1] + W[1]", w1 * 2), ("-W[1] - W[1]", w1 * -2),
                            ("W[1]*W[1] + W[1]", w1 * w1 + w1),
                            ("W[1]/2 + G[0]*W[1]", w1 * (qf.of(Fraction(1, 2))
-                                                        + qf.g0_const()))):
+                                                        + qf.G0))):
         assert cli.parse_to_poly(text) == expected
         assert cli.parse_to_poly("W[1]") == w1
     assert cli._LETTER_TERMS["W", 1] == (((wp(1),), qf.QONE),)
@@ -604,7 +626,7 @@ def test_end_of_input_parse_error(capsys, text, column):
 
 
 _COEFFS = [qf.QONE, -qf.QONE, qf.q_pow(-2), qf.of(Fraction(-3, 4)),
-           qf.q_int(3), qf.q_int(-2) * qf.q_pow(5), qf.g0_const(),
+           qf.q_int(3), qf.q_int(-2) * qf.q_pow(5), qf.G0,
            (qf.q_pow(2) + qf.q_pow(-2)).inverse(),
            qf.of(Fraction(7, 2)) * (qf.Q - qf.q_pow(-1)).inverse()]
 _LETTERS = [g_(1), g_(2), wm(0), wm(1), wp(1), wp(2), gt_(1), gt_(2)]

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from qonsager import central, rewrite
 from qonsager import qfield as qf
 
 try:
@@ -89,17 +90,50 @@ def test_q_int_definition_symbolically(n):
 
 
 def test_rho_factorizations():
-    rho = qf.rho_const()
+    rho = qf.RHO
     assert rho == -((qf.Q - qf.q_pow(-1)) ** 2) * ((qf.Q + qf.q_pow(-1)) ** 2)
     assert rho == -(qf.q_pow(2) - qf.q_pow(-2)) * (qf.q_pow(2) - qf.q_pow(-2))
 
 
 def test_g0_value_and_identities():
-    g0 = qf.g0_const()
+    g0 = qf.G0
     assert g0 == -(qf.Q - qf.q_pow(-1)) * (qf.Q + qf.q_pow(-1)) ** 2
     ratio = g0 / (qf.q_pow(2) - qf.q_pow(-2)) ** 2
     assert ratio == -(qf.Q - qf.q_pow(-1)).inverse()
     assert g0 * g0 / (qf.q_pow(2) - qf.q_pow(-2)) ** 2 == qf.q_int(2) ** 2
+
+
+def _named_scalars():
+    """(name, value, closed form at q0) for each scalar built once."""
+    def qm(x):
+        return x - 1 / x
+
+    def q2m(x):
+        return x ** 2 - x ** -2
+
+    return [
+        ("qfield.QM", qf.QM, qm),
+        ("qfield.Q2M", qf.Q2M, q2m),
+        ("qfield.RHO", qf.RHO, lambda x: -q2m(x) ** 2),
+        ("qfield.G0", qf.G0, lambda x: -qm(x) * (x + 1 / x) ** 2),
+        ("rewrite.E_II", rewrite.E_II,
+         lambda x: 1 / (q2m(x) * (x + 1 / x) ** 2)),
+        ("rewrite.C_III", rewrite.C_III, lambda x: q2m(x) ** 3),
+        ("rewrite.C_IV", rewrite.C_IV, lambda x: x * qm(x)),
+        ("rewrite.C_V", rewrite.C_V, lambda x: qm(x) / x),
+        ("central.INV_Q2M_SQ", central.INV_Q2M_SQ, lambda x: 1 / q2m(x) ** 2),
+    ]
+
+
+def test_named_scalars_match_their_closed_forms_and_outlive_clear_caches():
+    named = _named_scalars()
+    for q0 in sample_points(seed=3, n=6) + [Fraction(2), Fraction(-1, 3)]:
+        for name, value, closed in named:
+            assert value.evaluate(q0) == closed(q0), (name, q0)
+    rewrite.clear_caches()
+    for (name, value, _), (_, again, _) in zip(named, _named_scalars()):
+        # the same object, and still the one live value for its fields
+        assert value is again and qf._VALUES[_fields(value)] is value, name
 
 
 def test_operators_match_pointwise_arithmetic():
@@ -150,7 +184,7 @@ def _leaf(rng, points):
                 [1 / (x ** k + x ** -k) for x in points])
     if choice == 5:
         return qf.q_int(3), [x ** 2 + 1 + x ** -2 for x in points]
-    return qf.rho_const(), [-((x ** 2 - x ** -2) ** 2) for x in points]
+    return qf.RHO, [-((x ** 2 - x ** -2) ** 2) for x in points]
 
 
 def _random_tree(rng, depth, points, nodes):

@@ -15,7 +15,7 @@ def test_gf_coefficients():
     assert ts.coeff(t=1) == NCPoly.gen(wm(1))
     assert ts.coeff(t=2) == NCPoly.gen(wm(2))
     g = S.gf(Family.G, "t", 1)
-    assert g.coeff(t=0) == NCPoly.scalar(qf.g0_const())
+    assert g.coeff(t=0) == NCPoly.scalar(qf.G0)
     assert g.coeff(t=1) == NCPoly.gen(g_(1))
     wplus = S.gf(Family.Wplus, "t", 4)
     assert wplus.coeff(t=0) == NCPoly.gen(wp(1))
@@ -141,7 +141,7 @@ def test_appendix_a_basic_shapes():
 def test_appendix_a_combination_identities_free_algebra():
     order = 4
     q2 = qf.q_int(2)
-    rho = qf.rho_const()
+    rho = qf.RHO
 
     def sA(name):
         return S.appendixA_series(name, order=order)

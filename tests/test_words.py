@@ -187,8 +187,8 @@ def test_symbol_from_subscript():
     assert W.symbol_from_subscript("W", 3) == wp(3)
     assert W.symbol_from_subscript("W", 0) == wm(0)
     g0 = W.symbol_from_subscript("G", 0)
-    assert g0 == qf.g0_const()
-    assert W.symbol_from_subscript("Gt", 0) == qf.g0_const()
+    assert g0 == qf.G0
+    assert W.symbol_from_subscript("Gt", 0) == qf.G0
     with pytest.raises(IndexError):
         W.symbol_from_subscript("G", -1)
 
@@ -228,9 +228,7 @@ def _fold(pairs):
 
 
 def _poly(pairs):
-    p = NCPoly.__new__(NCPoly)
-    p.terms = _fold(pairs)
-    return p
+    return NCPoly.from_terms(_fold(pairs))
 
 
 @st.composite
