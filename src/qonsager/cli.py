@@ -38,9 +38,24 @@ class ParseError(ValueError):
 
 # a token (group 1), or else the first character that starts none (no group,
 # so `findall` yields "" for it); the matches tile the text up to its
-# trailing whitespace
+# trailing whitespace.  An atom comes first and is one token: a letter
+# `W[n]`, `W[-n]`, `G[n]` or `Gt[n]`, a power `q^k` or `q^-k`, or a quantum
+# integer `[n]q`, each written without blanks and with at most four digits
+# (so never beyond MAX_EXPONENT).  Any other shape (`W [1]`, `W[+1]`,
+# five digits, `G[-1]`, `q^12345`, `[-2]q`) is read one symbol a token.
 _TOKEN_RE = re.compile(
-    r"\s*(?:(\d+|Gt|G|W|q|\^|\[|\]|\(|\)|\+|-|\*|/)|\S)")
+    r"\s*(?:(W\[-?\d{1,4}\]|Gt?\[\d{1,4}\]|q\^-?\d{1,4}(?!\d)|\[\d{1,4}\]q"
+    r"|\d+|Gt|G|W|q|\^|\[|\]|\(|\)|\+|-|\*|/)|\S)")
+
+# the first symbol of a token: an error quotes an atom by it
+_SYMBOL_RE = re.compile(r"\d+|Gt|.")
+
+
+def _shown(tok: str) -> str:
+    """A token as an error message quotes it: an atom by its first symbol
+    (`W`, `G`, `Gt`, `q` or `[`), so that an error reads the same however
+    the text was split into tokens."""
+    return repr(_SYMBOL_RE.match(tok).group())
 
 
 def _tokenize(text: str) -> List[Optional[str]]:
@@ -96,11 +111,12 @@ def _combine(terms: list) -> dict:
     return qfield.lincomb([(QONE, {w: c}) for w, c in terms])
 
 
-# (family token, subscript) -> the letter's terms, for the subscripts of at
-# most four digits that `_Parser.factor` reads by lookahead; a tuple, so no
-# caller can change the shared terms.  At most 39,999 keys, each a fixed
-# value, so `rewrite.clear_caches` leaves it.
-_LETTER_TERMS: dict = {}
+# atom text -> the atom's terms, a tuple, so that no caller can change the
+# shared terms.  An atom enters only while the table holds fewer than
+# _ATOMS_SIZE entries; past that one is built for each use.  Its values are
+# fixed, so `rewrite.clear_caches` leaves it.
+_ATOMS: dict = {}
+_ATOMS_SIZE = 65536
 
 
 def _letter_terms(family: str, n: int) -> tuple:
@@ -109,25 +125,42 @@ def _letter_terms(family: str, n: int) -> tuple:
     return (((s,), QONE),) if isinstance(s, Generator) else tuple(_scalar(s))
 
 
+def _atom_terms(atom: str) -> tuple:
+    """The terms of an atom that `_ATOMS` does not hold, kept there while
+    it has room."""
+    if atom[0] == "q":
+        terms = tuple(_scalar(qfield.q_pow(int(atom[2:]))))
+    elif atom[0] == "[":
+        terms = tuple(_scalar(qfield.q_int(int(atom[1:-2]))))
+    else:
+        bracket = atom.index("[")
+        terms = _letter_terms(atom[:bracket], int(atom[bracket + 1:-1]))
+    if len(_ATOMS) < _ATOMS_SIZE:
+        _ATOMS[atom] = terms
+    return terms
+
+
 class _Parser:
     """Recursive descent that evaluates as it parses (syntax-directed
     translation): sums and products fold left to right in loops, and only
     parentheses recurse.
 
-    A value is a list (or, for a letter, a shared tuple) of (word, nonzero
+    A value is a list (or, for an atom, a shared tuple) of (word, nonzero
     coefficient) terms.  A product's value has one term per word: two
     one-term factors multiply to one term, with no product formed when
     either coefficient is 1, and any other product is combined by one
-    `qfield.lincomb`.  A sum concatenates its summands' terms, and is
-    combined once, when its `)` closes or, for the whole expression, at the
-    end; so an operator costs no combine of its own.  The tokens are indexed
-    in place, and a token's column is found only for a ParseError.
+    `qfield.lincomb`.  A one-term value followed by a run of `*letter`
+    atoms takes the whole run in one word concatenation; the run stops at
+    any other token, so `/`, parentheses and scalars keep the fold.  A sum
+    concatenates its summands' terms, and is combined once, when its `)`
+    closes or, for the whole expression, at the end; so an operator costs
+    no combine of its own.  The tokens are indexed in place, and a token's
+    column is found only for a ParseError.
 
-    A letter written the usual way, `W[n]`, `W[-n]`, `G[n]` or `Gt[n]` with
-    at most four digits, is read by one lookahead over its tokens, and its
-    terms are read from `_LETTER_TERMS`; any other shape (`W[+1]`, five
-    digits, `G[-1]`, a missing `]`) takes the general path, which parses
-    the subscript and reports its errors.
+    An atom (see `_TOKEN_RE`) is one token, and its terms are read from
+    `_ATOMS`; any other shape (`W[+1]`, five digits, `G[-1]`, a missing
+    `]`) takes the general path, which parses the subscript or exponent and
+    reports its errors.
     """
 
     def __init__(self, text: str):
@@ -145,14 +178,14 @@ class _Parser:
         if tok != expected:
             if tok is None:
                 raise self.error("unexpected end of input")
-            raise self.error(f"expected {expected!r}, got {tok!r}")
+            raise self.error(f"expected {expected!r}, got {_shown(tok)}")
         self.i += 1
 
     def parse(self) -> NCPoly:
         terms = self.expr()
         tok = self.tokens[self.i]
         if tok is not None:
-            raise self.error(f"trailing input {tok!r}")
+            raise self.error(f"trailing input {_shown(tok)}")
         return NCPoly.from_terms(_combine(terms))   # the coefficients are QRats
 
     def expr(self) -> list:
@@ -177,6 +210,24 @@ class _Parser:
             op = tokens[self.i]
             if op == "*":
                 self.i += 1
+                if len(value) == 1:
+                    # a run of letters: atoms in `_ATOMS` whose one term
+                    # has a word, and so coefficient 1 (a letter not yet
+                    # there is read by `factor`, which enters it); only the
+                    # last token is None, so a letter and a `*` have
+                    # successors
+                    i = self.i
+                    run = []
+                    letter = _ATOMS.get(tokens[i])
+                    while letter and letter[0][0]:
+                        run += letter[0][0]
+                        i += 2
+                        letter = tokens[i - 1] == "*" and _ATOMS.get(tokens[i])
+                    if run:
+                        self.i = i - 1
+                        (u, c), = value
+                        value = [(u + tuple(run), c)]
+                        continue
                 value = _product(value, self.factor())
             elif op == "/":
                 slash = self.i
@@ -203,7 +254,7 @@ class _Parser:
         if tok is None:
             raise self.error("unexpected end of input")
         if not tok.isdigit():
-            raise self.error(f"expected an integer, got {tok!r}")
+            raise self.error(f"expected an integer, got {_shown(tok)}")
         return sign * self._int()
 
     def _int(self) -> int:
@@ -227,6 +278,13 @@ class _Parser:
     def factor(self) -> list:
         """A factor's terms, one per word."""
         tok = self.tokens[self.i]
+        terms = _ATOMS.get(tok)
+        if terms is None and tok is not None and len(tok) > 2 and tok[0] in "WGq[":
+            # an atom the table lacks: no other token that long starts so
+            terms = _atom_terms(tok)
+        if terms is not None:
+            self.i += 1
+            return terms
         if tok == "(":
             if self.depth == MAX_PAREN_DEPTH:
                 raise self.error(f"parentheses nested deeper than "
@@ -238,21 +296,6 @@ class _Parser:
             self.expect(")")
             return list(_combine(terms).items())
         if tok == "W" or tok == "G" or tok == "Gt":
-            # the lookahead: |n| <= 9,999 is never an error, and only the
-            # last token is None, so a token that is not has a successor
-            tokens = self.tokens
-            i = self.i
-            if tokens[i + 1] == "[":
-                minus = tok == "W" and tokens[i + 2] == "-"
-                digits = tokens[i + 2 + minus]
-                if (digits is not None and len(digits) <= 4 and digits.isdigit()
-                        and tokens[i + 3 + minus] == "]"):
-                    self.i = i + 4 + minus
-                    n = -int(digits) if minus else int(digits)
-                    terms = _LETTER_TERMS.get((tok, n))
-                    if terms is None:
-                        terms = _LETTER_TERMS[tok, n] = _letter_terms(tok, n)
-                    return terms
             self.i += 1
             self.expect("[")
             at = self.i
@@ -280,7 +323,7 @@ class _Parser:
             raise self.error("unexpected end of input")
         if tok.isdigit():
             return _scalar(qfield.of(self._int()))
-        raise self.error(f"unexpected token {tok!r}")
+        raise self.error(f"unexpected token {_shown(tok)}")
 
 
 def parse_to_poly(text: str) -> NCPoly:

@@ -162,13 +162,14 @@ def _rule(a: Generator, b: Generator) -> tuple:
     cached = _RULE_CACHE.get(key)
     if cached is None:
         poly = NCPoly([(w, c) for c, w in _rule_terms(a, b)])
-        pair_measure = (2, word_weight((a, b)))
-        for w in poly.words():
-            if (len(w), word_weight(w)) >= pair_measure:
-                raise RewriteInternalError(
-                    f"descendant {w} does not decrease the measure of ({a}, {b})")
         steps = tuple((u, c, _step_delta(a, b, u))
                       for u, c in poly.terms.items())
+        # a shorter u is below a*b by length, and a two-letter one is below
+        # it iff its weight is, which is the step's closed form at m = 2
+        for u, _, d in steps:
+            if len(u) > 2 or (d is not None and not _decreases(2, d)):
+                raise RewriteInternalError(
+                    f"descendant {u} does not decrease the measure of ({a}, {b})")
         cached = _RULE_CACHE[key] = (poly, steps)
     return cached
 

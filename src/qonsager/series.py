@@ -299,6 +299,7 @@ def family_element(family: Family, n: int) -> NCPoly:
 
 def gf(family: Family, var: str, order: int) -> TruncSeries:
     """Truncated generating function of one generator family."""
+    _rank(var)   # an unknown variable is refused before any coefficient
     if order < 0:
         raise ValueError("order must be >= 0")
     coeffs = {(n,): family_element(family, n) for n in range(order + 1)}

@@ -361,6 +361,22 @@ def test_series_with_fixed_variables_refuse_another_var(capsys,
     assert cli.main(["series", "A", "--order", "0", "--var", "t"]) == 0
 
 
+def test_generating_functions_refuse_an_unknown_var_before_any_work(
+        capsys, monkeypatch):
+    # an unknown variable is refused before the first coefficient is built,
+    # even at the largest order accepted
+    def no_work(*args, **kwargs):
+        raise AssertionError("a coefficient was built before the variable "
+                             "was checked")
+
+    monkeypatch.setattr(series, "family_element", no_work)
+    for name in cli.GF_FAMILIES:
+        rc = cli.main(["series", name, "--order", "400000", "--var", "z"])
+        captured = capsys.readouterr()
+        assert (rc, captured.out, captured.err) == (
+            2, "", "error: unknown indeterminate 'z'\n")
+
+
 def test_python_dash_m_runs_the_cli():
     env = {**os.environ, "PYTHONPATH": "src"}
     proc = subprocess.run(
@@ -453,12 +469,17 @@ def test_bad_division_is_parse_error_at_the_slash(capsys, text, message):
 
 
 def test_tokens_carry_their_columns():
-    # the tokens end with None, at the column of the text's end
+    # the tokens end with None, at the column of the text's end; an atom is
+    # one token at the column of its first symbol
     text = " W[12] *\tGt[3]q^-3 \n"
     assert list(zip(cli._tokenize(text), cli._columns(text))) == [
-        ("W", 1), ("[", 2), ("12", 3), ("]", 5), ("*", 7), ("Gt", 9),
-        ("[", 11), ("3", 12), ("]", 13), ("q", 14), ("^", 15), ("-", 16),
-        ("3", 17), (None, len(text))]
+        ("W[12]", 1), ("*", 7), ("Gt[3]", 9), ("q^-3", 14), (None, len(text))]
+    # blanks, a sign and five digits leave the one-symbol tokens
+    text = "W [+1]*q^12345/[-2]q"
+    assert list(zip(cli._tokenize(text), cli._columns(text))) == [
+        ("W", 0), ("[", 2), ("+", 3), ("1", 4), ("]", 5), ("*", 6), ("q", 7),
+        ("^", 8), ("12345", 9), ("/", 14), ("[", 15), ("-", 16), ("2", 17),
+        ("]", 18), ("q", 19), (None, len(text))]
     assert cli._tokenize("") == cli._tokenize(" \t") == [None]
 
 
@@ -538,11 +559,11 @@ def test_subscript_limit(capsys):
                 f"(at column {column})") in captured.err
 
 
-# Outcomes recorded from the parser before it read letters by lookahead;
-# the lookahead takes a family token, `[`, an optional `-` (W only), at most
-# four digits and `]` (blanks are no tokens), and every other shape takes
-# the general path.
-@pytest.mark.parametrize("text,outcome,looked_ahead", [
+# Outcomes recorded from the parser before it read letters by lookahead,
+# kept since; an atom is a letter written without blanks, with an optional
+# `-` (W only) and at most four digits, and every other shape takes the
+# general path.
+@pytest.mark.parametrize("text,outcome,read_as_one_atom", [
     ("W[9999]", "W[9999]", True),
     ("W[-9999]", "W[-9999]", True),
     ("W[10000]", "W[10000]", False),
@@ -553,7 +574,7 @@ def test_subscript_limit(capsys):
     ("G[0]", "(-q^6 - q^4 + q^2 + 1)*q^-3", True),
     ("Gt[-1]", "ParseError: Gt[-1]: negative subscript (at column 4)", False),
     ("G[-0]", "(-q^6 - q^4 + q^2 + 1)*q^-3", False),
-    ("W [ 1 ]", "W[1]", True),
+    ("W [ 1 ]", "W[1]", False),
     ("W[+1]", "W[1]", False),
     ("W[01]", "W[1]", True),
     ("W[-0]", "W[0]", True),
@@ -564,14 +585,14 @@ def test_subscript_limit(capsys):
     ("W[1]/W[1]", "ParseError: division by a non-scalar expression "
                   "(at column 5)", True),
 ])
-def test_letter_lookahead_edges(text, outcome, looked_ahead):
-    cli._LETTER_TERMS.clear()
+def test_letter_lookahead_edges(text, outcome, read_as_one_atom):
+    cli._ATOMS.clear()
     try:
         got = render_poly(cli.parse_to_poly(text))
     except cli.ParseError as exc:
         got = f"ParseError: {exc}"
     assert got == outcome
-    assert bool(cli._LETTER_TERMS) == looked_ahead
+    assert bool(cli._ATOMS) == read_as_one_atom
 
 
 def test_letter_terms_are_not_changed_by_their_uses():
@@ -582,7 +603,145 @@ def test_letter_terms_are_not_changed_by_their_uses():
                                                         + qf.G0))):
         assert cli.parse_to_poly(text) == expected
         assert cli.parse_to_poly("W[1]") == w1
-    assert cli._LETTER_TERMS["W", 1] == (((wp(1),), qf.QONE),)
+    assert cli._ATOMS["W[1]"] == (((wp(1),), qf.QONE),)
+
+
+# The four messages that quote a token quote an atom by its first symbol,
+# as they did when every symbol was a token; outcomes recorded from the
+# parser before atoms.  Each text holds the atom quoted.
+@pytest.mark.parametrize("text,atom,message", [
+    ("(W[1] W[2])", "W[2]", "expected ')', got 'W' (at column 7)"),
+    ("[2]W[1]", "W[1]", "expected 'q', got 'W' (at column 4)"),
+    ("Gt q^2", "q^2", "expected '[', got 'q' (at column 4)"),
+    ("([3]q [2]q)", "[2]q", "expected ')', got '[' (at column 7)"),
+    ("W[1] W[2]", "W[2]", "trailing input 'W' (at column 6)"),
+    ("G[1] Gt[2]", "Gt[2]", "trailing input 'Gt' (at column 6)"),
+    ("2 q^-3", "q^-3", "trailing input 'q' (at column 3)"),
+    ("q^2 [3]q", "[3]q", "trailing input '[' (at column 5)"),
+    ("q^W[1]", "W[1]", "expected an integer, got 'W' (at column 3)"),
+    ("W[q^2]", "q^2", "expected an integer, got 'q' (at column 3)"),
+    ("[[2]q]q", "[2]q", "expected an integer, got '[' (at column 2)"),
+    ("G[Gt[1]]", "Gt[1]", "expected an integer, got 'Gt' (at column 3)"),
+])
+def test_an_error_quotes_an_atom_by_its_first_symbol(text, atom, message):
+    assert atom in cli._tokenize(text)
+    with pytest.raises(cli.ParseError) as exc:
+        cli.parse_to_poly(text)
+    assert str(exc.value) == message
+
+
+def test_unexpected_token_quotes_through_the_same_helper():
+    # `factor` reads every atom, so no atom reaches "unexpected token"; the
+    # message quotes through the helper all the same
+    assert [cli._shown(t) for t in ("W[-3]", "G[1]", "Gt[2]", "q^-1", "[2]q",
+                                    "12", "Gt", "*")] == [
+        "'W'", "'G'", "'Gt'", "'q'", "'['", "'12'", "'Gt'", "'*'"]
+    for text, message in (("W[1]*]", "unexpected token ']' (at column 6)"),
+                          ("W[1]**W[2]", "unexpected token '*' (at column 6)"),
+                          ("(/q)", "unexpected token '/' (at column 2)")):
+        with pytest.raises(cli.ParseError) as exc:
+            cli.parse_to_poly(text)
+        assert str(exc.value) == message
+
+
+# Shapes that are no atom take the general path, one symbol a token, and
+# enter nothing in the atom table; outcomes recorded from the parser before
+# atoms.
+@pytest.mark.parametrize("text,outcome", [
+    ("W [ 1 ]", "W[1]"),
+    ("W[10000]", "W[10000]"),
+    ("q^12345", "ParseError: exponent or quantum integer beyond 10000 in "
+                "absolute value (at column 3)"),
+    ("[-2]q", "(-q^2 - 1)*q^-1"),
+    ("q ^ 2", "(q^2)"),
+    ("[ 2 ]q", "(q^2 + 1)*q^-1"),
+    ("q^+2", "(q^2)"),
+    ("[12345]q", "ParseError: exponent or quantum integer beyond 10000 in "
+                 "absolute value (at column 2)"),
+])
+def test_shapes_that_are_no_atom_take_the_general_path(text, outcome):
+    cli._ATOMS.clear()
+    assert all(len(t) <= 2 or t.isdigit() for t in cli._tokenize(text)[:-1])
+    try:
+        got = render_poly(cli.parse_to_poly(text))
+    except cli.ParseError as exc:
+        got = f"ParseError: {exc}"
+    assert got == outcome
+    assert cli._ATOMS == {}
+
+
+# (text, outcome, products folded): a one-term value takes a run of `*letter`
+# atoms at once, and any other factor (a scalar, a parenthesis, a letter
+# split by blanks) or a `/` ends the run and takes the left-to-right fold.
+# Outcomes recorded from the parser before atoms.
+@pytest.mark.parametrize("text,outcome,products", [
+    ("W[1]*W[2]*W[3]*W[4]", "W[1]*W[2]*W[3]*W[4]", 0),
+    ("q*W[1]*W[2]/2*W[3]", "(q)/(2)*W[1]*W[2]*W[3]", 0),
+    ("W[1]*W[2]*(q)*W[3]", "(q)*W[1]*W[2]*W[3]", 1),
+    ("W[1]*W [2]*W[3]", "W[1]*W[2]*W[3]", 1),
+    ("3*W[1]*W[2]*q^2*W[-1]", "(3*q^2)*W[1]*W[2]*W[-1]", 1),
+    ("W[1]*G[0]*W[2]", "(-q^6 - q^4 + q^2 + 1)*q^-3*W[1]*W[2]", 1),
+    ("W[1]*W[2]*[2]q*W[3]", "(q^2 + 1)*q^-1*W[1]*W[2]*W[3]", 1),
+    ("(W[1]+W[2])*W[0]*G[1]", "W[1]*W[0]*G[1] + W[2]*W[0]*G[1]", 2),
+    ("W[1]*W[2]W[3]", "ParseError: trailing input 'W' (at column 10)", 0),
+    ("W[1]*W[2]*", "ParseError: unexpected end of input (at column 11)", 0),
+])
+def test_a_run_of_letters_ends_at_any_other_token(monkeypatch, text, outcome,
+                                                  products):
+    def parsed():
+        try:
+            return render_poly(cli.parse_to_poly(text))
+        except cli.ParseError as exc:
+            return f"ParseError: {exc}"
+
+    assert parsed() == outcome   # and every letter is now in the table
+    folded = []
+    product = cli._product
+    monkeypatch.setattr(cli, "_product",
+                        lambda a, b: folded.append(b) or product(a, b))
+    assert parsed() == outcome
+    assert len(folded) == products
+
+
+_BENCH_LETTERS = ([f"W[{n}]" for n in range(-3, 5)]
+                  + [f"{fam}[{n}]" for fam in ("G", "Gt") for n in range(1, 5)])
+_BENCH_SCALARS = st.one_of(
+    st.integers(1, 9).map(str), st.integers(-3, 3).map(lambda k: f"q^{k}"),
+    st.integers(2, 4).map(lambda n: f"[{n}]q"),
+    st.just("(q - q^-1)"), st.just("1/(q^2 + q^-2)"))
+# a letter as an atom, or split by a blank onto the general path
+_LETTER_TEXTS = st.tuples(st.sampled_from(_BENCH_LETTERS), st.booleans()).map(
+    lambda pair: pair[0].replace("[", " [") if pair[1] else pair[0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(terms=st.lists(st.tuples(_BENCH_SCALARS,
+                                st.lists(_LETTER_TEXTS, min_size=2,
+                                         max_size=4)),
+                      min_size=1, max_size=3))
+def test_benchmark_shaped_expressions_parse_as_the_fold_of_their_factors(terms):
+    text = " + ".join("*".join([scalar, *letters]) for scalar, letters in terms)
+    value = NCPoly()
+    for scalar, letters in terms:
+        product = cli.parse_to_poly(scalar)
+        for letter in letters:
+            product = product * cli.parse_to_poly(letter)
+        value = value + product
+    assert cli.parse_to_poly(text) == value
+
+
+def test_the_atom_table_stops_at_its_cap(monkeypatch):
+    monkeypatch.setattr(cli, "_ATOMS", {})
+    monkeypatch.setattr(cli, "_ATOMS_SIZE", 3)
+    text = "q^2*W[1]*G[2] + [3]q*Gt[1]*W[1]*W[-2]"
+    expected = (NCPoly.word((wp(1), g_(2)), qf.q_pow(2))
+                + NCPoly.word((gt_(1), wp(1), wm(2)), qf.q_int(3)))
+    assert cli.parse_to_poly(text) == expected
+    assert list(cli._ATOMS) == ["q^2", "W[1]", "G[2]"]
+    # past the cap an atom is still read right, and a table atom reads back
+    assert cli.parse_to_poly(text) == expected
+    assert cli.parse_to_poly("W[-2]*W[1]") == NCPoly.word((wm(2), wp(1)))
+    assert list(cli._ATOMS) == ["q^2", "W[1]", "G[2]"]
 
 
 @pytest.mark.parametrize("error,code,prefix", [

@@ -216,6 +216,38 @@ def test_a_descendant_that_grows_only_inside_a_word_is_caught(monkeypatch):
         R.clear_caches()
 
 
+def _mutant_rule_body(monkeypatch, pair, word):
+    """Make the body of the rule for pair gain the word, from empty
+    caches."""
+    rule_terms = R._rule_terms
+
+    def mutant(a, b):
+        terms = rule_terms(a, b)
+        return terms + [(qf.QONE, word)] if (a, b) == pair else terms
+
+    monkeypatch.setattr(R, "_rule_terms", mutant)
+    R.clear_caches()
+
+
+@pytest.mark.parametrize("pair,word", [
+    # the pair itself weighs as much as the pair: 2*D0 + D1 = 0
+    ((wp(1), wm(0)), (wp(1), wm(0))),
+    # its first two letters decrease the measure, but it is longer
+    ((gt_(3), gt_(1)), (gt_(1), gt_(3), gt_(1))),
+], ids=["own-pair", "three-letters"])
+def test_a_rule_body_that_does_not_decrease_the_measure_is_refused(
+        monkeypatch, pair, word):
+    _mutant_rule_body(monkeypatch, pair, word)
+    try:
+        if len(word) > 2:   # only the length can refuse this word
+            assert R._decreases(2, R._step_delta(*pair, word[:2]))
+        with pytest.raises(R.RewriteInternalError,
+                           match="does not decrease the measure"):
+            R.apply_rule(*pair)
+    finally:
+        R.clear_caches()
+
+
 def test_check_overlap_examples():
     rep = R.check_overlap((wp(1), wm(0), g_(1)))
     assert rep.agrees
