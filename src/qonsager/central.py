@@ -104,19 +104,14 @@ def subst_ST(family: Family, which: str, weight: str, order: int) -> TruncSeries
     return TruncSeries(("t",), (order,), (0,), coeffs)
 
 
-def _st_w(m: int):
-    """The W series that Z(t) is built from, to order m: S*W-(S),
-    S*W+(S), T*W-(T), T*W+(T)."""
-    return [subst_ST(fam, which, "times_ST_arg", m)
-            for which in ("S", "T") for fam in (Family.Wminus, Family.Wplus)]
-
-
 def _st_bundle(m: int):
-    """The series that the PBW form of Z(t) and its matrix factorization
-    are built from, to order m: the four of `_st_w`, then G(S), Gt(S),
-    G(T), Gt(T)."""
-    return _st_w(m) + [subst_ST(fam, which, "plain", m) for which in ("S", "T")
-                       for fam in (Family.G, Family.Gtilde)]
+    """The series that Z(t), its PBW form and its matrix factorization are
+    built from, to order m: S*W-(S), S*W+(S), T*W-(T), T*W+(T), then G(S),
+    Gt(S), G(T), Gt(T)."""
+    return ([subst_ST(fam, which, "times_ST_arg", m) for which in ("S", "T")
+             for fam in (Family.Wminus, Family.Wplus)]
+            + [subst_ST(fam, which, "plain", m) for which in ("S", "T")
+               for fam in (Family.G, Family.Gtilde)])
 
 
 # -- Z(t) and the elements Z_n ------------------------------------------------
@@ -125,9 +120,7 @@ def _st_bundle(m: int):
 def z_series(order: int, reduce: bool = True) -> TruncSeries:
     """The central generating function, coefficients in PBW normal form."""
     m = order + 3
-    swm, swp, twm, twp = _st_w(m)
-    gs = subst_ST(Family.G, "S", "plain", m)
-    gtt = subst_ST(Family.Gtilde, "T", "plain", m)
+    swm, swp, twm, twp, gs, _, _, gtt = _st_bundle(m)
     q = qfield.q_pow
     z = ((swm * twp).shift("t", -1)
          + (swp * twm).shift("t", 1)

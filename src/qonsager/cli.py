@@ -113,8 +113,10 @@ def _combine(terms: list) -> dict:
 
 # atom text -> the atom's terms, a tuple, so that no caller can change the
 # shared terms.  An atom enters only while the table holds fewer than
-# _ATOMS_SIZE entries; past that one is built for each use.  Its values are
-# fixed, so `rewrite.clear_caches` leaves it.
+# _ATOMS_SIZE entries, and only if its coefficient is as small as an entry
+# of qfield's memos (len(U) + len(V) <= qfield._MEMO_CAP), so a `[n]q` of
+# large n is built for each use.  Its values are fixed, so
+# `rewrite.clear_caches` leaves it.
 _ATOMS: dict = {}
 _ATOMS_SIZE = 65536
 
@@ -127,7 +129,7 @@ def _letter_terms(family: str, n: int) -> tuple:
 
 def _atom_terms(atom: str) -> tuple:
     """The terms of an atom that `_ATOMS` does not hold, kept there while
-    it has room."""
+    it has room and its coefficient is small."""
     if atom[0] == "q":
         terms = tuple(_scalar(qfield.q_pow(int(atom[2:]))))
     elif atom[0] == "[":
@@ -135,7 +137,8 @@ def _atom_terms(atom: str) -> tuple:
     else:
         bracket = atom.index("[")
         terms = _letter_terms(atom[:bracket], int(atom[bracket + 1:-1]))
-    if len(_ATOMS) < _ATOMS_SIZE:
+    if len(_ATOMS) < _ATOMS_SIZE and all(
+            len(c.u) + len(c.v) <= qfield._MEMO_CAP for _, c in terms):
         _ATOMS[atom] = terms
     return terms
 

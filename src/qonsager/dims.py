@@ -14,20 +14,20 @@ from .words import Family, Generator, Word
 IntSeries = List[int]
 
 
-def _divide_by_one_minus_power(coeffs: IntSeries, k: int) -> IntSeries:
-    # multiply by 1/(1 - x^k) in place via the prefix recurrence
-    out = list(coeffs)
-    for i in range(k, len(out)):
-        out[i] += out[i - k]
+def _product_expansion(order: int, exponent) -> IntSeries:
+    """Coefficients up to x^order of prod_k (1 - x^k)^-exponent(k), each
+    factor 1/(1 - x^k) applied in place by the prefix recurrence."""
+    out = [1] + [0] * order
+    for k in range(1, order + 1):
+        for _ in range(exponent(k)):
+            for i in range(k, order + 1):
+                out[i] += out[i - k]
     return out
 
 
 def partition_series(order: int) -> IntSeries:
     """Coefficients of the partition generating function up to x^order."""
-    out = [1] + [0] * order
-    for k in range(1, order + 1):
-        out = _divide_by_one_minus_power(out, k)
-    return out
+    return _product_expansion(order, lambda k: 1)
 
 
 def partitions_count(n: int) -> int:
@@ -38,23 +38,12 @@ def partitions_count(n: int) -> int:
 
 def hilbert_Aq(order: int) -> IntSeries:
     """Dimension series of the degree filtration layers: prod 1/(1-x^n)^2."""
-    out = [1] + [0] * order
-    for k in range(1, order + 1):
-        out = _divide_by_one_minus_power(out, k)
-        out = _divide_by_one_minus_power(out, k)
-    return out
+    return _product_expansion(order, lambda k: 2)
 
 
 def hilbert_Oq(order: int) -> IntSeries:
     """The reference series prod 1/(1-x^(2i-1))^2 * 1/(1-x^(2i))."""
-    out = [1] + [0] * order
-    for k in range(1, order + 1):
-        if k % 2:
-            out = _divide_by_one_minus_power(out, k)
-            out = _divide_by_one_minus_power(out, k)
-        else:
-            out = _divide_by_one_minus_power(out, k)
-    return out
+    return _product_expansion(order, lambda k: 2 if k % 2 else 1)
 
 
 def letters_up_to_degree(d: int) -> List[Generator]:

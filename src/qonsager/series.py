@@ -24,7 +24,9 @@ lookup that lives for the one call (`_appendix_a`).  The weighted sums
 of rules vi and vii, and their left sides, are not written out either:
 they are the images of those of rules iv and v under the
 antiautomorphism dagger, which reverses words and swaps G with Gt, and
-are generated from them.
+are generated from them.  What a weighted sum's coefficient must equal is
+read off its rule's left side and rewritten by `rewrite.apply_rule`, so
+no rule is restated here.
 """
 
 from __future__ import annotations
@@ -35,8 +37,7 @@ from typing import Dict, List, Tuple
 
 from . import qfield, rewrite
 from .qfield import QONE, QRat
-from .words import (Family, NCPoly, dagger, g_, gt_, sigma,
-                    symbol_from_subscript, wm, wp)
+from .words import Family, Generator, NCPoly, dagger, sigma, wm, wp
 
 INF = 10 ** 9
 _VAR_RANK = {"r": 0, "s": 1, "t": 2, "x": 3}
@@ -253,12 +254,6 @@ def _scaled_terms(ts: TruncSeries, c: QRat) -> Dict[Tuple[int, ...], dict]:
     return {e: qfield.lincomb(((c, p.terms),)) for e, p in ts.coeffs.items()}
 
 
-def _summed(groups) -> Dict[Tuple[int, ...], NCPoly]:
-    """The sum of each exponent's list of NCPolys; a single one is kept."""
-    return {e: ps[0] if len(ps) == 1 else NCPoly.sum(ps)
-            for e, ps in groups.items()}
-
-
 def bracket(a: TruncSeries, b: TruncSeries) -> TruncSeries:
     """a*b - b*a, each coefficient formed in one pass by `_products`."""
     return _products(((QONE, a, b), (-QONE, b, a)))
@@ -285,16 +280,14 @@ def zero(vars=()) -> TruncSeries:
 
 
 def family_element(family: Family, n: int) -> NCPoly:
-    """Coefficient n of the generating function of the given family."""
-    if family == Family.Wminus:
-        return NCPoly.gen(wm(n))
-    if family == Family.Wplus:
-        return NCPoly.gen(wp(n + 1))
-    if family == Family.G:
-        return NCPoly.scalar(qfield.G0) if n == 0 else NCPoly.gen(g_(n))
-    if family == Family.Gtilde:
-        return NCPoly.scalar(qfield.G0) if n == 0 else NCPoly.gen(gt_(n))
-    raise ValueError(f"unknown family {family!r}")
+    """Coefficient n of the generating function of the given family: the
+    letter of index n, except that G_n and Gt_n have index n - 1 and
+    G_0 = Gt_0 is the scalar G0."""
+    if family in (Family.G, Family.Gtilde):
+        if n == 0:
+            return NCPoly.scalar(qfield.G0)
+        n -= 1
+    return NCPoly.gen(Generator(family, n))
 
 
 def gf(family: Family, var: str, order: int) -> TruncSeries:
@@ -338,8 +331,8 @@ def _divide_by_difference(a: TruncSeries, u: str, v: str) -> TruncSeries:
         if d <= m:
             rest = tuple(x for i, x in enumerate(e) if i not in (iu, iv))
             diag.setdefault((d, rest), []).append(p)
-    for key, p in _summed(diag).items():
-        if not p.is_zero():
+    for key, ps in diag.items():
+        if not NCPoly.sum(ps).is_zero():
             raise DivisibilityError(
                 f"not divisible by ({u} - {v}); remainder at {key}")
     out_order = (m - 1) // 2
@@ -359,7 +352,7 @@ def _divide_by_difference(a: TruncSeries, u: str, v: str) -> TruncSeries:
             e2 = list(e)
             e2[iu], e2[iv] = i, j
             groups.setdefault(tuple(e2), []).append(p)
-    coeffs = _summed(groups)
+    coeffs = {e: NCPoly.sum(ps) for e, ps in groups.items()}
     return TruncSeries(a.vars, tuple(order), a.floor, coeffs)
 
 
@@ -421,14 +414,13 @@ def appendixA_series(name: str, order: int = 4) -> TruncSeries:
     that needs several names looks them up in one `_appendix_a` instead,
     so that each is built once.
     """
-    return _appendix_a(order)(name)
+    return _appendix_a(_gf_env(order))(name)
 
 
-def _appendix_a(order: int):
-    """A lookup of the named series at one order: each name is built on
-    its first lookup and kept by the lookup alone, and a sigma image is
-    made from its source's kept series."""
-    env = _gf_env(order)
+def _appendix_a(env):
+    """A lookup of the named series over the generating functions of one
+    `_gf_env`: each name is built on its first lookup and kept by the
+    lookup alone, and a sigma image is made from its source's kept series."""
     built: Dict[str, TruncSeries] = {}
 
     def lookup(name: str) -> TruncSeries:
@@ -569,10 +561,8 @@ def check_gf_relations(order: int) -> Report:
     inv2 = qfield.q_int(2).inverse()
     w0 = constant(NCPoly.gen(wm(0)), ("t",))
     w1 = constant(NCPoly.gen(wp(1)), ("t",))
-    gWm = gf(Family.Wminus, "t", order)
-    gWp = gf(Family.Wplus, "t", order)
-    gG = gf(Family.G, "t", order)
-    gGt = gf(Family.Gtilde, "t", order)
+    env = _gf_env(order)
+    gWm, gWp, gG, gGt = env["Wm_t"], env["Wp_t"], env["G_t"], env["Gt_t"]
     rhs1 = ((gGt - gG) * inv2).shift("t", -1)
     _vanishes_in_quotient(report, "3pp1a", bracket(w0, gWp) - rhs1)
     _vanishes_in_quotient(report, "3pp1b", bracket(gWm, w1) - rhs1)
@@ -582,7 +572,7 @@ def check_gf_relations(order: int) -> Report:
     rhs3 = rho * gWp - rho * gWm.shift("t", 1)
     _vanishes_in_quotient(report, "3pp3a", q_bracket(gG, w1) - rhs3)
     _vanishes_in_quotient(report, "3pp3b", q_bracket(w1, gGt) - rhs3)
-    sA = _appendix_a(order)
+    sA = _appendix_a(env)
     two_var = {
         "3pp4a": "A", "3pp4b": "B", "3pp5": "C", "3pp6": "D", "3pp7": "E",
         "3pp8": "F", "3pp9": "G", "3pp10a": "H", "3pp10b": "I", "3pp11": "J",
@@ -689,7 +679,7 @@ def check_prop41_decompositions(order: int) -> Report:
     q2 = qfield.q_int(2)  # q + q^-1
     qq = qfield.q_pow
 
-    sA = _appendix_a(order)
+    sA = _appendix_a(env)
     for rule, (plain, num) in _ws_parts(env):
         lhs_cleared = _smt(_rule_lhs(rule, env) - plain) - num
         if rule == "ii":
@@ -721,34 +711,26 @@ def check_prop41_decompositions(order: int) -> Report:
         del plain, num, lhs_cleared, rhs   # before the next rule's parts
 
     bound = min(3, max(order - 1, 0))
+    lhs_env = _gf_env(bound + 1)
     for rule, (plain, num) in _ws_parts(_gf_env(2 * (bound + 1) + 1)):
         ws = plain + exact_divide(num, "s-t")
+        lhs = _rule_lhs(rule, lhs_env)
         pairs = ((es, et) for es in range(bound + (1 if rule == "ii" else 2))
                  for et in range(bound + 1))
         bad = next(((es, et) for es, et in pairs if ws.coeff(s=es, t=et)
-                    != _expected_pair_poly(rule, es, et)), None)
+                    != _rewritten_once(lhs.coeff(s=es, t=et))), None)
         report.add(f"extraction-{rule}", bad is None,
                    "" if bad is None else f"mismatch at s^{bad[0]} t^{bad[1]}")
     return report
 
 
-def _expected_pair_poly(rule: str, es: int, et: int):
-    """What the coefficient of s^es t^et of a weighted sum must equal."""
-    if rule == "ii":
-        return rewrite.apply_rule(wp(es + 1), wm(et))
-    if rule == "iii":
-        if es >= 1 and et >= 1:
-            return rewrite.apply_rule(gt_(es), g_(et))
-        return (NCPoly.symbol(symbol_from_subscript("Gt", es))
-                * NCPoly.symbol(symbol_from_subscript("G", et)))
-    if rule == "iv":
-        if es >= 1:
-            return rewrite.apply_rule(wp(et + 1), g_(es))
-        return NCPoly.gen(wp(et + 1)) * qfield.G0
-    if rule == "v":
-        if es >= 1:
-            return rewrite.apply_rule(wm(et), g_(es))
-        return NCPoly.gen(wm(et)) * qfield.G0
-    if rule in _DAGGER_SOURCE:
-        return dagger(_expected_pair_poly(_DAGGER_SOURCE[rule], es, et))
-    raise ValueError(rule)
+def _rewritten_once(p: NCPoly) -> NCPoly:
+    """What a weighted sum's coefficient must equal, given the same
+    coefficient p of its rule's left side: p rewritten once by its rule
+    when it is a reducible two-letter word, and otherwise (a product with
+    the scalar G0) p as it is."""
+    if len(p.terms) == 1:
+        (w, c), = p.terms.items()
+        if len(w) == 2 and w[0] > w[1]:
+            return rewrite.apply_rule(*w) * c
+    return p

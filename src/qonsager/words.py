@@ -163,9 +163,9 @@ def word_degree(w: Word) -> int:
     return sum(a.degree() for a in w)
 
 
-# letter -> its Weight; a letter's weight never changes, and word_weight
-# checks the descendants of every rule, which each suite step rebuilds from
-# empty caches: without this memo, building a rule costs 70 % more
+# letter -> its Weight; a letter's weight never changes, and
+# `rewrite._step_delta` reads four letter weights for each term of every
+# rule body, which each suite step rebuilds from empty caches
 _LETTER_WEIGHT: dict = {}
 
 
@@ -379,14 +379,12 @@ def dagger(p: NCPoly) -> NCPoly:
 # -- the defining relations -------------------------------------------------
 
 
-def defining_relations(kmax: int, lmax=None):
-    """Yield (label, poly) for the eleven relation families, indices bounded.
+def defining_relations(kmax: int):
+    """(label, poly) for the eleven relation families, indices bounded.
 
     Each poly is LHS - RHS of one displayed equality and vanishes in the
     quotient algebra; chained displays contribute one poly per equality.
     """
-    if lmax is None:
-        lmax = kmax
     rho = qfield.RHO
     qp1 = qfield.q_int(2)  # q + q^-1
     out = []
@@ -404,7 +402,7 @@ def defining_relations(kmax: int, lmax=None):
         out.append((f"3p3a[k={k}]", q_commutator(Gk1, W1) - rhs3))
         out.append((f"3p3b[k={k}]", q_commutator(W1, Gtk1) - rhs3))
     for k in range(kmax + 1):
-        for l in range(lmax + 1):
+        for l in range(kmax + 1):
             Wmk, Wml = NCPoly.gen(wm(k)), NCPoly.gen(wm(l))
             Wpk, Wpl = NCPoly.gen(wp(k + 1)), NCPoly.gen(wp(l + 1))
             Gk, Gl = NCPoly.gen(g_(k + 1)), NCPoly.gen(g_(l + 1))

@@ -744,6 +744,19 @@ def test_the_atom_table_stops_at_its_cap(monkeypatch):
     assert list(cli._ATOMS) == ["q^2", "W[1]", "G[2]"]
 
 
+def test_the_atom_table_keeps_no_large_coefficient(monkeypatch):
+    # [5000]q has len(U) + len(V) = 9,998: like qfield's memos, the table
+    # keeps no coefficient past qfield._MEMO_CAP, whatever room it has
+    monkeypatch.setattr(cli, "_ATOMS", {})
+    for _ in range(2):
+        assert cli.parse_to_poly("[5000]q*W[1]") == NCPoly.word(
+            (wp(1),), qf.q_int(5000))
+        assert cli.parse_to_poly("[3]q*W[1]") == NCPoly.word(
+            (wp(1),), qf.q_int(3))
+        assert "[5000]q" not in cli._ATOMS
+        assert set(cli._ATOMS) == {"[3]q", "W[1]"}
+
+
 @pytest.mark.parametrize("error,code,prefix", [
     (rewrite.RewriteInternalError("no rule for pair"), 3, "internal error:"),
     (KeyError("recursion touched G[1] before recovery"), 3, "internal error:"),

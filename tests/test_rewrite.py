@@ -294,7 +294,6 @@ def test_rule_coefficients_are_signed_basis_monomials():
 
 def test_word_nf_looks_up_one_rule_per_filled_word(monkeypatch, capsys):
     from qonsager import cli
-    monkeypatch.delenv("ONSAGER_WORKERS", raising=False)
     R.clear_caches()
     calls = []
     rule = R._rule

@@ -5,6 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qonsager import qfield as qf
+from qonsager import rewrite
 from qonsager import series as S
 from qonsager.words import Family, NCPoly, g_, gt_, sigma, wm, wp
 
@@ -232,6 +233,34 @@ def test_prop41_decompositions():
     names = [r.name for r in rep.results]
     assert "decomposition-ii" in names
     assert "extraction-vii" in names
+
+
+def test_prop41_extraction_catches_a_wrong_rule_body(monkeypatch):
+    # negate the last term of every W+*G rule body; rule vi, its dagger
+    # image, is built from the same terms.  The extraction rows read their
+    # expectations off the rules, so rows iv and vi must fail, while the
+    # decomposition rows, which use no rule, still pass
+    rule_terms = rewrite._rule_terms
+
+    def corrupted(a, b):
+        terms = rule_terms(a, b)
+        if (a.family, b.family) == (Family.Wplus, Family.G):
+            c, w = terms[-1]
+            terms = terms[:-1] + [(-c, w)]
+        return terms
+
+    monkeypatch.setattr(rewrite, "_rule_terms", corrupted)
+    rewrite.clear_caches()
+    try:
+        rep = S.check_prop41_decompositions(3)
+    finally:
+        monkeypatch.undo()
+        rewrite.clear_caches()
+    failed = sorted(r.name for r in rep.failures())
+    assert failed == ["extraction-iv", "extraction-vi"]
+    assert all(r.passed for r in rep.results
+               if r.name.startswith("decomposition-"))
+    assert S.check_prop41_decompositions(3).passed
 
 
 def test_floor_underflow_is_detected():
@@ -477,7 +506,7 @@ def test_each_check_builds_each_named_series_once(monkeypatch, check, order,
 
 def test_the_lookup_makes_each_sigma_image_from_its_source(monkeypatch):
     counts = _counted_builders(monkeypatch)
-    lookup = S._appendix_a(3)
+    lookup = S._appendix_a(S._gf_env(3))
     for name, source in S._SIGMA_SOURCE.items():
         got = lookup(name)
         assert got is lookup(name)
