@@ -9,7 +9,7 @@ from .rewrite import (OverlapReport, RuleApplication, apply_rule, check_overlap,
                       rule_application)
 from .series import (Report, TruncSeries, appendixA_series, check_gf_relations,
                      check_prop41_decompositions, exact_divide, gf)
-from .central import (CentralElement, check_central, check_dolan_grady,
+from .central import (check_central, check_dolan_grady,
                       check_matrix_factorization, ddown_transform, delta_n,
                       down_transform, recover_generators, subst_ST, z_bar, z_n,
                       z_series)

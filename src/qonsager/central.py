@@ -11,7 +11,6 @@ recovers all alternating generators from the two degree-one ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from math import comb
 from typing import Callable, Dict, List
@@ -39,27 +38,20 @@ def ddown_transform(a: Callable[[int], NCPoly], n: int) -> NCPoly:
         for l in range(n // 2 + 1))
 
 
-def _seq(family: Family, elem=series.family_element) -> Callable[[int], NCPoly]:
-    return lambda n: elem(family, n)
-
-
-def _w_dd(m: int, elem=series.family_element) -> NCPoly:
+def w_ddown(m: int, elem=series.family_element) -> NCPoly:
+    """The double-down W element with signed subscript m; elem(family, k)
+    supplies the letter polynomials."""
     if m <= 0:
-        return ddown_transform(_seq(Family.Wminus, elem), -m)
-    return ddown_transform(_seq(Family.Wplus, elem), m - 1)
-
-
-def w_ddown(m: int) -> NCPoly:
-    """The double-down W element with signed subscript m."""
-    return _w_dd(m)
+        return ddown_transform(partial(elem, Family.Wminus), -m)
+    return ddown_transform(partial(elem, Family.Wplus), m - 1)
 
 
 def g_down(n: int) -> NCPoly:
-    return down_transform(_seq(Family.G), n)
+    return down_transform(partial(series.family_element, Family.G), n)
 
 
 def gt_down(n: int) -> NCPoly:
-    return down_transform(_seq(Family.Gtilde), n)
+    return down_transform(partial(series.family_element, Family.Gtilde), n)
 
 
 # -- the S/T substitutions ---------------------------------------------------
@@ -90,13 +82,14 @@ def subst_ST(family: Family, which: str, weight: str, order: int) -> TruncSeries
     sgn = -1 if which == "S" else 1
     q2 = qfield.q_int(2)
     coeffs: Dict = {}
+    a = partial(series.family_element, family)
     if weight == "plain":
         for n in range(order + 1):
-            elem = down_transform(_seq(family), n)
+            elem = down_transform(a, n)
             coeffs[(n,)] = elem * (qfield.q_pow(sgn * n) * q2 ** n)
     elif weight == "times_ST_arg":
         for n in range(order):
-            elem = ddown_transform(_seq(family), n)
+            elem = ddown_transform(a, n)
             coeffs[(n + 1,)] = elem * (qfield.q_pow(sgn * (n + 1)) * q2 ** (n + 1))
         return TruncSeries(("t",), (order,), (1,), coeffs)
     else:
@@ -170,21 +163,14 @@ def z_series_pbw_form(order: int) -> TruncSeries:
     return _window(z, order, "PBW-form series").normal_form()
 
 
-@dataclass(frozen=True)
-class CentralElement:
-    n: int
-    as_poly: NCPoly
-    route: str
-
-
 def _five_sum_terms(n: int, elem, g_range) -> List[NCPoly]:
     """The terms of the four W sums and the G sum over g_range of the
     closed Z_n formula, unreduced; elem(family, k) supplies the letter
     polynomials."""
     q = qfield.q_pow
     q2 = qfield.q_int(2)
-    w = partial(_w_dd, elem=elem)
-    g, gt = _seq(Family.G, elem), _seq(Family.Gtilde, elem)
+    w = partial(w_ddown, elem=elem)
+    g, gt = partial(elem, Family.G), partial(elem, Family.Gtilde)
     return ([(w(-k) * w(n - k)) * (q2 * q(n - 1 - 2 * k)) for k in range(n)]
             + [(w(n - 2 - k) * w(-k)) * (q2.inverse() * q(2 * k - n + 3))
                for k in range(n - 2)]
@@ -201,25 +187,23 @@ def z_n_direct_poly(n: int) -> NCPoly:
         _five_sum_terms(n, series.family_element, range(n + 1))))
 
 
-def z_n(n: int, route: str = "direct") -> CentralElement:
-    """The n-th central element by the requested route."""
+def z_n(n: int, route: str = "direct") -> NCPoly:
+    """Z_n in normal form: by "direct" the reduced five-sum formula, by
+    "extraction" the t^n coefficient of the central series over [2]_q^n."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if route == "direct":
-        poly = z_n_direct_poly(n)
-    elif route == "extraction":
-        coeff = z_series(n).coeff(t=n)
-        poly = coeff * qfield.q_int(2) ** -n
-    else:
-        raise ValueError("route must be 'direct' or 'extraction'")
-    return CentralElement(n, poly, route)
+        return z_n_direct_poly(n)
+    if route == "extraction":
+        return z_series(n).coeff(t=n) * qfield.q_int(2) ** -n
+    raise ValueError("route must be 'direct' or 'extraction'")
 
 
 def z_bar(n: int) -> NCPoly:
     """The n-th central element with its two top G terms removed."""
     if n < 1:
         raise ValueError("the adjusted central element needs n >= 1")
-    zn = z_n(n).as_poly
+    zn = z_n(n)
     corr = (NCPoly.gen(g_(n)) * qfield.q_pow(-n)
             + NCPoly.gen(gt_(n)) * qfield.q_pow(n)) * qfield.QM.inverse()
     return rewrite.normal_form(zn + corr)
@@ -229,7 +213,7 @@ def z_bar_subtracted_form(n: int) -> NCPoly:
     """The same element via direct subtraction of the scalar-paired terms."""
     if n < 1:
         raise ValueError("n >= 1 required")
-    zn = z_n(n).as_poly
+    zn = z_n(n)
     q, g0 = qfield.q_pow, qfield.G0
     sub = ((NCPoly.gen(gt_(n)) * (g0 * q(n)) + NCPoly.gen(g_(n)) * (g0 * q(-n)))
            * INV_Q2M_SQ)
@@ -262,7 +246,7 @@ def delta_n(n: int) -> NCPoly:
     """The classical central elements; a scalar multiple of the new ones."""
     if n < 1:
         raise ValueError("n >= 1 required")
-    return z_n(n).as_poly * delta_scale(n)
+    return z_n(n) * delta_scale(n)
 
 
 def delta_scale(n: int) -> QRat:
@@ -278,7 +262,7 @@ def generators_up_to(index_bound: int) -> List[Generator]:
 def check_central(n: int, index_bound: int = 6) -> Report:
     """Certify [Z_n, g] = 0 for every generator up to the index bound."""
     report = Report(f"central-n{n}")
-    zn = z_n(n).as_poly
+    zn = z_n(n)
     for g in generators_up_to(index_bound):
         c = rewrite.normal_form(commutator(zn, NCPoly.gen(g)))
         report.add(f"[Z_{n},{g.text()}]", c.is_zero(),
@@ -292,8 +276,8 @@ def check_central(n: int, index_bound: int = 6) -> Report:
 def recover_generators(N: int, zs=None) -> Dict[Generator, NCPoly]:
     """Rebuild every generator up to level N from the degree-one pair.
 
-    zs maps n to the n-th central element (CentralElement or NCPoly);
-    missing entries are an error.  Returns the recovered polynomial for
+    zs maps each n from 1 to N to the NCPoly Z_n (by default z_n(n));
+    a missing entry is an error.  Returns the recovered polynomial for
     each generator, in normal form.
     """
     if N < 1:
@@ -318,13 +302,11 @@ def recover_generators(N: int, zs=None) -> Dict[Generator, NCPoly]:
     q = qfield.q_pow
     q2 = qfield.q_int(2)
     for n in range(1, N + 1):
-        zn = zs[n]
-        zn_poly = zn.as_poly if isinstance(zn, CentralElement) else zn
         zbar = rewrite.normal_form(z_bar_expanded_poly(n, elem))
         w0, w1 = table[wm(0)], table[wp(1)]
         wn = table[wp(n)]
         br = rewrite.normal_form(commutator(w0, wn))
-        gn = ((zbar - zn_poly) * qfield.QM - br * (q(n) * q2)) * (
+        gn = ((zbar - zs[n]) * qfield.QM - br * (q(n) * q2)) * (
             (q(n) + q(-n)).inverse())
         gn = rewrite.normal_form(gn)
         table[g_(n)] = gn

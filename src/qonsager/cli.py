@@ -431,7 +431,7 @@ LIMITS = {
     ("zn", "n"): (0, 64, "its cost grows about as the fourth power of n"),
     # n 40 took 11 s and 109 MB, n 56 48 s and 219 MB, n 60 68 s and 243 MB
     ("recover", "n"): (
-        0, 56, "it builds Z_1 to Z_n and every generator up to level n"),
+        1, 56, "it builds Z_1 to Z_n and every generator up to level n"),
     # degree 29 took 8.4 s and 81 MB, degree 32 22 s and 168 MB, degree 34
     # 43 s and 289 MB: each degree costs about 1.4 times the one before
     ("dims", "max_degree"): (
@@ -565,7 +565,7 @@ def cmd_check(args) -> int:
 
 def cmd_zn(args) -> int:
     params = _check_limits("zn", {"n": args.n})
-    direct, extraction = (central.z_n(args.n, route).as_poly
+    direct, extraction = (central.z_n(args.n, route)
                           for route in ("direct", "extraction"))
     agree = direct == extraction
     report = Report("zn")

@@ -25,9 +25,9 @@ the operands' shape alone:
   of q and basis factors, and the general polynomial gcd, run only when
   V != 1 (denominators such as q^n + q^-n), which is rare;
 * values of several shapes (two in `+`, many in `qdot`, many sums at
-  once in `lincomb`) meet in `_sum` over one common factor-basis
-  denominator, and `_canon` canonicalizes the met numerator and
-  denominator once;
+  once in `lincomb`) are grouped by `_groups` and meet in `_sum` over one
+  common factor-basis denominator, and `_canon` canonicalizes the met
+  numerator and denominator once;
 * the polynomial steps are memoized by shape: `_shape` factors each
   (U, V) pair and `_mono` expands each basis monomial times a cofactor
   once, while the prefactor and exponent arithmetic stays outside the
@@ -351,12 +351,7 @@ class QRat(_Slots):
             return y
         if y.p == 0:
             return x
-        # one shape adds only the prefactors; two meet in `_sum`
-        kx = (x.a, x.b, x.c, x.d, x.u, x.v)
-        ky = (y.a, y.b, y.c, y.d, y.u, y.v)
-        if kx == ky:
-            return _sum({kx: [x.p * y.r + y.p * x.r, x.r * y.r]})
-        return _sum({kx: [x.p, x.r], ky: [y.p, y.r]})
+        return _sum(_groups((x, y)))
 
     __radd__ = __add__
 
@@ -542,7 +537,8 @@ def lincomb(scaled) -> dict:
     `dict.update`.  A key reached once gets its summand; a key reached
     again collects its summands in a list, and its sum is looked up in the
     sum memo `_SUMS` by the tuple of the summands; `_sum_terms` computes a
-    missing one.
+    missing one.  NCPoly sums, products and scalar multiples all combine
+    their terms here.
     """
     acc: dict = {}
     shared = []   # the keys reached more than once
@@ -610,12 +606,20 @@ _SUMS_SIZE = 65536
 
 
 def _sum_terms(terms) -> QRat:
-    """The sum of the values in terms, grouped by shape (a, b, c, d, U, V)
-    and finished by `_sum`; stored in `_SUMS` under the caps."""
+    """The sum of the values in terms, finished by `_sum`; stored in `_SUMS`
+    under the caps."""
+    s = _sum(_groups(terms))
+    if (len(_SUMS) < _SUMS_SIZE and len(s.u) + len(s.v) <= _MEMO_CAP
+            and all(len(x.u) + len(x.v) <= _MEMO_CAP for x in terms)):
+        _SUMS[terms] = s
+    return s
+
+
+def _groups(values) -> dict:
+    """The values grouped by shape (a, b, c, d, U, V) as {shape: [p, r]},
+    the prefactors of one shape added: the input of `_sum`."""
     groups: dict = {}
-    small = True
-    for x in terms:
-        small = small and len(x.u) + len(x.v) <= _MEMO_CAP
+    for x in values:
         shape = (x.a, x.b, x.c, x.d, x.u, x.v)
         g = groups.get(shape)
         if g is None:
@@ -625,11 +629,7 @@ def _sum_terms(terms) -> QRat:
         else:
             g[0] = g[0] * x.r + x.p * g[1]
             g[1] *= x.r
-    s = _sum(groups)
-    if (small and len(_SUMS) < _SUMS_SIZE
-            and len(s.u) + len(s.v) <= _MEMO_CAP):
-        _SUMS[terms] = s
-    return s
+    return groups
 
 
 def qdot(cs, xs) -> QRat:

@@ -11,7 +11,8 @@ are exact wherever a coefficient is reported at all.
 A product, and a sum of products such as a bracket or an entry of a
 matrix product, forms each output coefficient in one `qfield.lincomb`
 call over the pairs of terms of its factors' coefficients (`_products`);
-a scalar multiple looks its products up in lincomb's product tables.
+a scalar multiple is `NCPoly * c` on each coefficient, which looks its
+products up in lincomb's product tables.
 Exact division by (u - v) groups each exponent's contributions and sums
 them once with `NCPoly.sum`; an exponent with a single contribution keeps
 it as it is.  The constructor drops the coefficients that cancel.
@@ -126,11 +127,7 @@ class TruncSeries:
         if isinstance(other, TruncSeries):
             return _mul(self, other)
         if isinstance(other, (QRat, int)):
-            c = qfield.of(other) if isinstance(other, int) else other
-            coeffs = {} if c.is_zero() else {
-                e: NCPoly.from_terms(t)
-                for e, t in _scaled_terms(self, c).items()}
-            return TruncSeries(self.vars, self.order, self.floor, coeffs)
+            return self.map_coeffs(lambda p: p * other)
         if isinstance(other, NCPoly):
             return _mul(self, constant(other, self.vars))
         return NotImplemented
@@ -168,7 +165,8 @@ class TruncSeries:
 def _pointwise(x: TruncSeries, y: TruncSeries, subtract: bool) -> TruncSeries:
     """x + y, or x - y in one pass: an exponent that both hold takes p - q,
     and only one that y alone holds is negated."""
-    a, b = _align(x, y)
+    vars = _vars(*x.vars, *y.vars)
+    a, b = _promote(x, vars), _promote(y, vars)
     order = tuple(min(u, v) for u, v in zip(a.order, b.order))
     floor = tuple(min(u, v) for u, v in zip(a.floor, b.floor))
     coeffs = {}
@@ -182,11 +180,9 @@ def _pointwise(x: TruncSeries, y: TruncSeries, subtract: bool) -> TruncSeries:
     return TruncSeries(a.vars, order, floor, coeffs)
 
 
-def _align(a: TruncSeries, b: TruncSeries):
-    if a.vars == b.vars:
-        return a, b
-    vars = tuple(sorted(set(a.vars) | set(b.vars), key=_rank))
-    return _promote(a, vars), _promote(b, vars)
+def _vars(*names: str) -> Tuple[str, ...]:
+    """The union of the variables names, in canonical order."""
+    return tuple(sorted(set(names), key=_rank))
 
 
 def _promote(a: TruncSeries, vars: Tuple[str, ...]) -> TruncSeries:
@@ -218,8 +214,7 @@ def _products(triples) -> TruncSeries:
     product's exponent below FLOOR_MIN inside its own order raises
     FloorUnderflowError, even where the sum's window drops it.
     """
-    vars = tuple(sorted({v for _, x, y in triples for v in (*x.vars, *y.vars)},
-                        key=_rank))
+    vars = _vars(*(v for _, x, y in triples for v in x.vars + y.vars))
     parts = []
     for c, x, y in triples:
         x, y = _promote(x, vars), _promote(y, vars)
@@ -231,10 +226,10 @@ def _products(triples) -> TruncSeries:
     floor = tuple(map(min, zip(*(f for *_, f in parts))))
     groups: Dict[Tuple[int, ...], list] = {}
     for c, x, y, own, _ in parts:
-        left = _scaled_terms(x, c) if c is not QONE else {
-            e: p.terms for e, p in x.coeffs.items()}
+        left = [(e1, (p1 if c is QONE else p1 * c).terms)
+                for e1, p1 in x.coeffs.items()]
         right = [(e2, p2.terms.items()) for e2, p2 in y.coeffs.items()]
-        for e1, t1 in left.items():
+        for e1, t1 in left:
             for e2, t2 in right:
                 e = tuple(map(add, e1, e2))
                 if min(e, default=0) < FLOOR_MIN and not any(map(gt, e, own)):
@@ -246,12 +241,6 @@ def _products(triples) -> TruncSeries:
     coeffs = {e: NCPoly.from_terms(qfield.lincomb(pairs))
               for e, pairs in groups.items()}
     return TruncSeries(vars, order, floor, coeffs)
-
-
-def _scaled_terms(ts: TruncSeries, c: QRat) -> Dict[Tuple[int, ...], dict]:
-    """The terms of each coefficient of ts times the nonzero scalar c, each
-    product c * x looked up in `qfield.lincomb`'s product tables."""
-    return {e: qfield.lincomb(((c, p.terms),)) for e, p in ts.coeffs.items()}
 
 
 def bracket(a: TruncSeries, b: TruncSeries) -> TruncSeries:
@@ -318,8 +307,7 @@ def exact_divide(a: TruncSeries, divisor) -> TruncSeries:
 
 
 def _divide_by_difference(a: TruncSeries, u: str, v: str) -> TruncSeries:
-    if u not in a.vars or v not in a.vars:
-        a = _promote(a, tuple(sorted(set(a.vars) | {u, v}, key=_rank)))
+    a = _promote(a, _vars(*a.vars, u, v))
     iu, iv = a.vars.index(u), a.vars.index(v)
     if a.floor[iu] < 0 or a.floor[iv] < 0:
         raise ValueError("difference division needs polynomial exponents")
@@ -537,21 +525,18 @@ class Report:
         return [r for r in self.results if not r.passed]
 
 
-def _vanishes_in_quotient(report: Report, name: str, ts: TruncSeries):
-    nf = ts.normal_form()
-    if nf.is_zero():
-        report.add(name, True)
-    else:
-        e = nf.nonzero_exponents()[0]
-        report.add(name, False, f"nonzero coefficient at exponent {e}")
-
-
-def _vanishes_free(report: Report, name: str, ts: TruncSeries):
+def _vanishes(report: Report, name: str, ts: TruncSeries, what: str):
+    """Add the check that ts is zero; a failure names ts's least nonzero
+    exponent as "<what> at exponent e"."""
     if ts.is_zero():
         report.add(name, True)
     else:
         e = ts.nonzero_exponents()[0]
-        report.add(name, False, f"free-algebra mismatch at exponent {e}")
+        report.add(name, False, f"{what} at exponent {e}")
+
+
+def _vanishes_in_quotient(report: Report, name: str, ts: TruncSeries):
+    _vanishes(report, name, ts.normal_form(), "nonzero coefficient")
 
 
 def check_gf_relations(order: int) -> Report:
@@ -707,7 +692,8 @@ def check_prop41_decompositions(order: int) -> Report:
             rhs = sA("E").shift("s", 1) - sA("G") + sA("N").shift("s", 1) * qq(1)
         else:
             rhs = sA("G").shift("s", 1) - sA("E") + sA("M").shift("s", 1) * qq(-1)
-        _vanishes_free(report, f"decomposition-{rule}", lhs_cleared - rhs)
+        _vanishes(report, f"decomposition-{rule}", lhs_cleared - rhs,
+                  "free-algebra mismatch")
         del plain, num, lhs_cleared, rhs   # before the next rule's parts
 
     bound = min(3, max(order - 1, 0))

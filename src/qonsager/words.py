@@ -10,10 +10,10 @@ order is the PBW order and a word, a tuple of letters, hashes and
 compares in C; `family` and `k` are read back by shift and mask.  A
 letter is never a scalar: `qfield.of` embeds exact ints only.
 
-NCPoly sums, differences, products, `NCPoly.sum` and the constructor
-from (word, coefficient) pairs combine their terms through
-`qfield.lincomb`, which sums each word's coefficient once and drops it if
-it cancels.
+NCPoly sums, differences, products, scalar multiples, `NCPoly.sum` and
+the constructor from (word, coefficient) pairs combine their terms
+through `qfield.lincomb`, which sums each word's coefficient once and
+drops it if it cancels.
 """
 
 from __future__ import annotations
@@ -189,16 +189,16 @@ def word_weight(w: Word) -> Weight:
     return Weight(a, b, c)
 
 
-def is_irreducible(w: Word) -> bool:
-    return all(w[i - 1] <= w[i] for i in range(1, len(w)))
-
-
 def first_descent(w: Word):
     """Index of the leftmost reducible adjacent pair, or None."""
     for i in range(1, len(w)):
         if w[i - 1] > w[i]:
             return i - 1
     return None
+
+
+def is_irreducible(w: Word) -> bool:
+    return first_descent(w) is None
 
 
 class NCPoly:
@@ -304,19 +304,17 @@ class NCPoly:
                 lincomb([(c, {u + w: x for w, x in other.terms.items()})
                          for u, c in self.terms.items()]))
         if isinstance(other, (QRat, int)):
-            return self._scaled(qfield.of(other) if isinstance(other, int) else other)
+            return self._scaled(qfield.of(other))
         return NotImplemented
 
-    def __rmul__(self, other):
-        # scalars commute with everything; word order only matters for NCPoly * NCPoly
-        if isinstance(other, (QRat, int)):
-            return self._scaled(qfield.of(other) if isinstance(other, int) else other)
-        return NotImplemented
+    # scalars commute with everything, and an NCPoly left factor never
+    # reaches __rmul__, so word order only matters in __mul__
+    __rmul__ = __mul__
 
     def _scaled(self, c: QRat) -> "NCPoly":
         if c.is_zero():
             return NCPoly()
-        return NCPoly.from_terms({w: x * c for w, x in self.terms.items()})
+        return NCPoly.from_terms(lincomb(((c, self.terms),)))
 
     def __eq__(self, other):
         if not isinstance(other, NCPoly):

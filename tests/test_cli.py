@@ -204,6 +204,19 @@ def test_check_central_bound_zero_is_usage_error(capsys, monkeypatch):
     assert "--bound >= 1" in captured.err
 
 
+def test_recover_n_zero_is_usage_error(capsys, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("recover ran before rejecting its n")
+
+    monkeypatch.setattr(central, "z_n", no_work)
+    monkeypatch.setattr(central, "recover_generators", no_work)
+    rc = cli.main(["recover", "--n", "0"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "--n >= 1" in captured.err
+
+
 def test_check_central_refuses_a_pair_above_the_cost_cap(capsys,
                                                         monkeypatch):
     # each pair lies inside both one-parameter caps
@@ -885,3 +898,45 @@ _TREES = st.recursive(
 def test_the_parser_agrees_with_ncpoly_arithmetic(tree):
     text, value, _ = tree
     assert cli.parse_to_poly(text) == value
+
+
+_README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_section(title):
+    text = _README.read_text(encoding="utf-8")
+    return text.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_the_readme_caps_table_matches_the_limits():
+    # a row per command and parameter; the `series` A..S row stands for
+    # every named series but G (`series G` is the generating function of
+    # the G family), and the W-, W+, G, Gt row for each generating function
+    rows = {}
+    for line in _readme_section("CLI").splitlines():
+        cells = [c.strip() for c in line.strip("|").split("|")]
+        if len(cells) != 3 or not cells[1].startswith("`--"):
+            continue
+        command, option, accepted = cells
+        name = option.strip("`").removeprefix("--").replace("-", "_")
+        least, largest = (int(v.replace(",", ""))
+                          for v in accepted.split("\u2013"))
+        if command == "`series` A..S":
+            assert all("A" <= n <= "S" for n in cli.SERIES_NAMES)
+            commands = [f"series {n}" for n in cli.SERIES_NAMES]
+        elif command.startswith("`series` "):
+            commands = [f"series {n}" for n in
+                        command.removeprefix("`series` ").split(", ")]
+        else:
+            commands = [command.strip("`")]
+        for c in commands:
+            assert (c, name) not in rows, f"two rows for {c} {option}"
+            rows[c, name] = (least, largest)
+    assert rows == {key: (least, largest)
+                    for key, (least, largest, _) in cli.LIMITS.items()}
+
+
+def test_the_readme_library_example_prints_true(capsys):
+    block = _readme_section("Library example").split("```python\n", 1)[1]
+    exec(compile(block.split("```", 1)[0], str(_README), "exec"), {})
+    assert capsys.readouterr().out.splitlines()[-1] == "True"

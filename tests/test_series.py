@@ -376,7 +376,8 @@ def test_sum_and_product_keep_single_and_drop_cancelled_exponents():
 # coefficients, `NCPoly.sum` per exponent, a scalar map per product, and
 # `_pointwise` to add the products up.
 def _pairwise_product(x, y):
-    a, b = S._align(x, y)
+    vars = S._vars(*x.vars, *y.vars)
+    a, b = S._promote(x, vars), S._promote(y, vars)
     order = tuple(min(oa + fb, ob + fa, S.INF)
                   for oa, ob, fa, fb in zip(a.order, b.order, a.floor, b.floor))
     floor = tuple(max(fa + fb, S.FLOOR_MIN) for fa, fb in zip(a.floor, b.floor))

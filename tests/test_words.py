@@ -238,18 +238,26 @@ def _poly_pairs(draw):
     return x, y + [(w, -c) for w, c in mirrored]
 
 
-@given(pair=_poly_pairs(), extra=_term_lists)
-def test_ncpoly_arithmetic_equals_the_term_fold(pair, extra):
+# A scalar multiple also takes an int, zero, and [40]q, whose len(U) +
+# len(V) is above `qfield._MEMO_CAP`, so its products skip the product tables.
+@given(pair=_poly_pairs(), extra=_term_lists,
+       scalar=st.one_of(_coeffs, st.sampled_from([0, 3, qf.QZERO]),
+                        st.just(qf.q_int(40))))
+def test_ncpoly_arithmetic_equals_the_term_fold(pair, extra, scalar):
     xs, ys = pair
     x, y, z = _poly(xs), _poly(ys), _poly(extra)
     xt, yt = list(x.terms.items()), list(y.terms.items())
     products = [(u + w, c * d) for u, c in xt for w, d in yt]
+    scaled = _fold((w, c * scalar) for w, c in xt)
     cases = [
         (NCPoly(xs + ys), _fold(xs + ys)),
         (NCPoly(dict(xs)), _fold(dict(xs).items())),
         (x + y, _fold(xt + yt)),
         (x - y, _fold(xt + [(w, -c) for w, c in yt])),
         (x * y, _fold(products)),
+        (x * scalar, scaled),
+        (scalar * x, scaled),
+        (x * 0, {}),
         (NCPoly.sum([x, y, z]), _fold(xt + yt + list(z.terms.items()))),
         (NCPoly.sum([]), {}),
     ]
