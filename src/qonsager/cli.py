@@ -399,7 +399,7 @@ LIMITS = {
     ("check relations", "bound"): (
         0, 64, "its relation list grows with the square of the bound"),
     # all C(4(b + 1), 3) overlaps are checked: bound 10 (13,244 overlaps)
-    # took 68 s and 516 MB peak RSS on 2 vCPUs, and each further step takes
+    # took 25 s and 519 MB peak RSS on 2 vCPUs, and each further step takes
     # about 1.5 times the memory, so bound 12 would pass 1 GB; a larger bound
     # is refused before the overlap list is built (bound 100,000 would have
     # about 10^16)

@@ -54,9 +54,10 @@ the operands' shape alone:
   constructor from (word, coefficient) pairs (and through them the series
   and central sums) all combine terms there.  While no key has been
   reached, a pair's summands are copied whole with `dict.update`, a
-  C-level copy;
+  C-level copy; every later pair is merged in one pass over its terms;
 * a product c * x in `lincomb` with c != 1 is looked up in c's product
-  table: `_PRODUCTS` maps each c to a table {x: c * x}, and a miss is
+  table inside that merge pass, with no list of products built first:
+  `_PRODUCTS` maps each c to a table {x: c * x}, and a miss is
   computed by `__mul__` (a cold bound-4 ambiguity run forms 605,563 such
   products, of 1,622 distinct pairs (c, x) over 16 distinct c).  A
   product enters only while the tables hold fewer than 65,536 entries in
@@ -534,37 +535,52 @@ def lincomb(scaled) -> dict:
     each product c * x is looked up in c's table of the product memo
     `_PRODUCTS`, and `_product` computes a missing one.  While no key has
     been reached, the summands of a pair are copied whole with
-    `dict.update`.  A key reached once gets its summand; a key reached
-    again collects its summands in a list, and its sum is looked up in the
-    sum memo `_SUMS` by the tuple of the summands; `_sum_terms` computes a
-    missing one.  NCPoly sums, products and scalar multiples all combine
-    their terms here.
+    `dict.update`; every later pair is merged in one pass over t, which
+    looks each product up as it reaches it.  A key reached once gets its
+    summand; a key reached again collects its summands in a list, in the
+    order they arrived, and its sum is looked up in the sum memo `_SUMS`
+    by the tuple of the summands; `_sum_terms` computes a missing one.
+    NCPoly sums, products and scalar multiples all combine their terms
+    here.
     """
     acc: dict = {}
     shared = []   # the keys reached more than once
     for c, t in scaled:
         if c is QONE:
-            items = t.items()
-        else:
-            table = _PRODUCTS.get(c) or {}
-            try:
-                items = [(key, table[x]) for key, x in t.items()]
-            except KeyError:   # a miss; the caps are checked only here
-                items = [(key, table[x] if x in table
-                          else _product(c, x, table))
-                         for key, x in t.items()]
-        if not acc:
-            acc.update(items)   # no key reached yet: a C-level copy
+            if not acc:
+                acc.update(t)   # no key reached yet: a C-level copy
+                continue
+            for key, x in t.items():
+                prev = acc.get(key)
+                if prev is None:
+                    acc[key] = x
+                elif type(prev) is list:
+                    prev.append(x)
+                else:
+                    shared.append(key)
+                    acc[key] = [prev, x]
             continue
-        for key, x in items:
+        table = _PRODUCTS.get(c) or {}
+        if not acc:
+            try:
+                acc.update([(key, table[x]) for key, x in t.items()])
+            except KeyError:   # a miss; the caps are checked only there
+                acc.update([(key, table[x] if x in table
+                             else _product(c, x, table))
+                            for key, x in t.items()])
+            continue
+        for key, x in t.items():
+            y = table.get(x)
+            if y is None:   # a miss; the caps are checked only there
+                y = _product(c, x, table)
             prev = acc.get(key)
             if prev is None:
-                acc[key] = x
+                acc[key] = y
             elif type(prev) is list:
-                prev.append(x)
+                prev.append(y)
             else:
                 shared.append(key)
-                acc[key] = [prev, x]
+                acc[key] = [prev, y]
     for key in shared:
         terms = tuple(acc[key])
         try:

@@ -7,21 +7,25 @@ Rules vi and vii are not written out: they are the images of rules iv and
 v under the antiautomorphism dagger, which reverses words and swaps G with
 Gt, and are generated from them.
 Rewriting strictly decreases the (length, weight) lexicographic measure,
-which is asserted at every step, so termination is a runtime-checked
+which is asserted for every step, so termination is a runtime-checked
 fact rather than a step cap.  The assertion costs no weight of a whole
 word: a rule stores, for each two-letter descendant u of its pair a*b,
 the letter-weight deltas D0 = w(u0) - w(a) and D1 = w(u1) - w(b), and a
 step at position pos of a word of length n changes the weight by exactly
 m*D0 + (m - 1)*D1 with m = n - pos; a shorter descendant is below the
-word by length.
+word by length.  So whether a step decreases the measure depends only on
+the rule and m: each rule's steps are checked once per distance m, the
+first time a word rewrites with it at that m, and the first word whose
+step would not decrease the measure raises `RewriteInternalError`.
 Every left side has two letters, so the ambiguities are the overlaps: the
 C(4(b + 1), 3) strictly decreasing triples of letters with indices <= b.
 
-`_word_nf` visits each word once: its expansion (descent, rule, candidate
-words and their measure check) waits on its stack frame until the
-candidates are filled.  `_combine` (`qfield.lincomb`) then collects the
-terms by word in one pass; a word's coefficient is a memo lookup by its
-summands, or on a miss is grouped by shape and canonicalized once.
+`_word_nf` visits each word once: its expansion (descent, rule and
+candidate words, after the rule's measure check at a new distance) waits
+on its stack frame until the candidates are filled.  `_combine`
+(`qfield.lincomb`) then collects the terms by word in one merge pass that
+looks each product up as it goes; a word's coefficient is a memo lookup
+by its summands, or on a miss is grouped by shape and canonicalized once.
 The rule and normal-form caches are plain process-local dicts keyed by
 immutable values.
 """
@@ -155,9 +159,11 @@ def _rule_terms(a: Generator, b: Generator) -> List[Tuple[QRat, Word]]:
 
 
 def _rule(a: Generator, b: Generator) -> tuple:
-    """The rule for the pair a*b, built and checked once: its body as an
-    NCPoly, and for `_word_nf` the steps (u, c, d) over the body's terms
-    c*u, where d is the closed form of u's weight change (`_step_delta`)."""
+    """The rule for the pair a*b, built once: its body as an NCPoly, and
+    for `_word_nf` the steps (u, c, d) over the body's terms c*u, where d
+    is the closed form of u's weight change (`_step_delta`), and the set of
+    distances m at which every step is known to decrease the measure.  The
+    build checks m = 2, the pair itself; `_word_nf` adds the others."""
     key = (a, b)
     cached = _RULE_CACHE.get(key)
     if cached is None:
@@ -170,7 +176,7 @@ def _rule(a: Generator, b: Generator) -> tuple:
             if len(u) > 2 or (d is not None and not _decreases(2, d)):
                 raise RewriteInternalError(
                     f"descendant {u} does not decrease the measure of ({a}, {b})")
-        cached = _RULE_CACHE[key] = (poly, steps)
+        cached = _RULE_CACHE[key] = (poly, steps, {2})
     return cached
 
 
@@ -246,19 +252,20 @@ def _word_nf(w: Word) -> dict:
                 _NF_CACHE[top] = {top: QONE}
                 stack.pop()
                 continue
-            steps = _rule(top[pos], top[pos + 1])[1]
-            prefix, suffix = top[:pos], top[pos + 2:]
+            _, steps, checked = _rule(top[pos], top[pos + 1])
             m = len(top) - pos
-            expansion = []
+            if m not in checked:
+                for _, _, d in steps:
+                    # a shorter candidate (d is None) is below top by length
+                    if d is not None and not _decreases(m, d):
+                        raise RewriteInternalError(
+                            f"rewrite step failed to decrease the measure at {top}")
+                checked.add(m)
+            prefix, suffix = top[:pos], top[pos + 2:]
+            expansion = [(prefix + u + suffix, c) for u, c, _ in steps]
             stack[-1] = (top, expansion)
             depth = len(stack)
-            for u, c, d in steps:
-                # a shorter candidate (d is None) is below top by length
-                if d is not None and not _decreases(m, d):
-                    raise RewriteInternalError(
-                        f"rewrite step failed to decrease the measure at {top}")
-                candidate = prefix + u + suffix
-                expansion.append((candidate, c))
+            for candidate, _ in expansion:
                 if candidate not in _NF_CACHE:
                     stack.append((candidate, None))
             if len(stack) > depth:

@@ -229,6 +229,22 @@ def _mutant_rule_body(monkeypatch, pair, word):
     R.clear_caches()
 
 
+def test_a_step_is_checked_again_at_each_new_distance(monkeypatch):
+    # G[4]*G[1] -> G[1]*G[5] has the deltas D0 = (0, 0, -3) and D1 = (0, 0,
+    # 4), so it changes the weight by m - 4 in the last coordinate: -2, -1
+    # and 0 at m = 2, 3 and 4.  The rule passes at m = 2 and 3 first, from
+    # the same caches, and the step must still be checked at m = 4.
+    _mutant_rule_body(monkeypatch, (g_(4), g_(1)), (g_(1), g_(5)))
+    try:
+        R.normal_form(NCPoly.word((g_(4), g_(1))))
+        R.normal_form(NCPoly.word((g_(4), g_(1), g_(9))))
+        with pytest.raises(R.RewriteInternalError,
+                           match="failed to decrease the measure"):
+            R.normal_form(NCPoly.word((g_(4), g_(1), g_(9), g_(9))))
+    finally:
+        R.clear_caches()
+
+
 @pytest.mark.parametrize("pair,word", [
     # the pair itself weighs as much as the pair: 2*D0 + D1 = 0
     ((wp(1), wm(0)), (wp(1), wm(0))),
@@ -308,6 +324,39 @@ def test_word_nf_looks_up_one_rule_per_filled_word(monkeypatch, capsys):
     filled = [w for w in R._NF_CACHE if W.first_descent(w) is not None]
     # apply_rule looks up both rules of each overlap once more
     assert len(calls) == len(filled) + 2 * len(R.enumerate_overlaps(2))
+
+
+def test_a_cold_ambiguity_run_checks_each_step_once_per_distance(
+        monkeypatch, capsys):
+    from qonsager import cli
+    R.clear_caches()
+    calls = []
+    decreases = R._decreases
+
+    def counted(m, d):
+        calls.append(m)
+        return decreases(m, d)
+
+    monkeypatch.setattr(R, "_decreases", counted)
+    try:
+        assert cli.main(["check", "ambiguities", "--bound", "2"]) == 0
+        capsys.readouterr()
+        # the distances m = len(w) - pos at which each rule rewrote a word
+        distances = {}
+        for w in R._NF_CACHE:
+            pos = W.first_descent(w)
+            if pos is not None:
+                distances.setdefault((w[pos], w[pos + 1]), {2}).add(len(w) - pos)
+        # each rule's steps are checked at m = 2 when it is built, and at
+        # most once more at every other distance it is used at
+        bound = sum(len(rule[1]) * len(distances.get(pair, {2}))
+                    for pair, rule in R._RULE_CACHE.items())
+        assert len(calls) <= bound
+        # the words and rules a cold bound-2 run fills
+        assert len(R._NF_CACHE) == 3548
+        assert len(R._RULE_CACHE) == 236
+    finally:
+        R.clear_caches()
 
 
 # keys shared between the term dicts, and scalars of every shape: 1, unit
