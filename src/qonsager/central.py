@@ -19,7 +19,7 @@ from . import qfield, rewrite, series
 from .qfield import QRat
 from .series import Report, TruncSeries
 from .words import (Family, Generator, NCPoly, commutator, dagger, g_, gt_,
-                    q_commutator, sigma, wm, wp)
+                    q_commutator, sigma, sigma_dagger, wm, wp)
 
 # 1/(q^2 - q^-2)^2, the factor of the G terms of Z(t) and of the recursion
 INV_Q2M_SQ = (qfield.Q2M ** 2).inverse()
@@ -139,7 +139,7 @@ def z_series_alt(form: int, order: int) -> TruncSeries:
     image under dagger and form 3 its image under sigma after dagger; each
     is mapped in the free algebra and then reduced to normal form.
     """
-    maps = {1: sigma, 2: dagger, 3: lambda p: sigma(dagger(p))}
+    maps = {1: sigma, 2: dagger, 3: sigma_dagger}
     if form not in maps:
         raise ValueError("form must be 1, 2 or 3")
     return z_series(order, reduce=False).map_coeffs(maps[form]).normal_form()

@@ -114,9 +114,8 @@ def _combine(terms: list) -> dict:
 # atom text -> the atom's terms, a tuple, so that no caller can change the
 # shared terms.  An atom enters only while the table holds fewer than
 # _ATOMS_SIZE entries, and only if its coefficient is as small as an entry
-# of qfield's memos (len(U) + len(V) <= qfield._MEMO_CAP), so a `[n]q` of
-# large n is built for each use.  Its values are fixed, so
-# `rewrite.clear_caches` leaves it.
+# of qfield's memos (`qfield.memo_sized`), so a `[n]q` of large n is built
+# for each use.  Its values are fixed, so `rewrite.clear_caches` leaves it.
 _ATOMS: dict = {}
 _ATOMS_SIZE = 65536
 
@@ -137,8 +136,7 @@ def _atom_terms(atom: str) -> tuple:
     else:
         bracket = atom.index("[")
         terms = _letter_terms(atom[:bracket], int(atom[bracket + 1:-1]))
-    if len(_ATOMS) < _ATOMS_SIZE and all(
-            len(c.u) + len(c.v) <= qfield._MEMO_CAP for _, c in terms):
+    if len(_ATOMS) < _ATOMS_SIZE and all(qfield.memo_sized(c) for _, c in terms):
         _ATOMS[atom] = terms
     return terms
 
@@ -393,8 +391,8 @@ SERIES_NAMES = tuple(n for n in series.APPENDIX_A_NAMES if n not in GF_FAMILIES)
 # parameter has a row.
 LIMITS = {
     # the relation list grows with the square of the bound: bound 24 took
-    # 2.8 s and 57 MB peak RSS, bound 40 11 s and 176 MB, bound 64 33 s and
-    # 618 MB; a larger bound is refused before the list is built (bound
+    # 2.1 s and 79 MB peak RSS, bound 40 11 s and 273 MB, bound 64 39 s and
+    # 996 MB; a larger bound is refused before the list is built (bound
     # 100,000 ran out of memory)
     ("check relations", "bound"): (
         0, 64, "its relation list grows with the square of the bound"),

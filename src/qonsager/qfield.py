@@ -594,6 +594,11 @@ def lincomb(scaled) -> dict:
     return acc
 
 
+def memo_sized(x: QRat) -> bool:
+    """Whether x may enter a memo: len(U) + len(V) <= `_MEMO_CAP`."""
+    return len(x.u) + len(x.v) <= _MEMO_CAP
+
+
 # The product memo (see the module docstring): c -> {x: c * x}.  Bound 6
 # of the ambiguity suite stores 2,382 products over 16 c, the word
 # Gt[4]*W[4]*W[-3]*G[4] 15,666, and `check matrix --order 5` 5,805 over 870 c.
@@ -607,9 +612,7 @@ def _product(c: QRat, x: QRat, table: dict) -> QRat:
     global _products_stored
     y = c * x
     if (_products_stored < _PRODUCTS_SIZE
-            and len(c.u) + len(c.v) <= _MEMO_CAP
-            and len(x.u) + len(x.v) <= _MEMO_CAP
-            and len(y.u) + len(y.v) <= _MEMO_CAP):
+            and memo_sized(c) and memo_sized(x) and memo_sized(y)):
         _PRODUCTS.setdefault(c, table)[x] = y
         _products_stored += 1
     return y
@@ -625,8 +628,8 @@ def _sum_terms(terms) -> QRat:
     """The sum of the values in terms, finished by `_sum`; stored in `_SUMS`
     under the caps."""
     s = _sum(_groups(terms))
-    if (len(_SUMS) < _SUMS_SIZE and len(s.u) + len(s.v) <= _MEMO_CAP
-            and all(len(x.u) + len(x.v) <= _MEMO_CAP for x in terms)):
+    if (len(_SUMS) < _SUMS_SIZE and memo_sized(s)
+            and all(map(memo_sized, terms))):
         _SUMS[terms] = s
     return s
 

@@ -17,17 +17,18 @@ Exact division by (u - v) groups each exponent's contributions and sums
 them once with `NCPoly.sum`; an exponent with a single contribution keeps
 it as it is.  The constructor drops the coefficients that cancel.
 
-Eight of the named combinations A..S are not written out: B, F, G, I,
-M, N, Q and S are the images of A, E, D, H, L, K, P and R under the
-automorphism sigma, which swaps W- with W+ and G with Gt, and are
-generated from them.  A check builds each name it needs once, in a
-lookup that lives for the one call (`_appendix_a`).  The weighted sums
-of rules vi and vii, and their left sides, are not written out either:
-they are the images of those of rules iv and v under the
-antiautomorphism dagger, which reverses words and swaps G with Gt, and
-are generated from them.  What a weighted sum's coefficient must equal is
-read off its rule's left side and rewritten by `rewrite.apply_rule`, so
-no rule is restated here.
+Ten of the named combinations A..S are not written out (`_IMAGES`): B,
+F, G, I, M, N, Q and S are the images of A, E, D, H, L, K, P and R under
+the automorphism sigma, which swaps W- with W+ and G with Gt, and
+E = -dagger(D) and L = -sigma(dagger(K)), where the antiautomorphism
+dagger reverses words and swaps G with Gt.  Four of the six one-variable
+rows of `check_gf_relations` are made from 3pp1a and 3pp2a the same way.
+A check builds each name it needs once, in a lookup that lives for the
+one call (`_appendix_a`).  The weighted sums of rules vi and vii, and
+their left sides, are the dagger images of those of rules iv and v, and
+are generated from them too.  What a weighted sum's coefficient must
+equal is read off its rule's left side and rewritten by
+`rewrite.apply_rule`, so no rule is restated here.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from typing import Dict, List, Tuple
 
 from . import qfield, rewrite
 from .qfield import QONE, QRat
-from .words import Family, Generator, NCPoly, dagger, sigma, wm, wp
+from .words import Family, Generator, NCPoly, dagger, sigma, sigma_dagger, wm
 
 INF = 10 ** 9
 _VAR_RANK = {"r": 0, "s": 1, "t": 2, "x": 3}
@@ -381,23 +382,21 @@ def _divide_by_scalar_series(a: TruncSeries, d: TruncSeries) -> TruncSeries:
 # -- the named two-variable combinations --------------------------------------
 
 
+_ENV_FAMILIES = {"Wm": Family.Wminus, "Wp": Family.Wplus, "G": Family.G,
+                 "Gt": Family.Gtilde}
+
+
 def _gf_env(order: int):
-    return {
-        "Wm_s": gf(Family.Wminus, "s", order),
-        "Wm_t": gf(Family.Wminus, "t", order),
-        "Wp_s": gf(Family.Wplus, "s", order),
-        "Wp_t": gf(Family.Wplus, "t", order),
-        "G_s": gf(Family.G, "s", order),
-        "G_t": gf(Family.G, "t", order),
-        "Gt_s": gf(Family.Gtilde, "s", order),
-        "Gt_t": gf(Family.Gtilde, "t", order),
-    }
+    """The generating function of each family in s and in t, by key
+    "<family>_<variable>": Wm_s, Wm_t, Wp_s, ..., Gt_t."""
+    return {f"{key}_{var}": gf(family, var, order)
+            for key, family in _ENV_FAMILIES.items() for var in "st"}
 
 
 def appendixA_series(name: str, order: int = 4) -> TruncSeries:
     """One of the named A..S combinations of generating functions.
 
-    Built in the free algebra; no quotient relations are applied.  A sigma
+    Built in the free algebra; no quotient relations are applied.  An
     image is built from its source, which is built on the way; a check
     that needs several names looks them up in one `_appendix_a` instead,
     so that each is built once.
@@ -408,14 +407,15 @@ def appendixA_series(name: str, order: int = 4) -> TruncSeries:
 def _appendix_a(env):
     """A lookup of the named series over the generating functions of one
     `_gf_env`: each name is built on its first lookup and kept by the
-    lookup alone, and a sigma image is made from its source's kept series."""
+    lookup alone, and an image is made from its source's kept series."""
     built: Dict[str, TruncSeries] = {}
 
     def lookup(name: str) -> TruncSeries:
         ts = built.get(name)
         if ts is None:
-            if name in _SIGMA_SOURCE:
-                ts = lookup(_SIGMA_SOURCE[name]).map_coeffs(sigma)
+            if name in _IMAGES:
+                source, image = _IMAGES[name]
+                ts = lookup(source).map_coeffs(image)
             elif name in _APPENDIX_A_BUILDERS:
                 ts = _APPENDIX_A_BUILDERS[name](env)
             else:
@@ -439,11 +439,6 @@ def _aD(env):
             + bracket(env["G_s"], env["Wm_t"]).shift("t", 1))
 
 
-def _aE(env):
-    return (bracket(env["Wm_s"], env["Gt_t"]).shift("s", 1)
-            + bracket(env["Gt_s"], env["Wm_t"]).shift("t", 1))
-
-
 def _aH(env):
     return bracket(env["G_s"], env["G_t"])
 
@@ -456,12 +451,6 @@ def _aK(env):
     return (q_bracket(env["Wm_s"], env["G_t"]) - q_bracket(env["Wm_t"], env["G_s"])
             - q_bracket(env["Wp_s"], env["G_t"]).shift("s", 1)
             + q_bracket(env["Wp_t"], env["G_s"]).shift("t", 1))
-
-
-def _aL(env):
-    return (q_bracket(env["G_s"], env["Wp_t"]) - q_bracket(env["G_t"], env["Wp_s"])
-            - q_bracket(env["G_s"], env["Wm_t"]).shift("t", 1)
-            + q_bracket(env["G_t"], env["Wm_s"]).shift("s", 1))
 
 
 def _aP(env):
@@ -486,16 +475,17 @@ def _aR(env):
             + c * bracket(env["Wm_s"], env["Wp_t"]).shift("s", 1))
 
 
-_APPENDIX_A_BUILDERS = {
-    "A": _aA, "C": _aC, "D": _aD, "E": _aE, "H": _aH, "J": _aJ, "K": _aK,
-    "L": _aL, "P": _aP, "R": _aR,
-}
+_APPENDIX_A_BUILDERS = {"A": _aA, "C": _aC, "D": _aD, "H": _aH, "J": _aJ,
+                        "K": _aK, "P": _aP, "R": _aR}
 
-# The sigma image and its source: B = sigma(A), F = sigma(E), and so on.
-_SIGMA_SOURCE = {"B": "A", "F": "E", "G": "D", "I": "H", "M": "L", "N": "K",
-                 "Q": "P", "S": "R"}
+# Each image, its source and the map applied to each coefficient:
+# B = sigma(A), E = -dagger(D), F = sigma(E), L = -sigma(dagger(K)), ...
+_IMAGES = {"B": ("A", sigma), "E": ("D", lambda p: -dagger(p)),
+           "F": ("E", sigma), "G": ("D", sigma), "I": ("H", sigma),
+           "L": ("K", lambda p: -sigma_dagger(p)), "M": ("L", sigma),
+           "N": ("K", sigma), "Q": ("P", sigma), "S": ("R", sigma)}
 
-APPENDIX_A_NAMES = tuple(sorted((*_APPENDIX_A_BUILDERS, *_SIGMA_SOURCE)))
+APPENDIX_A_NAMES = tuple(sorted((*_APPENDIX_A_BUILDERS, *_IMAGES)))
 
 
 # -- verification suites ------------------------------------------------------
@@ -545,18 +535,17 @@ def check_gf_relations(order: int) -> Report:
     rho = qfield.RHO
     inv2 = qfield.q_int(2).inverse()
     w0 = constant(NCPoly.gen(wm(0)), ("t",))
-    w1 = constant(NCPoly.gen(wp(1)), ("t",))
     env = _gf_env(order)
     gWm, gWp, gG, gGt = env["Wm_t"], env["Wp_t"], env["G_t"], env["Gt_t"]
-    rhs1 = ((gGt - gG) * inv2).shift("t", -1)
-    _vanishes_in_quotient(report, "3pp1a", bracket(w0, gWp) - rhs1)
-    _vanishes_in_quotient(report, "3pp1b", bracket(gWm, w1) - rhs1)
-    rhs2 = rho * gWm - rho * gWp.shift("t", 1)
-    _vanishes_in_quotient(report, "3pp2a", q_bracket(w0, gG) - rhs2)
-    _vanishes_in_quotient(report, "3pp2b", q_bracket(gGt, w0) - rhs2)
-    rhs3 = rho * gWp - rho * gWm.shift("t", 1)
-    _vanishes_in_quotient(report, "3pp3a", q_bracket(gG, w1) - rhs3)
-    _vanishes_in_quotient(report, "3pp3b", q_bracket(w1, gGt) - rhs3)
+    # 3pp1b = -sigma(3pp1a); 3pp2b, 3pp3a and 3pp3b are dagger,
+    # sigma-dagger and sigma of 3pp2a
+    r1 = bracket(w0, gWp) - ((gGt - gG) * inv2).shift("t", -1)
+    r2 = q_bracket(w0, gG) - rho * gWm + rho * gWp.shift("t", 1)
+    for label, ts in (("3pp1a", r1), ("3pp1b", -r1.map_coeffs(sigma)),
+                      ("3pp2a", r2), ("3pp2b", r2.map_coeffs(dagger)),
+                      ("3pp3a", r2.map_coeffs(sigma_dagger)),
+                      ("3pp3b", r2.map_coeffs(sigma))):
+        _vanishes_in_quotient(report, label, ts)
     sA = _appendix_a(env)
     two_var = {
         "3pp4a": "A", "3pp4b": "B", "3pp5": "C", "3pp6": "D", "3pp7": "E",

@@ -374,53 +374,52 @@ def dagger(p: NCPoly) -> NCPoly:
                               for w, c in p.terms.items()})
 
 
+def sigma_dagger(p: NCPoly) -> NCPoly:
+    """sigma after dagger: reverses words and swaps W- with W+."""
+    return sigma(dagger(p))
+
+
 # -- the defining relations -------------------------------------------------
 
 
 def defining_relations(kmax: int):
-    """(label, poly) for the eleven relation families, indices bounded.
+    """(label, poly) for the sixteen relation families, indices bounded.
 
     Each poly is LHS - RHS of one displayed equality and vanishes in the
     quotient algebra; chained displays contribute one poly per equality.
+    Seven families are written out (3p1a, 3p2a, 3p4a, 3p5, 3p6, 3p10a and
+    3p11); the other nine are their images under sigma and dagger:
+    3p1b = -sigma(3p1a); 3p2b, 3p3a and 3p3b are dagger, sigma-dagger and
+    sigma of 3p2a; 3p4b, 3p9 and 3p10b are sigma of 3p4a, 3p6 and 3p10a;
+    3p7 = -dagger(3p6) and 3p8 = -sigma-dagger(3p6).
     """
     rho = qfield.RHO
     qp1 = qfield.q_int(2)  # q + q^-1
     out = []
     for k in range(kmax + 1):
-        W0, W1 = NCPoly.gen(wm(0)), NCPoly.gen(wp(1))
-        Wk1, Wmk = NCPoly.gen(wp(k + 1)), NCPoly.gen(wm(k))
+        W0, Wk1 = NCPoly.gen(wm(0)), NCPoly.gen(wp(k + 1))
         Gk1, Gtk1 = NCPoly.gen(g_(k + 1)), NCPoly.gen(gt_(k + 1))
-        rhs1 = (Gtk1 - Gk1) * qp1.inverse()
-        out.append((f"3p1a[k={k}]", commutator(W0, Wk1) - rhs1))
-        out.append((f"3p1b[k={k}]", commutator(Wmk, W1) - rhs1))
-        rhs2 = rho * NCPoly.gen(wm(k + 1)) - rho * Wk1
-        out.append((f"3p2a[k={k}]", q_commutator(W0, Gk1) - rhs2))
-        out.append((f"3p2b[k={k}]", q_commutator(Gtk1, W0) - rhs2))
-        rhs3 = rho * NCPoly.gen(wp(k + 2)) - rho * Wmk
-        out.append((f"3p3a[k={k}]", q_commutator(Gk1, W1) - rhs3))
-        out.append((f"3p3b[k={k}]", q_commutator(W1, Gtk1) - rhs3))
+        r1 = commutator(W0, Wk1) - (Gtk1 - Gk1) * qp1.inverse()
+        r2 = q_commutator(W0, Gk1) - rho * NCPoly.gen(wm(k + 1)) + rho * Wk1
+        out += [(f"3p1a[k={k}]", r1), (f"3p1b[k={k}]", -sigma(r1)),
+                (f"3p2a[k={k}]", r2), (f"3p2b[k={k}]", dagger(r2)),
+                (f"3p3a[k={k}]", sigma_dagger(r2)), (f"3p3b[k={k}]", sigma(r2))]
     for k in range(kmax + 1):
         for l in range(kmax + 1):
             Wmk, Wml = NCPoly.gen(wm(k)), NCPoly.gen(wm(l))
             Wpk, Wpl = NCPoly.gen(wp(k + 1)), NCPoly.gen(wp(l + 1))
             Gk, Gl = NCPoly.gen(g_(k + 1)), NCPoly.gen(g_(l + 1))
             Gtk, Gtl = NCPoly.gen(gt_(k + 1)), NCPoly.gen(gt_(l + 1))
-            out.append((f"3p4a[k={k},l={l}]", commutator(Wmk, Wml)))
-            out.append((f"3p4b[k={k},l={l}]", commutator(Wpk, Wpl)))
-            out.append((f"3p5[k={k},l={l}]",
-                        commutator(Wmk, Wpl) + commutator(Wpk, Wml)))
-            out.append((f"3p6[k={k},l={l}]",
-                        commutator(Wmk, Gl) + commutator(Gk, Wml)))
-            out.append((f"3p7[k={k},l={l}]",
-                        commutator(Wmk, Gtl) + commutator(Gtk, Wml)))
-            out.append((f"3p8[k={k},l={l}]",
-                        commutator(Wpk, Gl) + commutator(Gk, Wpl)))
-            out.append((f"3p9[k={k},l={l}]",
-                        commutator(Wpk, Gtl) + commutator(Gtk, Wpl)))
-            out.append((f"3p10a[k={k},l={l}]", commutator(Gk, Gl)))
-            out.append((f"3p10b[k={k},l={l}]", commutator(Gtk, Gtl)))
-            out.append((f"3p11[k={k},l={l}]",
-                        commutator(Gtk, Gl) + commutator(Gk, Gtl)))
+            r4, r10 = commutator(Wmk, Wml), commutator(Gk, Gl)
+            r6 = commutator(Wmk, Gl) + commutator(Gk, Wml)
+            kl = f"[k={k},l={l}]"
+            out += [
+                (f"3p4a{kl}", r4), (f"3p4b{kl}", sigma(r4)),
+                (f"3p5{kl}", commutator(Wmk, Wpl) + commutator(Wpk, Wml)),
+                (f"3p6{kl}", r6), (f"3p7{kl}", -dagger(r6)),
+                (f"3p8{kl}", -sigma_dagger(r6)), (f"3p9{kl}", sigma(r6)),
+                (f"3p10a{kl}", r10), (f"3p10b{kl}", sigma(r10)),
+                (f"3p11{kl}", commutator(Gtk, Gl) + commutator(Gk, Gtl))]
     return out
 
 

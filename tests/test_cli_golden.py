@@ -106,6 +106,23 @@ GOLDEN = [
     (['normalize', 'Gt[3]*W[3]*W[-2]*G[3]'], 0,
      "24fb43051063882e0601e0444408ecd72990b99ce6aa3c3154a929c3d41c3c3b",
      "7b6db3ff068ef346bad96397a0a3531ed32bccfe39b72e2a71fdc98652497d62"),
+    # E and L are dagger images of D and K, F and M sigma images of E and L
+    (['series', 'E', '--order', '2'], 0,
+     "01dc667300d9de65d4d5845a5db64c3d224855196c1d2a9869988ca4bc76d6fc",
+     "c1a16217af36630d92abaaf6cdac538f5f1b6f0cbb2c874bae6de10364e59875"),
+    (['series', 'F', '--order', '2'], 0,
+     "31334147d7c8f7d5fd8f02515a7b724c2ea26cc4c50319702374c99086202044",
+     "b83eba27b4cf6d1b421e0393506f6e7c99d581ffa7040caf65aa8ea646d0dcef"),
+    (['series', 'L', '--order', '2'], 0,
+     "26a2b809a7fceb62ff2cee6ebd824f9484e30acbb7ef9021ff1a7c03555f0d80",
+     "d7d49626391f25698b97677fbedc5cc6e722638d98be3477c3ba142702daf581"),
+    (['series', 'M', '--order', '2'], 0,
+     "503d4cdce5b8ecb8041769f1793c6fb27e3e1173d40272f010f8d937642ef583",
+     "1847cec5249074d7429da31c5332238ee04061c6ef31c0572eae314b3e6690be"),
+    # nine of the sixteen relation families are sigma/dagger images
+    (['check', 'relations', '--bound', '3'], 0,
+     "e20b333eacbb722402b4e825e7e110ba999b1aa24f15b385a3ea4c919c25a192",
+     "ba06f0e0a3462e25565631c083235c31f322407aaeac07858cfcca79d53dc078"),
 ]
 
 

@@ -171,16 +171,63 @@ DAGGER_TABLE = {"A": "A", "B": "B", "C": "C", "D": "E", "E": "D", "F": "G",
 
 def test_sigma_images_match_builders_on_swapped_families():
     # sigma swaps W- with W+ and G with Gt, so each sigma image is its
-    # source's builder applied to the swapped generating functions; no
-    # call to sigma is made here
+    # source built from the swapped generating functions; no call to
+    # sigma is made here (E and L, the sources of F and M, are dagger
+    # images of D and K, built on the swapped functions)
     swap = {"Wm": "Wp", "Wp": "Wm", "G": "Gt", "Gt": "G"}
     env = S._gf_env(3)
-    swapped = {key: env[f"{swap[fam]}_{var}"]
-               for key in env for fam, var in [key.split("_")]}
-    for name, src in S._SIGMA_SOURCE.items():
+    swapped = S._appendix_a({key: env[f"{swap[fam]}_{var}"]
+                             for key in env for fam, var in [key.split("_")]})
+    images = {name: src for name, (src, image) in S._IMAGES.items()
+              if image is sigma}
+    assert sorted(images) == ["B", "F", "G", "I", "M", "N", "Q", "S"]
+    for name, src in images.items():
         got = S.appendixA_series(name, 3)
-        want = S._APPENDIX_A_BUILDERS[src](swapped)
+        want = swapped(src)
         assert (got.order, got.floor) == (want.order, want.floor), name
+        assert got.coeffs == want.coeffs, name
+
+
+def _chain_end(name):
+    """The builder at the end of name's chain of image sources."""
+    while name in S._IMAGES:
+        name = S._IMAGES[name][0]
+    return name
+
+
+def test_every_named_series_is_built_or_an_image_of_a_built_one():
+    assert sorted(S._APPENDIX_A_BUILDERS) == ["A", "C", "D", "H", "J", "K",
+                                              "P", "R"]
+    assert not set(S._APPENDIX_A_BUILDERS) & set(S._IMAGES)
+    for name in S.APPENDIX_A_NAMES:
+        assert _chain_end(name) in S._APPENDIX_A_BUILDERS, name
+    assert S.APPENDIX_A_NAMES == tuple("ABCDEFGHIJKLMNPQRS")
+    # `series` lists the same names as before the images were derived
+    from qonsager import cli
+    assert cli.SERIES_NAMES == tuple("ABCDEFHIJKLMNPQRS")
+
+
+# The paper's bracket forms of E and L, which the code derives from D and K
+def _written_out_E(env):
+    return (S.bracket(env["Wm_s"], env["Gt_t"]).shift("s", 1)
+            + S.bracket(env["Gt_s"], env["Wm_t"]).shift("t", 1))
+
+
+def _written_out_L(env):
+    return (S.q_bracket(env["G_s"], env["Wp_t"])
+            - S.q_bracket(env["G_t"], env["Wp_s"])
+            - S.q_bracket(env["G_s"], env["Wm_t"]).shift("t", 1)
+            + S.q_bracket(env["G_t"], env["Wm_s"]).shift("s", 1))
+
+
+@pytest.mark.parametrize("order", range(7))
+def test_derived_E_and_L_equal_their_written_out_forms(order):
+    env = S._gf_env(order)
+    lookup = S._appendix_a(env)
+    for name, written in (("E", _written_out_E), ("L", _written_out_L)):
+        got, want = lookup(name), written(env)
+        assert (got.vars, got.order, got.floor) == (want.vars, want.order,
+                                                     want.floor), name
         assert got.coeffs == want.coeffs, name
 
 
@@ -492,8 +539,7 @@ def _counted_builders(monkeypatch):
 
 @pytest.mark.parametrize("check, order, built", [
     (S.check_gf_relations, 3, set(S._APPENDIX_A_BUILDERS)),
-    (S.check_prop41_decompositions, 2,
-     {"A", "C", "D", "E", "J", "K", "L", "P", "R"}),
+    (S.check_prop41_decompositions, 2, {"A", "C", "D", "J", "K", "P", "R"}),
 ])
 def test_each_check_builds_each_named_series_once(monkeypatch, check, order,
                                                   built):
@@ -508,15 +554,17 @@ def test_each_check_builds_each_named_series_once(monkeypatch, check, order,
 def test_the_lookup_makes_each_sigma_image_from_its_source(monkeypatch):
     counts = _counted_builders(monkeypatch)
     lookup = S._appendix_a(S._gf_env(3))
-    for name, source in S._SIGMA_SOURCE.items():
+    for name, (source, image) in S._IMAGES.items():
         got = lookup(name)
         assert got is lookup(name)
-        want = S.appendixA_series(source, 3).map_coeffs(sigma)
+        want = S.appendixA_series(source, 3).map_coeffs(image)
         assert (got.vars, got.order, got.floor) == (want.vars, want.order,
                                                      want.floor), name
         assert got.coeffs == want.coeffs, name
-    # each source once for the lookup and once for appendixA_series
-    assert counts == {name: 2 * int(name in S._SIGMA_SOURCE.values())
+    # each builder at the end of a chain once for the lookup, and once for
+    # each appendixA_series call whose chain ends there
+    ends = [_chain_end(source) for source, _ in S._IMAGES.values()]
+    assert counts == {name: int(name in ends) + ends.count(name)
                       for name in counts}
     with pytest.raises(ValueError, match="unknown series name 'X'"):
         lookup("X")

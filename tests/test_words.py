@@ -199,6 +199,42 @@ def test_maps_preserve_relation_ideal():
         assert rewrite.normal_form(W.dagger(poly)).is_zero(), f"dagger on {name}"
 
 
+def _written_out_images(kmax):
+    """The nine relation families that `defining_relations` derives by
+    sigma and dagger, as the paper writes them out."""
+    rho, qp1 = qf.RHO, qf.q_int(2)
+    gen, com, qcom = NCPoly.gen, W.commutator, W.q_commutator
+    out = {}
+    for k in range(kmax + 1):
+        W0, W1, Wk1, Wmk = gen(wm(0)), gen(wp(1)), gen(wp(k + 1)), gen(wm(k))
+        Gk1, Gtk1 = gen(g_(k + 1)), gen(gt_(k + 1))
+        out[f"3p1b[k={k}]"] = com(Wmk, W1) - (Gtk1 - Gk1) * qp1.inverse()
+        rhs2 = rho * gen(wm(k + 1)) - rho * Wk1
+        out[f"3p2b[k={k}]"] = qcom(Gtk1, W0) - rhs2
+        rhs3 = rho * gen(wp(k + 2)) - rho * Wmk
+        out[f"3p3a[k={k}]"] = qcom(Gk1, W1) - rhs3
+        out[f"3p3b[k={k}]"] = qcom(W1, Gtk1) - rhs3
+        for l in range(kmax + 1):
+            Wml, Wpk, Wpl = gen(wm(l)), gen(wp(k + 1)), gen(wp(l + 1))
+            Gk, Gl = gen(g_(k + 1)), gen(g_(l + 1))
+            Gtk, Gtl = gen(gt_(k + 1)), gen(gt_(l + 1))
+            kl = f"[k={k},l={l}]"
+            out[f"3p4b{kl}"] = com(Wpk, Wpl)
+            out[f"3p7{kl}"] = com(Wmk, Gtl) + com(Gtk, Wml)
+            out[f"3p8{kl}"] = com(Wpk, Gl) + com(Gk, Wpl)
+            out[f"3p9{kl}"] = com(Wpk, Gtl) + com(Gtk, Wpl)
+            out[f"3p10b{kl}"] = com(Gtk, Gtl)
+    return out
+
+
+def test_derived_relations_equal_their_written_out_forms():
+    derived = dict(W.defining_relations(3))
+    written = _written_out_images(3)
+    assert len(derived) == 4 * 6 + 16 * 10 and len(written) == 4 * 4 + 16 * 5
+    for label, poly in written.items():
+        assert derived[label] == poly, label
+
+
 def test_ncpoly_equality_is_structural():
     p = NCPoly.word((wm(0), wp(1)), qf.q_int(2))
     q = NCPoly.word((wm(0), wp(1))) * qf.q_int(2)
