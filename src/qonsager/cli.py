@@ -391,13 +391,15 @@ SERIES_NAMES = tuple(n for n in series.APPENDIX_A_NAMES if n not in GF_FAMILIES)
 # parameter has a row.
 LIMITS = {
     # the relation list grows with the square of the bound: bound 24 took
-    # 2.1 s and 79 MB peak RSS, bound 40 11 s and 273 MB, bound 64 39 s and
-    # 996 MB; a larger bound is refused before the list is built (bound
-    # 100,000 ran out of memory)
+    # 1.9 s and 78 MB peak RSS, bound 40 8.3 s and 272 MB, bound 64 23 s and
+    # 992 MB.  The normal-form caches hold that memory, not the list: at
+    # bound 40, of 231 MB traced by tracemalloc at the end, 216 MB went with
+    # rewrite.clear_caches and 12 MB with the list.  A larger bound is
+    # refused before the list is built (bound 100,000 ran out of memory)
     ("check relations", "bound"): (
         0, 64, "its relation list grows with the square of the bound"),
     # all C(4(b + 1), 3) overlaps are checked: bound 10 (13,244 overlaps)
-    # took 25 s and 519 MB peak RSS on 2 vCPUs, and each further step takes
+    # took 23 s and 519 MB peak RSS on 2 vCPUs, and each further step takes
     # about 1.5 times the memory, so bound 12 would pass 1 GB; a larger bound
     # is refused before the overlap list is built (bound 100,000 would have
     # about 10^16)

@@ -26,8 +26,10 @@ the operands' shape alone:
   V != 1 (denominators such as q^n + q^-n), which is rare;
 * values of several shapes (two in `+`, many in `qdot`, many sums at
   once in `lincomb`) are grouped by `_groups` and meet in `_sum` over one
-  common factor-basis denominator, and `_canon` canonicalizes the met
-  numerator and denominator once;
+  common factor-basis denominator: each live group's basis-monomial
+  expansion (`_mono`), times its integer weight and the other groups'
+  V's, is added into one list of coefficients at its offset in q, and
+  `_canon` canonicalizes the met numerator and denominator once;
 * the polynomial steps are memoized by shape: `_shape` factors each
   (U, V) pair and `_mono` expands each basis monomial times a cofactor
   once, while the prefactor and exponent arithmetic stays outside the
@@ -69,8 +71,9 @@ the operands' shape alone:
   they arrived, to their sum (a cold bound-4 ambiguity run looks up
   128,255 such sums and stores 7,122).  A sum enters only while the
   memo holds fewer than 65,536 entries (`_SUMS_SIZE`) and only if every
-  summand and the sum have len(U) + len(V) <= `_MEMO_CAP`; any other sum
-  is grouped by shape and met in `_sum`.  `clear_memos` empties it;
+  summand and the sum have len(U) + len(V) <= `_MEMO_CAP` (U and V belong
+  to the shape, so the summands are checked once per shape); any other
+  sum is grouped by shape and met in `_sum`.  `clear_memos` empties it;
 * a value's text is kept on the value: `scalar_text` stores it in the
   `_text` slot at the first render and returns it from there afterwards
   (`_make` leaves the slot unset).  This is not a memo: there is no key,
@@ -103,7 +106,6 @@ from __future__ import annotations
 import weakref
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import zip_longest
 from math import gcd, lcm
 
 # Dense integer polynomials in q, low degree first, no trailing zeros.
@@ -626,10 +628,13 @@ _SUMS_SIZE = 65536
 
 def _sum_terms(terms) -> QRat:
     """The sum of the values in terms, finished by `_sum`; stored in `_SUMS`
-    under the caps."""
-    s = _sum(_groups(terms))
+    under the caps.  U and V belong to a shape, so the summands' sizes are
+    checked once per shape of `_groups`, not once per summand."""
+    groups = _groups(terms)
+    s = _sum(groups)
     if (len(_SUMS) < _SUMS_SIZE and memo_sized(s)
-            and all(map(memo_sized, terms))):
+            and all([len(key[4]) + len(key[5]) <= _MEMO_CAP
+                     for key in groups])):
         _SUMS[terms] = s
     return s
 
@@ -661,8 +666,11 @@ def qdot(cs, xs) -> QRat:
 def _sum(groups) -> QRat:
     """The sum of the groups {(a, b, c, d, U, V): [p, r]}: the terms meet
     over the minimal exponents, the lcm of the r's, the content n of the
-    integer weights and the product of the distinct V's, and `_canon`
-    canonicalizes the met numerator and denominator once."""
+    integer weights and the product of the distinct V's.  Each live group's
+    expansion (`_expand` of its exponents above the minima, times U and the
+    other groups' V's) is added, times its weight over n, into one list of
+    coefficients at its offset in q, and `_canon` canonicalizes the met
+    numerator and denominator once."""
     live = [(key, g) for key, g in groups.items() if g[0]]
     if len(live) < 2:
         if not live:
@@ -676,14 +684,20 @@ def _sum(groups) -> QRat:
     ws = [p * (rr // r) for _, (p, r) in live]
     n = gcd(*ws)
     vs = [v for v in dict.fromkeys(kv) if v != P_ONE]
-    rows = []
+    num = []   # extended to the end of the longest expansion so far
     for ((a, b, c, d, u, v), _), w in zip(live, ws):
-        t = _expand(w // n, b - mb, c - mc, d - md, u)
         for x in vs:
             if x != v:
-                t = p_mul(t, x)
-        rows.append((0,) * (a - ma) + t)   # t times q^(a - ma)
-    num = [sum(col) for col in zip_longest(*rows, fillvalue=0)]
+                u = p_mul(u, x)
+        f = _expand(1, b - mb, c - mc, d - md, u)
+        i = a - ma
+        end = i + len(f)
+        if end > len(num):
+            num += [0] * (end - len(num))
+        k = w // n
+        for x in f:
+            num[i] += k * x
+            i += 1
     return _canon(n, rr, ma, mb, mc, md, p_trim(num),
                   reduce(p_mul, vs, P_ONE))
 

@@ -2,7 +2,11 @@
 
 Every reducible two-letter word has exactly one rule rewriting it into a
 combination of smaller words; rule bodies are generated from the closed
-index formulas, with subscript-zero G symbols resolving to scalars.
+index formulas, with subscript-zero G symbols resolving to scalars.  Each
+letter of a body is built from its int form, family * 2^32 + k, with
+`int.__new__`, and each coefficient is a module value: the prefactor of
+the rule, its negation, or either times G0 for an l = 0 term.  `_rule`
+fills the body's dict term by term and sums only where a word repeats.
 Rules vi and vii are not written out: they are the images of rules iv and
 v under the antiautomorphism dagger, which reverses words and swaps G with
 Gt, and are generated from them.
@@ -38,9 +42,9 @@ from typing import List, Tuple
 
 from . import qfield, words
 from .qfield import QONE, QRat, lincomb as _combine
-from .words import (Family, Generator, NCPoly, Word, dagger_letter,
-                    first_descent, g_, gt_, letter_weight,
-                    symbol_from_subscript, wm, word_weight, wp, w_sub)
+from .words import (_K_BITS, _K_MASK, Family, Generator, NCPoly, Word,
+                    _letter, dagger_letter, first_descent, letter_weight,
+                    word_weight)
 
 
 class RewriteInternalError(RuntimeError):
@@ -76,84 +80,87 @@ def rule_id_for(a: Generator, b: Generator) -> str:
     }[key]
 
 
-def _term(coeff: QRat, *symbols) -> Tuple[QRat, Word]:
-    """Flatten a coefficient and a list of letters-or-scalars into one term."""
-    letters = []
-    for s in symbols:
-        if isinstance(s, Generator):
-            letters.append(s)
-        else:
-            coeff = coeff * s
-    return coeff, tuple(letters)
-
-
 _RULE_CACHE: dict = {}
 
 
-# The prefactors of rules ii, iii, iv and v, built once.
+def _signed(c: QRat) -> tuple:
+    """(c, -c, c*G0, -c*G0): a rule's prefactor, its negation, and both
+    times G0, the value of the subscript-zero G symbols of its l = 0 terms."""
+    return c, -c, c * qfield.G0, -c * qfield.G0
+
+
+# The prefactors of rules ii, iii, iv and v, and their signed forms, built
+# once.
 E_II = (qfield.Q2M * qfield.q_int(2) ** 2).inverse()   # 1/((q^2 - q^-2)[2]q^2)
 C_III = qfield.Q2M ** 3                                 # (q^2 - q^-2)^3
 C_IV = qfield.Q * qfield.QM                             # q(q - q^-1)
 C_V = qfield.q_pow(-1) * qfield.QM                      # q^-1(q - q^-1)
+_E_II, _C_III, _C_IV, _C_V = map(_signed, (E_II, C_III, C_IV, C_V))
+
+# The letter G_n is n - 1, Gt_n is _GT + n - 1, W_{-k} is _WM + k and W_n
+# (n >= 1) is _WP + n - 1 (the int form of `words.Generator`).
+_WM, _WP, _GT = (Family.Wminus << _K_BITS, Family.Wplus << _K_BITS,
+                 Family.Gtilde << _K_BITS)
 
 
 def _rule_terms(a: Generator, b: Generator) -> List[Tuple[QRat, Word]]:
-    fa, fb = a.family, b.family
-    if fa == Family.Gtilde and fb in (Family.Wplus, Family.Wminus):
+    """The terms (coefficient, word) of the rule for the reducible pair
+    a*b, in the order of the closed index formulas.  A subscript-zero G
+    symbol is the scalar G0, already in the coefficient; the one range check
+    is on the largest index of a body letter."""
+    fa, fb = a >> _K_BITS, b >> _K_BITS
+    if fa == Family.Gtilde and fb != Family.G and fb != Family.Gtilde:
         # rules vi and vii: the dagger images of rules iv and v
-        return [(c, tuple(dagger_letter(g) for g in reversed(w)))
+        return [(c, tuple(map(dagger_letter, w[::-1])))
                 for c, w in _rule_terms(dagger_letter(b), dagger_letter(a))]
-    i, j = a.k, b.k
-    terms: List[Tuple[QRat, Word]] = []
     if fa == fb:
         # same-family letters commute
         return [(QONE, (b, a))]
-    if (fa, fb) == (Family.Wplus, Family.Wminus):
-        terms.append((QONE, (b, a)))
-        for l in range(min(i, j) + 1):
-            terms.append(_term(E_II, symbol_from_subscript("G", l),
-                               symbol_from_subscript("Gt", i + j + 1 - l)))
-            terms.append(_term(-E_II, symbol_from_subscript("G", i + j + 1 - l),
-                               symbol_from_subscript("Gt", l)))
-        return terms
-    if (fa, fb) == (Family.Gtilde, Family.G):
-        c = C_III
-        terms.append((QONE, (g_(j + 1), gt_(i + 1))))
-        terms.append((-c, (wm(i), wm(j))))
-        terms.append((c, (wp(i + 1), wp(j + 1))))
-        for l in range(min(i, j) + 1):
-            terms.append(_term(c, wm(l), w_sub(i + j + 2 - l)))
-            terms.append(_term(-c, w_sub(l - 1 - i - j), wp(l + 1)))
+    i, j = a & _K_MASK, b & _K_MASK
+    s = i + j
+    top = s + (fb == Family.G)   # the largest index of a body letter
+    if top > _K_MASK:
+        raise ValueError(f"letter index {top} is outside [0, 2^32)")
+    L = _letter
+    if fa == Family.Wplus and fb == Family.Wminus:
+        c, nc, c0, nc0 = _E_II
+        terms = [(QONE, (b, a)), (c0, (L(_GT + s),)), (nc0, (L(s),))]
         for l in range(1, min(i, j) + 1):
-            terms.append(_term(-c, w_sub(1 - l), w_sub(i + j + 1 - l)))
-            terms.append(_term(c, w_sub(l - i - j), w_sub(l)))
+            terms += [(c, (L(l - 1), L(_GT + s - l))),
+                      (nc, (L(s - l), L(_GT + l - 1)))]
         return terms
-    if (fa, fb) == (Family.Wplus, Family.G):
-        c = C_IV
-        terms.append((QONE, (g_(j + 1), wp(i + 1))))
+    if fa == Family.Gtilde and fb == Family.G:
+        c, nc, _, _ = _C_III
+        terms = [(QONE, (b, a)), (nc, (L(_WM + i), L(_WM + j))),
+                 (c, (L(_WP + i), L(_WP + j)))]
         for l in range(min(i, j) + 1):
-            terms.append(_term(c, symbol_from_subscript("G", l), w_sub(l - i - j)))
-            terms.append(_term(c, symbol_from_subscript("G", i + j + 1 - l),
-                               wp(l + 1)))
-            terms.append(_term(-c, symbol_from_subscript("G", l),
-                               w_sub(i + j + 2 - l)))
+            terms += [(c, (L(_WM + l), L(_WP + s + 1 - l))),
+                      (nc, (L(_WM + s + 1 - l), L(_WP + l)))]
         for l in range(1, min(i, j) + 1):
-            terms.append(_term(-c, symbol_from_subscript("G", i + j + 1 - l),
-                               w_sub(1 - l)))
+            terms += [(nc, (L(_WM + l - 1), L(_WP + s - l))),
+                      (c, (L(_WM + s - l), L(_WP + l - 1)))]
         return terms
-    if (fa, fb) == (Family.Wminus, Family.G):
-        c = C_V
-        terms.append((QONE, (g_(j + 1), wm(i))))
-        for l in range(min(i, j) + 1):
-            terms.append(_term(-c, symbol_from_subscript("G", l),
-                               w_sub(i + j + 1 - l)))
-            terms.append(_term(c, symbol_from_subscript("G", l),
-                               w_sub(l - 1 - i - j)))
-            terms.append(_term(-c, symbol_from_subscript("G", i + j + 1 - l),
-                               wm(l)))
+    if fa == Family.Wplus and fb == Family.G:
+        c, nc, c0, nc0 = _C_IV
+        terms = [(QONE, (b, a)), (c0, (L(_WM + s),)),
+                 (c, (L(s), L(_WP))), (nc0, (L(_WP + s + 1),))]
         for l in range(1, min(i, j) + 1):
-            terms.append(_term(c, symbol_from_subscript("G", i + j + 1 - l),
-                               w_sub(l)))
+            terms += [(c, (L(l - 1), L(_WM + s - l))),
+                      (c, (L(s - l), L(_WP + l))),
+                      (nc, (L(l - 1), L(_WP + s + 1 - l)))]
+        for l in range(1, min(i, j) + 1):
+            terms.append((nc, (L(s - l), L(_WM + l - 1))))
+        return terms
+    if fa == Family.Wminus and fb == Family.G:
+        c, nc, c0, nc0 = _C_V
+        terms = [(QONE, (b, a)), (nc0, (L(_WP + s),)),
+                 (c0, (L(_WM + s + 1),)), (nc, (L(s), L(_WM)))]
+        for l in range(1, min(i, j) + 1):
+            terms += [(nc, (L(l - 1), L(_WP + s - l))),
+                      (c, (L(l - 1), L(_WM + s + 1 - l))),
+                      (nc, (L(s - l), L(_WM + l)))]
+        for l in range(1, min(i, j) + 1):
+            terms.append((c, (L(s - l), L(_WP + l - 1))))
         return terms
     raise RewriteInternalError(f"no rule for pair {a} {b}")
 
@@ -161,39 +168,49 @@ def _rule_terms(a: Generator, b: Generator) -> List[Tuple[QRat, Word]]:
 def _rule(a: Generator, b: Generator) -> tuple:
     """The rule for the pair a*b, built once: its body as an NCPoly, and
     for `_word_nf` the steps (u, c, d) over the body's terms c*u, where d
-    is the closed form of u's weight change (`_step_delta`), and the set of
+    is the closed form of u's weight change (`_step_deltas`), and the set of
     distances m at which every step is known to decrease the measure.  The
-    build checks m = 2, the pair itself; `_word_nf` adds the others."""
+    body is filled from `_rule_terms` word by word, and a word's
+    coefficients are summed only where the word repeats.  The build checks
+    m = 2, the pair itself; `_word_nf` adds the others."""
     key = (a, b)
     cached = _RULE_CACHE.get(key)
     if cached is None:
-        poly = NCPoly([(w, c) for c, w in _rule_terms(a, b)])
-        steps = tuple((u, c, _step_delta(a, b, u))
-                      for u, c in poly.terms.items())
+        body = {}
+        for c, u in _rule_terms(a, b):
+            prev = body.get(u)
+            body[u] = c if prev is None else prev + c
+        body = {u: c for u, c in body.items() if c.p}
+        steps = tuple(zip(body, body.values(), _step_deltas(a, b, body)))
         # a shorter u is below a*b by length, and a two-letter one is below
         # it iff its weight is, which is the step's closed form at m = 2
         for u, _, d in steps:
             if len(u) > 2 or (d is not None and not _decreases(2, d)):
                 raise RewriteInternalError(
                     f"descendant {u} does not decrease the measure of ({a}, {b})")
-        cached = _RULE_CACHE[key] = (poly, steps, {2})
+        cached = _RULE_CACHE[key] = (NCPoly.from_terms(body), steps, {2})
     return cached
 
 
-def _step_delta(a: Generator, b: Generator, u: Word):
+def _step_deltas(a: Generator, b: Generator, body) -> list:
     """How the weight changes when the pair a*b at position pos of a word
-    is replaced by u: None for a shorter u, and otherwise the letter-weight
-    deltas (D0, D1) = (w(u0) - w(a), w(u1) - w(b)) as one 6-tuple.
+    is replaced by each word u of body: None for a shorter u, and otherwise
+    the letter-weight deltas (D0, D1) = (w(u0) - w(a), w(u1) - w(b)) as one
+    6-tuple.  The weights of a and b are read once for the whole body.
 
     A letter at position i of a word of length n weighs n - i times its
     own weight, so with m = n - pos the word's weight changes by exactly
     m*D0 + (m - 1)*D1 (`_decreases`).
     """
-    if len(u) < 2:
-        return None
-    (a0, b0, c0), (a1, b1, c1) = letter_weight(u[0]), letter_weight(u[1])
     (aa, ba, ca), (ab, bb, cb) = letter_weight(a), letter_weight(b)
-    return (a0 - aa, b0 - ba, c0 - ca, a1 - ab, b1 - bb, c1 - cb)
+    deltas = []
+    for u in body:
+        if len(u) < 2:
+            deltas.append(None)
+            continue
+        (a0, b0, c0), (a1, b1, c1) = letter_weight(u[0]), letter_weight(u[1])
+        deltas.append((a0 - aa, b0 - ba, c0 - ca, a1 - ab, b1 - bb, c1 - cb))
+    return deltas
 
 
 def _decreases(m: int, d) -> bool:

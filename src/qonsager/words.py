@@ -19,6 +19,7 @@ drops it if it cancels.
 from __future__ import annotations
 
 from enum import IntEnum
+from functools import partial
 from typing import Iterable, NamedTuple, Tuple, Union
 
 from . import qfield
@@ -89,6 +90,11 @@ class Generator(int):
             return f"Gt[{self.k + 1}]"
         return f"W[{self.subscript()}]"
 
+
+# The Generator with the given int form, family * 2^32 + k, for an int
+# known to be one, with no range check: an int operation such as `^`
+# returns a plain int, and this retags it.
+_letter = partial(int.__new__, Generator)
 
 Word = Tuple[Generator, ...]
 EMPTY_WORD: Word = ()
@@ -164,7 +170,7 @@ def word_degree(w: Word) -> int:
 
 
 # letter -> its Weight; a letter's weight never changes, and
-# `rewrite._step_delta` reads four letter weights for each term of every
+# `rewrite._step_deltas` reads two letter weights for each term of every
 # rule body, which each suite step rebuilds from empty caches
 _LETTER_WEIGHT: dict = {}
 
@@ -339,27 +345,19 @@ def q_commutator(x: NCPoly, y: NCPoly, power: int = 1) -> NCPoly:
 
 # -- the automorphism sigma and the antiautomorphism dagger ---------------
 
-_SIGMA_FAMILY = {
-    Family.G: Family.Gtilde,
-    Family.Gtilde: Family.G,
-    Family.Wminus: Family.Wplus,
-    Family.Wplus: Family.Wminus,
-}
-
-_DAGGER_FAMILY = {
-    Family.G: Family.Gtilde,
-    Family.Gtilde: Family.G,
-    Family.Wminus: Family.Wminus,
-    Family.Wplus: Family.Wplus,
-}
+# sigma swaps G with Gt and W- with W+, and dagger swaps G with Gt: with
+# the family ranks 0 to 3, either swap is the XOR of the family bits with 3.
+_FAMILY_SWAP = 3 << _K_BITS
 
 
 def sigma_letter(g: Generator) -> Generator:
-    return Generator(_SIGMA_FAMILY[g.family], g.k)
+    return _letter(g ^ _FAMILY_SWAP)
 
 
 def dagger_letter(g: Generator) -> Generator:
-    return Generator(_DAGGER_FAMILY[g.family], g.k)
+    if (g >> _K_BITS) % 3:   # a W letter is its own image
+        return g
+    return _letter(g ^ _FAMILY_SWAP)
 
 
 def sigma(p: NCPoly) -> NCPoly:

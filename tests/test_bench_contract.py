@@ -3,7 +3,11 @@ keep a kernel refactor from breaking traced runs while tier-1 passes."""
 
 import importlib
 import importlib.util
+import json
+import os
 import pkgutil
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -85,6 +89,8 @@ def test_values_above_the_memo_cap_leave_the_memos_alone():
     # factors of a product above the cap: [19]q and [21]q have 38 and 42
     # coefficients in U and V, their product 78
     c19, c21 = qfield.q_int(19), qfield.q_int(21)
+    # [40]q has 78 coefficients in U and V, just above the cap
+    c40 = qfield.q_int(40)
     before = _memo_sizes()
     # q^5000 - q^-5000 and q^6000 + 1 expand q^10000 and q^6000, and the
     # numerator of (q - 1)^70 expands (q - 1)^70
@@ -98,6 +104,7 @@ def test_values_above_the_memo_cap_leave_the_memos_alone():
     one = qfield.QONE
     assert qfield.qdot([one, one], [big, big]) == big + big
     assert qfield.qdot([one] * 3, [big, one, -big]) == one
+    assert qfield.qdot([one] * 3, [c40, one, -c40]) == one
     wide = qfield.qdot([one] * 3, [big, qfield.q_pow(6000), big])
     assert len(wide.u) > qfield._MEMO_CAP
     # products in `lincomb` above the cap: of a big x, of a big c, and of a
@@ -170,6 +177,72 @@ def test_clear_caches_empties_every_kernel_memo():
     # are gone with them, and the module constants stay
     assert len(qfield._VALUES) < live
     assert _interned(qfield.QZERO, qfield.QONE, qfield.Q)
+
+
+# Module-level tables that the work of a suite step fills and that
+# rewrite.clear_caches leaves: only tables of fixed values, the same in every
+# run, may stay.  q_int and _LETTER_WEIGHT hold the quantum integers and the
+# letter weights, _ATOMS the terms of parsed atoms, and _VALUE_REFS is the
+# value table, which holds only live values.
+_SURVIVING_TABLES = {"qfield.q_int", "words._LETTER_WEIGHT", "cli._ATOMS",
+                     "qfield._VALUE_REFS"}
+
+# In a fresh interpreter: every kernel module-level dict and lru_cache that
+# is non-empty after one small step of each suite and a clear_caches, and
+# differs from what the import left there.
+_SURVIVORS = """
+import contextlib, importlib, io, json, pkgutil
+import qonsager
+from qonsager import cli, rewrite
+
+modules = [importlib.import_module(f"qonsager.{info.name}")
+           for info in pkgutil.iter_modules(qonsager.__path__)
+           if info.name != "__main__"]
+
+def tables():
+    out = {}
+    for module in modules:
+        layer = module.__name__.split(".")[-1]
+        for name, obj in vars(module).items():
+            if type(obj) is dict:
+                out[f"{layer}.{name}"] = dict(obj)
+            elif (hasattr(obj, "cache_info")
+                  and getattr(obj, "__module__", None) == module.__name__):
+                out[f"{layer}.{name}"] = obj.cache_info().currsize
+    return out
+
+imported = tables()
+for argv in STEPS:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["--format", "json", *argv]) == 0, argv
+rewrite.clear_caches()
+print(json.dumps(sorted(name for name, t in tables().items()
+                        if t and t != imported[name])))
+"""
+
+
+def test_no_rule_or_sum_table_outlives_clear_caches():
+    # each benchmark step runs from empty caches after rewrite.clear_caches,
+    # so a table of rules, normal forms, sums or products that survived it
+    # would warm the next step
+    steps = [("zn", "--n", "2"), ("check", "gf", "--order", "3"),
+             ("check", "prop41", "--order", "2"),
+             ("check", "matrix", "--order", "2"),
+             ("check", "central", "--n", "2", "--bound", "2"),
+             ("recover", "--n", "2"), ("dims", "--max-degree", "6"),
+             ("check", "ambiguities", "--bound", "1"),
+             ("check", "relations", "--bound", "1"),
+             ("series", "E", "--order", "2"),
+             ("normalize", "[3]q*W[1]*G[2] + 1/(q^2 + q^-2)*Gt[2]*W[-1]")]
+    src = Path(qonsager.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c", f"STEPS = {steps!r}\n" + _SURVIVORS],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    survivors = json.loads(out.stdout.splitlines()[-1])
+    # the run reached the tables the allowlist names
+    assert {"qfield.q_int", "words._LETTER_WEIGHT"} <= set(survivors)
+    assert set(survivors) <= _SURVIVING_TABLES
 
 
 def test_normal_forms_hold_one_object_per_coefficient_value():

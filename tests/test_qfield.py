@@ -386,7 +386,34 @@ _DOT_EXAMPLES = [
     ([(_V2, qf.q_int(3)), (_HALF, qf.q_int(2)), (-_V2, qf.q_int(3))], False),
     ([(qf.Q, qf.QONE), (qf.QONE, qf.QONE), (-qf.QONE, qf.q_int(2) * qf.Q)],
      False),
+    # expansions past _MEMO_CAP: [40]q has 77 coefficients in U, and the
+    # two shapes meet over a numerator of about 80
+    ([(qf.QONE, qf.q_int(40)), (_HALF, qf.Q), (qf.q_int(3), qf.q_int(37))],
+     False),
+    ([(qf.q_pow(-3), qf.q_int(40)), (qf.QONE, _V2 * qf.q_int(33))], True),
+    # V != 1 beside U != 1 and monomials, and two V's beside their product
+    ([(qf.QONE, _V2), (_THIRD, qf.q_int(3)), (qf.Q, qf.QONE)], False),
+    ([(_HALF, _V2), (qf.QONE, _V3), (qf.Q - qf.QONE, _V2 * _V3),
+      (qf.q_int(2), qf.QONE)], False),
+    ([(qf.QONE, _V2), (qf.QONE, qf.q_int(4) * _V3)], True),
+    # sums that cancel down to one live shape: a V != 1 one, and a monomial
+    # beside cancelled V != 1 and U != 1 groups
+    ([(qf.QONE, _V2), (qf.QONE, _V3), (-qf.QONE, _V3)], False),
+    ([(qf.QONE, qf.Q), (qf.QONE, _V2), (_HALF, qf.q_int(2)), (-qf.QONE, _V2),
+      (-_HALF, qf.q_int(2))], False),
+    # a sum of several shapes that cancels to zero
+    ([(qf.QONE, qf.q_int(40)), (qf.q_int(2), _V2), (qf.QONE, -qf.q_int(40)),
+      (-qf.q_int(2), _V2)], False),
 ]
+
+# the sums are also evaluated at three rational points, an oracle that
+# shares no code with `_sum` (the binary fold `_fold` adds through it)
+_DOT_POINTS = AXIOM_POINTS + (Fraction(7, 3),)
+
+
+def _dot_values(cs, xs):
+    return [sum((c.evaluate(t) * x.evaluate(t) for c, x in zip(cs, xs)),
+                Fraction(0)) for t in _DOT_POINTS]
 
 
 def _dot_cases(test=None, **extra):
@@ -410,9 +437,7 @@ def test_qdot_equals_binary_fold(pairs, mirror):
     assert _fields(got) == _fields(_fold(cs, xs))
     if mirror:
         assert _fields(got) == _fields(qf.QZERO)
-    expected = [sum((c.evaluate(t) * x.evaluate(t) for c, x in zip(cs, xs)),
-                    Fraction(0)) for t in AXIOM_POINTS]
-    _assert_canonical(got, expected)
+    _assert_canonical(got, _dot_values(cs, xs), _DOT_POINTS)
 
 
 # one factor-basis monomial q^a (q-1)^b (q+1)^c (q^2+1)^d times a nonzero int
@@ -429,9 +454,11 @@ def test_qdot_of_a_rescaled_list_equals_the_fold(pairs, mirror, scale):
     cs, xs = _dot_lists(pairs, mirror)
     first = qf.qdot(cs, xs)
     assert _fields(first) == _fields(_fold(cs, xs))
+    assert [first.evaluate(t) for t in _DOT_POINTS] == _dot_values(cs, xs)
     scaled = [c * scale for c in cs]
     got = qf.qdot(scaled, xs)
     assert _fields(got) == _fields(_fold(scaled, xs))
+    assert [got.evaluate(t) for t in _DOT_POINTS] == _dot_values(scaled, xs)
     assert got == first * scale
 
 

@@ -73,6 +73,92 @@ def reducible_pairs(kmax):
     return pairs
 
 
+# The rule bodies as the paper writes them: every letter is built from its
+# family and subscript, a subscript-zero G symbol is the scalar G0, and rules
+# vi and vii are the dagger images of rules iv and v.
+_DAGGER_FAMILY = {W.Family.G: W.Family.Gtilde, W.Family.Gtilde: W.Family.G,
+                  W.Family.Wminus: W.Family.Wminus,
+                  W.Family.Wplus: W.Family.Wplus}
+
+
+def _reference_dagger(g):
+    return W.Generator(_DAGGER_FAMILY[g.family], g.k)
+
+
+def _reference_term(coeff, *symbols):
+    letters = []
+    for s in symbols:
+        if isinstance(s, W.Generator):
+            letters.append(s)
+        else:
+            coeff = coeff * s
+    return coeff, tuple(letters)
+
+
+def _reference_rule_terms(a, b):
+    G = lambda n: W.symbol_from_subscript("G", n)
+    Gt = lambda n: W.symbol_from_subscript("Gt", n)
+    term, w_sub = _reference_term, W.w_sub
+    fa, fb = a.family, b.family
+    if fa == W.Family.Gtilde and fb in (W.Family.Wplus, W.Family.Wminus):
+        return [(c, tuple(_reference_dagger(g) for g in reversed(w)))
+                for c, w in _reference_rule_terms(_reference_dagger(b),
+                                                  _reference_dagger(a))]
+    i, j = a.k, b.k
+    terms = []
+    if fa == fb:
+        return [(qf.QONE, (b, a))]
+    if (fa, fb) == (W.Family.Wplus, W.Family.Wminus):
+        terms.append((qf.QONE, (b, a)))
+        for l in range(min(i, j) + 1):
+            terms.append(term(R.E_II, G(l), Gt(i + j + 1 - l)))
+            terms.append(term(-R.E_II, G(i + j + 1 - l), Gt(l)))
+        return terms
+    if (fa, fb) == (W.Family.Gtilde, W.Family.G):
+        c = R.C_III
+        terms.append((qf.QONE, (g_(j + 1), gt_(i + 1))))
+        terms.append((-c, (wm(i), wm(j))))
+        terms.append((c, (wp(i + 1), wp(j + 1))))
+        for l in range(min(i, j) + 1):
+            terms.append(term(c, wm(l), w_sub(i + j + 2 - l)))
+            terms.append(term(-c, w_sub(l - 1 - i - j), wp(l + 1)))
+        for l in range(1, min(i, j) + 1):
+            terms.append(term(-c, w_sub(1 - l), w_sub(i + j + 1 - l)))
+            terms.append(term(c, w_sub(l - i - j), w_sub(l)))
+        return terms
+    if (fa, fb) == (W.Family.Wplus, W.Family.G):
+        c = R.C_IV
+        terms.append((qf.QONE, (g_(j + 1), wp(i + 1))))
+        for l in range(min(i, j) + 1):
+            terms.append(term(c, G(l), w_sub(l - i - j)))
+            terms.append(term(c, G(i + j + 1 - l), wp(l + 1)))
+            terms.append(term(-c, G(l), w_sub(i + j + 2 - l)))
+        for l in range(1, min(i, j) + 1):
+            terms.append(term(-c, G(i + j + 1 - l), w_sub(1 - l)))
+        return terms
+    if (fa, fb) == (W.Family.Wminus, W.Family.G):
+        c = R.C_V
+        terms.append((qf.QONE, (g_(j + 1), wm(i))))
+        for l in range(min(i, j) + 1):
+            terms.append(term(-c, G(l), w_sub(i + j + 1 - l)))
+            terms.append(term(c, G(l), w_sub(l - 1 - i - j)))
+            terms.append(term(-c, G(i + j + 1 - l), wm(l)))
+        for l in range(1, min(i, j) + 1):
+            terms.append(term(c, G(i + j + 1 - l), w_sub(l)))
+        return terms
+    raise AssertionError(f"no rule for pair {a} {b}")
+
+
+def test_rule_terms_equal_the_written_out_formulas():
+    # the same terms in the same order, each coefficient the same object
+    for a, b in reducible_pairs(8):
+        got = R._rule_terms(a, b)
+        expected = _reference_rule_terms(a, b)
+        assert [w for _, w in got] == [w for _, w in expected], (a, b)
+        assert all(c is e for (c, _), (e, _) in zip(got, expected)), (a, b)
+        assert all(type(g) is W.Generator for _, w in got for g in w)
+
+
 def test_soundness_of_every_rule():
     for a, b in reducible_pairs(4):
         lhs = R.normal_form(NCPoly.word((a, b)))
@@ -187,7 +273,7 @@ def test_step_delta_decides_as_the_word_weights(host, pos, u):
     pos = min(pos, len(host) - 2)
     pair = host[pos:pos + 2]
     app = R.RuleApplication("any", pair, NCPoly.word(u))
-    d = R._step_delta(*pair, u)
+    d, = R._step_deltas(*pair, [u])
     closed = d is None or R._decreases(len(host) - pos, d)
     assert closed == R.measure_decreases(host, pos, app)
 
@@ -256,7 +342,7 @@ def test_a_rule_body_that_does_not_decrease_the_measure_is_refused(
     _mutant_rule_body(monkeypatch, pair, word)
     try:
         if len(word) > 2:   # only the length can refuse this word
-            assert R._decreases(2, R._step_delta(*pair, word[:2]))
+            assert R._decreases(2, *R._step_deltas(*pair, [word[:2]]))
         with pytest.raises(R.RewriteInternalError,
                            match="does not decrease the measure"):
             R.apply_rule(*pair)

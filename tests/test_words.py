@@ -165,6 +165,25 @@ def test_dagger_examples():
     assert both == NCPoly.word((g_(1), wp(1)))
 
 
+# sigma and dagger on the families, as the paper defines them
+_SIGMA_FAMILY = {W.Family.G: W.Family.Gtilde, W.Family.Gtilde: W.Family.G,
+                 W.Family.Wminus: W.Family.Wplus,
+                 W.Family.Wplus: W.Family.Wminus}
+_DAGGER_FAMILY = {W.Family.G: W.Family.Gtilde, W.Family.Gtilde: W.Family.G,
+                  W.Family.Wminus: W.Family.Wminus,
+                  W.Family.Wplus: W.Family.Wplus}
+
+
+def test_letter_maps_swap_the_families_and_are_involutions():
+    for g in all_letters(63):
+        for image, family in ((W.sigma_letter, _SIGMA_FAMILY),
+                              (W.dagger_letter, _DAGGER_FAMILY)):
+            h = image(g)
+            assert type(h) is W.Generator
+            assert (h.family, h.k) == (family[g.family], g.k)
+            assert image(h) == g and type(image(h)) is W.Generator
+
+
 def test_sigma_dagger_commuting_involutions_random():
     rng = random.Random(5)
     for _ in range(40):
