@@ -1,9 +1,8 @@
 """Exact kernel for the alternating central extension of the q-Onsager algebra."""
 
 from .qfield import G0, RHO, QRat, q_int, q_pow
-from .words import (Family, Generator, NCPoly, Weight, dagger, gen_cmp,
-                    is_irreducible, sigma, symbol_from_subscript, word_degree,
-                    word_weight)
+from .words import (Family, Generator, NCPoly, Weight, dagger, is_irreducible,
+                    sigma, symbol_from_subscript, word_degree, word_weight)
 from .rewrite import (OverlapReport, RuleApplication, apply_rule, check_overlap,
                       enumerate_overlaps, measure_decreases, normal_form,
                       rule_application)

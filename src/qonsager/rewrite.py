@@ -10,26 +10,25 @@ fills the body's dict term by term and sums only where a word repeats.
 Rules vi and vii are not written out: they are the images of rules iv and
 v under the antiautomorphism dagger, which reverses words and swaps G with
 Gt, and are generated from them.
-Rewriting strictly decreases the (length, weight) lexicographic measure,
-which is asserted for every step, so termination is a runtime-checked
-fact rather than a step cap.  The assertion costs no weight of a whole
-word: a rule stores, for each two-letter descendant u of its pair a*b,
-the letter-weight deltas D0 = w(u0) - w(a) and D1 = w(u1) - w(b), and a
-step at position pos of a word of length n changes the weight by exactly
-m*D0 + (m - 1)*D1 with m = n - pos; a shorter descendant is below the
-word by length.  So whether a step decreases the measure depends only on
-the rule and m: each rule's steps are checked once per distance m, the
-first time a word rewrites with it at that m, and the first word whose
-step would not decrease the measure raises `RewriteInternalError`.
+Rewriting strictly decreases the (length, weight) lexicographic measure
+of x*a*b*y for every prefix x and suffix y, as the diamond lemma
+requires, so termination is a certified fact rather than a step cap.
+Each rule is certified once, when it is built, and a rule that fails
+raises `RewriteInternalError`.  A step at position pos of a word of
+length n replaces a*b by a body word u.  A shorter u is below the word
+by length; a two-letter u changes the weight by exactly m*D0 + (m - 1)*D1
+with m = n - pos >= 2 and the letter-weight deltas D0 = w(u0) - w(a),
+D1 = w(u1) - w(b) (`_step_deltas`).  That depends on neither x nor y,
+and `_descends` decides it for every m >= 2 from two values of m.
 Every left side has two letters, so the ambiguities are the overlaps: the
 C(4(b + 1), 3) strictly decreasing triples of letters with indices <= b.
 
 `_word_nf` visits each word once: its expansion (descent, rule and
-candidate words, after the rule's measure check at a new distance) waits
-on its stack frame until the candidates are filled.  `_combine`
-(`qfield.lincomb`) then collects the terms by word in one merge pass that
-looks each product up as it goes; a word's coefficient is a memo lookup
-by its summands, or on a miss is grouped by shape and canonicalized once.
+candidate words) waits on its stack frame until the candidates are
+filled.  `_combine` (`qfield.lincomb`) then collects the terms by word
+in one merge pass that looks each product up as it goes; a word's
+coefficient is a memo lookup by its summands, or on a miss is grouped by
+shape and canonicalized once.
 The rule and normal-form caches are plain process-local dicts keyed by
 immutable values.
 """
@@ -165,14 +164,12 @@ def _rule_terms(a: Generator, b: Generator) -> List[Tuple[QRat, Word]]:
     raise RewriteInternalError(f"no rule for pair {a} {b}")
 
 
-def _rule(a: Generator, b: Generator) -> tuple:
-    """The rule for the pair a*b, built once: its body as an NCPoly, and
-    for `_word_nf` the steps (u, c, d) over the body's terms c*u, where d
-    is the closed form of u's weight change (`_step_deltas`), and the set of
-    distances m at which every step is known to decrease the measure.  The
-    body is filled from `_rule_terms` word by word, and a word's
-    coefficients are summed only where the word repeats.  The build checks
-    m = 2, the pair itself; `_word_nf` adds the others."""
+def _rule(a: Generator, b: Generator) -> NCPoly:
+    """The body of the rule for the pair a*b as an NCPoly, built and
+    certified once.  The body is filled from `_rule_terms` word by word,
+    and a word's coefficients are summed only where the word repeats.
+    Every body word must lower the measure wherever the pair stands in a
+    word: it is shorter, or it has two letters and its step `_descends`."""
     key = (a, b)
     cached = _RULE_CACHE.get(key)
     if cached is None:
@@ -181,14 +178,11 @@ def _rule(a: Generator, b: Generator) -> tuple:
             prev = body.get(u)
             body[u] = c if prev is None else prev + c
         body = {u: c for u, c in body.items() if c.p}
-        steps = tuple(zip(body, body.values(), _step_deltas(a, b, body)))
-        # a shorter u is below a*b by length, and a two-letter one is below
-        # it iff its weight is, which is the step's closed form at m = 2
-        for u, _, d in steps:
-            if len(u) > 2 or (d is not None and not _decreases(2, d)):
+        for u, d in zip(body, _step_deltas(a, b, body)):
+            if len(u) > 2 or (d is not None and not _descends(d)):
                 raise RewriteInternalError(
                     f"descendant {u} does not decrease the measure of ({a}, {b})")
-        cached = _RULE_CACHE[key] = (NCPoly.from_terms(body), steps, {2})
+        cached = _RULE_CACHE[key] = NCPoly.from_terms(body)
     return cached
 
 
@@ -221,11 +215,27 @@ def _decreases(m: int, d) -> bool:
     return (m * a0 + n * a1, m * b0 + n * b1, m * c0 + n * c1) < (0, 0, 0)
 
 
+def _descends(d) -> bool:
+    """Whether a step with the deltas d lowers the word's weight at every
+    distance m >= 2 from the word's end, decided at m = 2 and one M.
+
+    Each coordinate of f(m) = m*D0 + (m - 1)*D1 is m*(D0 + D1) - D1: linear
+    in m with an integer slope, so it is identically 0 or has at most one
+    root, of absolute value at most max|d|.  The first coordinate that is
+    not identically 0 decides the lexicographic sign of f(m) wherever it is
+    nonzero, and it is nonzero at M = 3 + 3*max|d|, past its root.  If
+    f(2) < 0 and f(M) < 0, that coordinate is <= 0 at 2 and < 0 at M, so by
+    linearity it is < 0 at every m > 2, and so is f(m); the converse is
+    immediate.  An all-zero d fails at m = 2.
+    """
+    return _decreases(2, d) and _decreases(3 + 3 * max(map(abs, d)), d)
+
+
 def apply_rule(a: Generator, b: Generator) -> NCPoly:
     """Rewrite the reducible pair a*b as a combination of smaller words."""
     if not a > b:
         raise ValueError(f"pair ({a}, {b}) is not reducible")
-    return _rule(a, b)[0]
+    return _rule(a, b)
 
 
 def rule_application(a: Generator, b: Generator) -> RuleApplication:
@@ -269,17 +279,9 @@ def _word_nf(w: Word) -> dict:
                 _NF_CACHE[top] = {top: QONE}
                 stack.pop()
                 continue
-            _, steps, checked = _rule(top[pos], top[pos + 1])
-            m = len(top) - pos
-            if m not in checked:
-                for _, _, d in steps:
-                    # a shorter candidate (d is None) is below top by length
-                    if d is not None and not _decreases(m, d):
-                        raise RewriteInternalError(
-                            f"rewrite step failed to decrease the measure at {top}")
-                checked.add(m)
             prefix, suffix = top[:pos], top[pos + 2:]
-            expansion = [(prefix + u + suffix, c) for u, c, _ in steps]
+            expansion = [(prefix + u + suffix, c)
+                         for u, c in _rule(top[pos], top[pos + 1]).terms.items()]
             stack[-1] = (top, expansion)
             depth = len(stack)
             for candidate, _ in expansion:
@@ -323,7 +325,7 @@ def reduce_with_strategy(p: NCPoly, rng) -> NCPoly:
             terms[w] = c
             continue
         i = rng.choice(positions)
-        for u, cu in _rule(w[i], w[i + 1])[0].terms.items():
+        for u, cu in _rule(w[i], w[i + 1]).terms.items():
             candidate = w[:i] + u + w[i + 2:]
             prev = terms.get(candidate)
             s = c * cu if prev is None else prev + c * cu
@@ -351,10 +353,10 @@ def check_overlap(w: Word) -> OverlapReport:
     """Resolve a length-3 overlap both ways and compare the normal forms."""
     if len(w) != 3 or not (w[0] > w[1] and w[1] > w[2]):
         raise ValueError(f"{w} is not an overlap ambiguity")
-    left = NCPoly({u + (w[2],): c
-                   for u, c in apply_rule(w[0], w[1]).terms.items()})
-    right = NCPoly({(w[0],) + u: c
-                    for u, c in apply_rule(w[1], w[2]).terms.items()})
+    left = NCPoly.from_terms({u + (w[2],): c
+                              for u, c in apply_rule(w[0], w[1]).terms.items()})
+    right = NCPoly.from_terms({(w[0],) + u: c
+                               for u, c in apply_rule(w[1], w[2]).terms.items()})
     nf_left = normal_form(left)
     nf_right = normal_form(right)
     return OverlapReport(w, nf_left == nf_right, nf_left, nf_right)

@@ -107,9 +107,6 @@ class Weight(NamedTuple):
     b: int
     c: int
 
-    def add(self, other: "Weight") -> "Weight":
-        return Weight(self.a + other.a, self.b + other.b, self.c + other.c)
-
 
 def g_(n: int) -> Generator:
     if n < 1:
@@ -156,13 +153,6 @@ def symbol_from_subscript(family: str, n: int) -> Union[Generator, QRat]:
             return qfield.G0
         return g_(n) if family == "G" else gt_(n)
     raise ValueError(f"unknown family {family!r}")
-
-
-def gen_cmp(g: Generator, h: Generator) -> int:
-    """Strict total order on letters: -1, 0 or 1."""
-    if g == h:
-        return 0
-    return -1 if g < h else 1
 
 
 def word_degree(w: Word) -> int:

@@ -278,30 +278,6 @@ def test_step_delta_decides_as_the_word_weights(host, pos, u):
     assert closed == R.measure_decreases(host, pos, app)
 
 
-def test_a_descendant_that_grows_only_inside_a_word_is_caught(monkeypatch):
-    # G[1]*Gt[1] weighs (2, 0, 3) against (2, 0, 7) for W[-3]*G[1], so the
-    # rule passes its pair check (m = 2); at m = 3 the deltas D0 = (-1, 0,
-    # -2) and D1 = (2, 0, 0) give 3*D0 + 2*D1 = (1, 0, -6) >= (0, 0, 0)
-    rule_terms = R._rule_terms
-
-    def mutant(a, b):
-        terms = rule_terms(a, b)
-        if (a, b) == (wm(3), g_(1)):
-            terms = terms + [(qf.QONE, (g_(1), gt_(1)))]
-        return terms
-
-    monkeypatch.setattr(R, "_rule_terms", mutant)
-    R.clear_caches()
-    try:
-        assert (g_(1), gt_(1)) in R.apply_rule(wm(3), g_(1)).terms
-        R.normal_form(NCPoly.word((wm(3), g_(1))))
-        with pytest.raises(R.RewriteInternalError,
-                           match="failed to decrease the measure"):
-            R.normal_form(NCPoly.word((wm(3), g_(1), g_(1))))
-    finally:
-        R.clear_caches()
-
-
 def _mutant_rule_body(monkeypatch, pair, word):
     """Make the body of the rule for pair gain the word, from empty
     caches."""
@@ -315,18 +291,68 @@ def _mutant_rule_body(monkeypatch, pair, word):
     R.clear_caches()
 
 
-def test_a_step_is_checked_again_at_each_new_distance(monkeypatch):
+def test_a_descendant_that_grows_only_inside_a_word_is_caught(monkeypatch):
+    # G[1]*Gt[1] weighs (2, 0, 3) against (2, 0, 7) for W[-3]*G[1], so the
+    # step lowers the pair itself (m = 2); at m = 3 the deltas D0 = (-1, 0,
+    # -2) and D1 = (2, 0, 0) give 3*D0 + 2*D1 = (1, 0, -6) >= (0, 0, 0), so
+    # the rule is refused when it is built, before any word rewrites with it
+    pair, word = (wm(3), g_(1)), (g_(1), gt_(1))
+    d, = R._step_deltas(*pair, [word])
+    assert R._decreases(2, d) and not R._decreases(3, d)
+    _mutant_rule_body(monkeypatch, pair, word)
+    try:
+        with pytest.raises(R.RewriteInternalError,
+                           match="does not decrease the measure"):
+            R.apply_rule(*pair)
+    finally:
+        R.clear_caches()
+
+
+def test_a_step_that_fails_only_far_from_the_end_is_refused_at_build(
+        monkeypatch):
     # G[4]*G[1] -> G[1]*G[5] has the deltas D0 = (0, 0, -3) and D1 = (0, 0,
     # 4), so it changes the weight by m - 4 in the last coordinate: -2, -1
-    # and 0 at m = 2, 3 and 4.  The rule passes at m = 2 and 3 first, from
-    # the same caches, and the step must still be checked at m = 4.
-    _mutant_rule_body(monkeypatch, (g_(4), g_(1)), (g_(1), g_(5)))
+    # and 0 at m = 2, 3 and 4.  No word of four letters need reach it: the
+    # two-letter word already refuses the rule.
+    pair, word = (g_(4), g_(1)), (g_(1), g_(5))
+    d, = R._step_deltas(*pair, [word])
+    assert [R._decreases(m, d) for m in (2, 3, 4)] == [True, True, False]
+    _mutant_rule_body(monkeypatch, pair, word)
     try:
-        R.normal_form(NCPoly.word((g_(4), g_(1))))
-        R.normal_form(NCPoly.word((g_(4), g_(1), g_(9))))
         with pytest.raises(R.RewriteInternalError,
-                           match="failed to decrease the measure"):
-            R.normal_form(NCPoly.word((g_(4), g_(1), g_(9), g_(9))))
+                           match="does not decrease the measure"):
+            R.normal_form(NCPoly.word(pair))
+    finally:
+        R.clear_caches()
+
+
+# small deltas, and the examples the two-point form must get right: steps
+# that fail only at m = 3, at m = 4 and at m = 6, one whose first
+# coordinate is 0 at m = 2 and grows, one whose first coordinate is 0 at m
+# = 2 and falls, and the all-zero step
+@example(d=(-1, 0, -2, 2, 0, 0))
+@example(d=(0, 0, -3, 0, 0, 4))
+@example(d=(0, 0, -5, 0, 0, 6))
+@example(d=(-1, 0, 0, 2, 0, -9))
+@example(d=(1, -1, 0, -2, 0, 0))
+@example(d=(0, 0, 0, 0, 0, 0))
+@given(d=st.tuples(*[st.integers(-4, 4)] * 6))
+def test_descends_decides_every_distance_from_two(d):
+    far = 3 + 3 * max(map(abs, d)) + 20
+    assert R._descends(d) == all(R._decreases(m, d) for m in range(2, far))
+
+
+def test_every_rule_builds_at_small_indices_and_at_index_9999():
+    # each build certifies every step of its rule at every distance; the
+    # far pairs have the largest deltas, and up to 40,001 body words
+    far = [W.Generator(f, 9999) for f in W.Family]
+    pairs = reducible_pairs(8) + [(a, b) for a in far for b in far if a > b]
+    pairs += [(a, W.Generator(a.family, 9998)) for a in far]
+    R.clear_caches()
+    try:
+        for a, b in pairs:
+            assert R.apply_rule(a, b).terms
+        assert len(R._RULE_CACHE) == len(pairs) == 630 + 10
     finally:
         R.clear_caches()
 
@@ -412,32 +438,25 @@ def test_word_nf_looks_up_one_rule_per_filled_word(monkeypatch, capsys):
     assert len(calls) == len(filled) + 2 * len(R.enumerate_overlaps(2))
 
 
-def test_a_cold_ambiguity_run_checks_each_step_once_per_distance(
+def test_a_cold_ambiguity_run_checks_each_step_once_when_its_rule_is_built(
         monkeypatch, capsys):
     from qonsager import cli
     R.clear_caches()
     calls = []
-    decreases = R._decreases
+    descends = R._descends
 
-    def counted(m, d):
-        calls.append(m)
-        return decreases(m, d)
+    def counted(d):
+        calls.append(d)
+        return descends(d)
 
-    monkeypatch.setattr(R, "_decreases", counted)
+    monkeypatch.setattr(R, "_descends", counted)
     try:
         assert cli.main(["check", "ambiguities", "--bound", "2"]) == 0
         capsys.readouterr()
-        # the distances m = len(w) - pos at which each rule rewrote a word
-        distances = {}
-        for w in R._NF_CACHE:
-            pos = W.first_descent(w)
-            if pos is not None:
-                distances.setdefault((w[pos], w[pos + 1]), {2}).add(len(w) - pos)
-        # each rule's steps are checked at m = 2 when it is built, and at
-        # most once more at every other distance it is used at
-        bound = sum(len(rule[1]) * len(distances.get(pair, {2}))
-                    for pair, rule in R._RULE_CACHE.items())
-        assert len(calls) <= bound
+        # one check for each two-letter body word of each rule built, and
+        # none in the walk
+        assert len(calls) == sum(len(u) == 2 for body in R._RULE_CACHE.values()
+                                 for u in body.terms)
         # the words and rules a cold bound-2 run fills
         assert len(R._NF_CACHE) == 3548
         assert len(R._RULE_CACHE) == 236
