@@ -7,6 +7,12 @@ They come out of two independent routes (series extraction and the
 closed five-sum formula) which must agree, are fixed by both symmetry
 maps, commute with every generator, and drive the recursion that
 recovers all alternating generators from the two degree-one ones.
+
+Every binomial resummation is `ddown_transform`: the W, G and Gt
+transforms, both S/T substitutions and the G terms of the adjusted
+element are built from it.  The recursion builds its formulas in the
+true letters and maps them through the letters recovered so far
+(`_substitute`), so it is a plain algebra map.
 """
 
 from __future__ import annotations
@@ -38,12 +44,11 @@ def ddown_transform(a: Callable[[int], NCPoly], n: int) -> NCPoly:
         for l in range(n // 2 + 1))
 
 
-def w_ddown(m: int, elem=series.family_element) -> NCPoly:
-    """The double-down W element with signed subscript m; elem(family, k)
-    supplies the letter polynomials."""
+def w_ddown(m: int) -> NCPoly:
+    """The double-down W element with signed subscript m."""
     if m <= 0:
-        return ddown_transform(partial(elem, Family.Wminus), -m)
-    return ddown_transform(partial(elem, Family.Wplus), m - 1)
+        return ddown_transform(partial(series.family_element, Family.Wminus), -m)
+    return ddown_transform(partial(series.family_element, Family.Wplus), m - 1)
 
 
 def g_down(n: int) -> NCPoly:
@@ -72,29 +77,27 @@ def st_series(which: str, order: int) -> TruncSeries:
 
 
 def subst_ST(family: Family, which: str, weight: str, order: int) -> TruncSeries:
-    """A generating function evaluated at S or T, via the closed forms.
+    """A generating function evaluated at S or T, via the closed form.
 
-    weight "plain" gives a(S) or a(T); "times_ST_arg" gives S*a(S) or
-    T*a(T).  Never generic power-series composition.
+    weight "times_ST_arg" gives X*a(X) for X = S or T: its coefficient
+    of t^(n+1) is ddown_transform(a, n) times q^(+-(n+1)) [2]^(n+1).
+    weight "plain" gives a(X) = a(0) + X*a'(X), with a'(k) = a(k + 1).
+    Never generic power-series composition.
     """
     if which not in ("S", "T"):
         raise ValueError("which must be 'S' or 'T'")
+    if weight not in ("plain", "times_ST_arg"):
+        raise ValueError("weight must be 'plain' or 'times_ST_arg'")
     sgn = -1 if which == "S" else 1
     q2 = qfield.q_int(2)
-    coeffs: Dict = {}
     a = partial(series.family_element, family)
-    if weight == "plain":
-        for n in range(order + 1):
-            elem = down_transform(a, n)
-            coeffs[(n,)] = elem * (qfield.q_pow(sgn * n) * q2 ** n)
-    elif weight == "times_ST_arg":
-        for n in range(order):
-            elem = ddown_transform(a, n)
-            coeffs[(n + 1,)] = elem * (qfield.q_pow(sgn * (n + 1)) * q2 ** (n + 1))
-        return TruncSeries(("t",), (order,), (1,), coeffs)
-    else:
-        raise ValueError("weight must be 'plain' or 'times_ST_arg'")
-    return TruncSeries(("t",), (order,), (0,), coeffs)
+    plain = weight == "plain"
+    coeffs = {(0,): a(0)} if plain else {}
+    b = (lambda k: a(k + 1)) if plain else a
+    for n in range(order):
+        coeffs[(n + 1,)] = (ddown_transform(b, n)
+                            * (qfield.q_pow(sgn * (n + 1)) * q2 ** (n + 1)))
+    return TruncSeries(("t",), (order,), (0 if plain else 1,), coeffs)
 
 
 def _st_bundle(m: int):
@@ -163,28 +166,25 @@ def z_series_pbw_form(order: int) -> TruncSeries:
     return _window(z, order, "PBW-form series").normal_form()
 
 
-def _five_sum_terms(n: int, elem, g_range) -> List[NCPoly]:
+def _five_sum_terms(n: int, g_range) -> List[NCPoly]:
     """The terms of the four W sums and the G sum over g_range of the
-    closed Z_n formula, unreduced; elem(family, k) supplies the letter
-    polynomials."""
+    closed Z_n formula, unreduced."""
     q = qfield.q_pow
     q2 = qfield.q_int(2)
-    w = partial(w_ddown, elem=elem)
-    g, gt = partial(elem, Family.G), partial(elem, Family.Gtilde)
+    w = w_ddown
     return ([(w(-k) * w(n - k)) * (q2 * q(n - 1 - 2 * k)) for k in range(n)]
             + [(w(n - 2 - k) * w(-k)) * (q2.inverse() * q(2 * k - n + 3))
                for k in range(n - 2)]
             + [(w(-k) * w(k - n + 2)) * -q(n - 2 * k) for k in range(n - 1)]
             + [(w(k + 1) * w(n - k - 1)) * -q(n - 2 * k - 4)
                for k in range(n - 1)]
-            + [(down_transform(g, k) * down_transform(gt, n - k))
-               * (INV_Q2M_SQ * q(n - 2 * k)) for k in g_range])
+            + [(g_down(k) * gt_down(n - k)) * (INV_Q2M_SQ * q(n - 2 * k))
+               for k in g_range])
 
 
 def z_n_direct_poly(n: int) -> NCPoly:
     """The closed five-sum formula, reduced to normal form."""
-    return rewrite.normal_form(NCPoly.sum(
-        _five_sum_terms(n, series.family_element, range(n + 1))))
+    return rewrite.normal_form(NCPoly.sum(_five_sum_terms(n, range(n + 1))))
 
 
 def z_n(n: int, route: str = "direct") -> NCPoly:
@@ -220,25 +220,23 @@ def z_bar_subtracted_form(n: int) -> NCPoly:
     return rewrite.normal_form(zn - sub)
 
 
-def z_bar_expanded_poly(n: int, elem=None) -> NCPoly:
+def z_bar_expanded_poly(n: int) -> NCPoly:
     """The expanded formula for the adjusted element, in lower-index letters.
 
-    elem(family, k) supplies the letter polynomials; the default uses the
-    true letters.  The recursion passes recovered polynomials instead, so
-    the G sum stops short of G_n and Gt_n, which it has yet to recover.
+    The G sum stops short of its k = 0 and k = n terms, and what those
+    terms hold below G_n and Gt_n is added back:
+    (g_down(n) - G_n)(-q^-n / (q - q^-1)) and its Gt match with q^n.
+    Its letters are W_-k for k < n, W_k for 1 <= k <= n, and G_k and
+    Gt_k for k < n: those that `recover_generators` has rebuilt before
+    step n.
     """
     if n < 1:
         raise ValueError("n >= 1 required")
-    if elem is None:
-        elem = series.family_element
     q = qfield.q_pow
     qm_inv = qfield.QM.inverse()
-    inv2sq = qfield.q_int(2) ** -2
-    terms = _five_sum_terms(n, elem, range(1, n))
-    for l in range(1, (n - 1) // 2 + 1):
-        c = qfield.of((-1) ** l * comb(n - 1 - l, l)) * inv2sq ** l
-        terms.append(elem(Family.G, n - 2 * l) * -(c * q(-n) * qm_inv))
-        terms.append(elem(Family.Gtilde, n - 2 * l) * -(c * q(n) * qm_inv))
+    terms = _five_sum_terms(n, range(1, n))
+    terms.append((g_down(n) - NCPoly.gen(g_(n))) * -(q(-n) * qm_inv))
+    terms.append((gt_down(n) - NCPoly.gen(gt_(n))) * -(q(n) * qm_inv))
     return NCPoly.sum(terms)
 
 
@@ -273,12 +271,28 @@ def check_central(n: int, index_bound: int = 6) -> Report:
 # -- generator recovery --------------------------------------------------------
 
 
+def _substitute(p: NCPoly, table: Dict[Generator, NCPoly]) -> NCPoly:
+    """The image of p under the algebra map that sends each letter g to
+    table[g]; a letter the table lacks has not been recovered yet."""
+    images = []
+    for w, c in p.terms.items():
+        image = NCPoly.scalar(c)
+        for g in w:
+            if g not in table:
+                raise KeyError(f"recursion touched {g.text()} before recovery")
+            image = image * table[g]
+        images.append(image)
+    return NCPoly.sum(images)
+
+
 def recover_generators(N: int, zs=None) -> Dict[Generator, NCPoly]:
     """Rebuild every generator up to level N from the degree-one pair.
 
     zs maps each n from 1 to N to the NCPoly Z_n (by default z_n(n));
-    a missing entry is an error.  Returns the recovered polynomial for
-    each generator, in normal form.
+    a missing entry is an error.  Step n maps z_bar_expanded_poly(n)
+    through the table of the letters recovered before it, then solves for
+    G_n, Gt_n, W_-n and W_n+1.  Returns the recovered polynomial for each
+    generator, in normal form.
     """
     if N < 1:
         raise ValueError("N >= 1 required")
@@ -288,21 +302,10 @@ def recover_generators(N: int, zs=None) -> Dict[Generator, NCPoly]:
         wm(0): NCPoly.gen(wm(0)),
         wp(1): NCPoly.gen(wp(1)),
     }
-
-    def elem(family: Family, k: int) -> NCPoly:
-        letter = series.family_element(family, k)
-        if letter.is_scalar():
-            return letter
-        [(g,)] = letter.terms
-        try:
-            return table[g]
-        except KeyError:
-            raise KeyError(f"recursion touched {g.text()} before recovery") from None
-
     q = qfield.q_pow
     q2 = qfield.q_int(2)
     for n in range(1, N + 1):
-        zbar = rewrite.normal_form(z_bar_expanded_poly(n, elem))
+        zbar = rewrite.normal_form(_substitute(z_bar_expanded_poly(n), table))
         w0, w1 = table[wm(0)], table[wp(1)]
         wn = table[wp(n)]
         br = rewrite.normal_form(commutator(w0, wn))
@@ -412,6 +415,10 @@ def check_appendix_b() -> Report:
         return NCPoly([((letter,), qfield.of(coeff_int) * q2 ** (-pw))
                        for coeff_int, pw, letter in rows])
 
+    def relabel(rows, letter):
+        """A W- row with each W_-k renamed letter(k + 1)."""
+        return [(c, pw, letter(g.k + 1)) for (c, pw, g) in rows]
+
     wminus_rows = {
         0: [(1, 0, wm(0))],
         1: [(1, 0, wm(1))],
@@ -427,29 +434,15 @@ def check_appendix_b() -> Report:
     for n, rows in wminus_rows.items():
         ok = w_ddown(-n) == entry(rows)
         report.add(f"Wminus ddown n={n}", ok)
-    wplus_rows = {
-        n: [(c, pw, wp(g.k + 1)) for (c, pw, g) in rows]
-        for n, rows in wminus_rows.items()
-    }
-    for n, rows in wplus_rows.items():
-        ok = w_ddown(n + 1) == entry(rows)
+    for n, rows in wminus_rows.items():
+        ok = w_ddown(n + 1) == entry(relabel(rows, wp))
         report.add(f"Wplus ddown n={n}", ok)
-    g_rows = {
-        1: [(1, 0, g_(1))],
-        2: [(1, 0, g_(2))],
-        3: [(1, 0, g_(3)), (-1, 2, g_(1))],
-        4: [(1, 0, g_(4)), (-2, 2, g_(2))],
-        5: [(1, 0, g_(5)), (-3, 2, g_(3)), (1, 4, g_(1))],
-        6: [(1, 0, g_(6)), (-4, 2, g_(4)), (3, 4, g_(2))],
-        7: [(1, 0, g_(7)), (-5, 2, g_(5)), (6, 4, g_(3)), (-1, 6, g_(1))],
-        8: [(1, 0, g_(8)), (-6, 2, g_(6)), (10, 4, g_(4)), (-4, 6, g_(2))],
-        9: [(1, 0, g_(9)), (-7, 2, g_(7)), (15, 4, g_(5)), (-10, 6, g_(3)),
-            (1, 8, g_(1))],
-    }
-    for n, rows in g_rows.items():
-        report.add(f"G down n={n}", g_down(n) == entry(rows))
-        trows = [(c, pw, gt_(g.k + 1)) for (c, pw, g) in rows]
-        report.add(f"Gtilde down n={n}", gt_down(n) == entry(trows))
+    # the G and Gt rows n + 1 are the W- row n relabelled
+    for n, rows in wminus_rows.items():
+        report.add(f"G down n={n + 1}",
+                   g_down(n + 1) == entry(relabel(rows, g_)))
+        report.add(f"Gtilde down n={n + 1}",
+                   gt_down(n + 1) == entry(relabel(rows, gt_)))
     report.add("G down n=0 is the scalar",
                g_down(0) == NCPoly.scalar(qfield.G0))
     report.add("Gtilde down n=0 is the scalar",

@@ -320,11 +320,7 @@ def reduce_with_strategy(p: NCPoly, rng) -> NCPoly:
         c = terms.pop(w, None)
         if c is None:
             continue  # canceled since it was queued
-        positions = [i for i in range(len(w) - 1) if w[i] > w[i + 1]]
-        if not positions:
-            terms[w] = c
-            continue
-        i = rng.choice(positions)
+        i = rng.choice([i for i in range(len(w) - 1) if w[i] > w[i + 1]])
         for u, cu in _rule(w[i], w[i + 1]).terms.items():
             candidate = w[:i] + u + w[i + 2:]
             prev = terms.get(candidate)

@@ -249,10 +249,10 @@ def bracket(a: TruncSeries, b: TruncSeries) -> TruncSeries:
     return _products(((QONE, a, b), (-QONE, b, a)))
 
 
-def q_bracket(a: TruncSeries, b: TruncSeries, power: int = 1) -> TruncSeries:
-    """q^power a*b - q^-power b*a, each coefficient formed in one pass by
+def q_bracket(a: TruncSeries, b: TruncSeries) -> TruncSeries:
+    """q a*b - q^-1 b*a, each coefficient formed in one pass by
     `_products`."""
-    return _products(((qfield.q_pow(power), a, b), (-qfield.q_pow(-power), b, a)))
+    return _products(((qfield.Q, a, b), (-qfield.q_pow(-1), b, a)))
 
 
 def constant(x, vars=()) -> TruncSeries:
@@ -571,11 +571,11 @@ _DAGGER_SOURCE = {"vi": "iv", "vii": "v"}
 
 
 def _ws_parts(env):
-    """Yield each reduction rule with its weighted sum as (plain,
-    numerator-over-(s-t)), one rule at a time, so that a caller can drop
-    each rule's parts before the next are built.  Those of rules vi and vii
-    are the dagger images of the parts of rules iv and v, which are kept
-    only until their images are made."""
+    """Yield each reduction rule with its left side and weighted sum as
+    (lhs, plain, numerator-over-(s-t)), one rule at a time, so that a
+    caller can drop each rule's parts before the next are built.  Those of
+    rules vi and vii are the dagger images of the parts of rules iv and v,
+    which are kept only until their images are made."""
     sources = {}
     for rule in ("ii", "iii", "iv", "v"):
         parts = _ws_part(rule, env)
@@ -584,22 +584,29 @@ def _ws_parts(env):
         yield rule, parts
         del parts
     for rule, source in _DAGGER_SOURCE.items():
-        plain, num = sources.pop(source)
-        image = plain, num.map_coeffs(dagger)
-        del plain, num
+        lhs, plain, num = sources.pop(source)
+        image = lhs.map_coeffs(dagger), plain, num.map_coeffs(dagger)
+        del lhs, plain, num
         yield rule, image
         del image
 
 
+# The two factors of the left side of rules ii, iii, iv and v.
+_RULE_LHS = {"ii": ("Wp_s", "Wm_t"), "iii": ("Gt_s", "G_t"),
+             "iv": ("Wp_t", "G_s"), "v": ("Wm_t", "G_s")}
+
+
 def _ws_part(rule: str, env):
-    """The weighted sum of rule ii, iii, iv or v as (plain,
-    numerator-over-(s-t))."""
+    """The left side and weighted sum of rule ii, iii, iv or v as (lhs,
+    plain, numerator-over-(s-t))."""
+    left, right = _RULE_LHS[rule]
+    lhs = env[left] * env[right]
     q = qfield.q_pow
     if rule == "ii":
         plain = env["Wm_t"] * env["Wp_s"]
         num = ((env["G_t"] * env["Gt_s"] - env["G_s"] * env["Gt_t"])
                * rewrite.E_II)
-        return plain, num
+        return lhs, plain, num
     if rule == "iii":
         c = rewrite.C_III
         plain = (env["G_t"] * env["Gt_s"]
@@ -607,7 +614,7 @@ def _ws_part(rule: str, env):
                  .shift("s", 1).shift("t", 1) * c)
         x = env["Wm_s"] * env["Wp_t"] - env["Wm_t"] * env["Wp_s"]
         num = (x.shift("s", 2).shift("t", 2) - x.shift("s", 1).shift("t", 1)) * c
-        return plain, num
+        return lhs, plain, num
     t1 = env["G_t"] * env["Wm_s"]
     t2 = env["G_s"] * env["Wm_t"]
     t3 = env["G_t"] * env["Wp_s"]
@@ -619,29 +626,13 @@ def _ws_part(rule: str, env):
                + t2.shift("s", 1).shift("t", 1) * c2
                + t3.shift("s", 1) * c3
                + t4.shift("s", 1) * (q(2)) - t4.shift("t", 1))
-        return zero(("s", "t")), num
-    if rule == "v":
-        c1 = rewrite.C_V
-        num = (t1.shift("s", 1) * c1
-               + t2.shift("s", 1) * q(-2) - t2.shift("t", 1)
-               - t3.shift("s", 2) * c1
-               + t4.shift("s", 1).shift("t", 1) * c1)
-        return zero(("s", "t")), num
-    raise ValueError(f"unknown rule {rule!r}")
-
-
-# The two factors of the left side of rules ii, iii, iv and v.
-_RULE_LHS = {"ii": ("Wp_s", "Wm_t"), "iii": ("Gt_s", "G_t"),
-             "iv": ("Wp_t", "G_s"), "v": ("Wm_t", "G_s")}
-
-
-def _rule_lhs(rule: str, env) -> TruncSeries:
-    """The left side of a rule's weighted sum; those of rules vi and vii
-    are the dagger images of those of rules iv and v."""
-    if rule in _DAGGER_SOURCE:
-        return _rule_lhs(_DAGGER_SOURCE[rule], env).map_coeffs(dagger)
-    x, y = _RULE_LHS[rule]
-    return env[x] * env[y]
+        return lhs, zero(("s", "t")), num
+    c1 = rewrite.C_V   # rule v
+    num = (t1.shift("s", 1) * c1
+           + t2.shift("s", 1) * q(-2) - t2.shift("t", 1)
+           - t3.shift("s", 2) * c1
+           + t4.shift("s", 1).shift("t", 1) * c1)
+    return lhs, zero(("s", "t")), num
 
 
 def check_prop41_decompositions(order: int) -> Report:
@@ -654,8 +645,8 @@ def check_prop41_decompositions(order: int) -> Report:
     qq = qfield.q_pow
 
     sA = _appendix_a(env)
-    for rule, (plain, num) in _ws_parts(env):
-        lhs_cleared = _smt(_rule_lhs(rule, env) - plain) - num
+    for rule, (lhs, plain, num) in _ws_parts(env):
+        lhs_cleared = _smt(lhs - plain) - num
         if rule == "ii":
             lhs_cleared = lhs_cleared * (q2 * rho)
             rhs = (sA("C").shift("s", 1) * (q2 * rho)
@@ -683,13 +674,11 @@ def check_prop41_decompositions(order: int) -> Report:
             rhs = sA("G").shift("s", 1) - sA("E") + sA("M").shift("s", 1) * qq(-1)
         _vanishes(report, f"decomposition-{rule}", lhs_cleared - rhs,
                   "free-algebra mismatch")
-        del plain, num, lhs_cleared, rhs   # before the next rule's parts
+        del lhs, plain, num, lhs_cleared, rhs   # before the next rule's parts
 
     bound = min(3, max(order - 1, 0))
-    lhs_env = _gf_env(bound + 1)
-    for rule, (plain, num) in _ws_parts(_gf_env(2 * (bound + 1) + 1)):
+    for rule, (lhs, plain, num) in _ws_parts(_gf_env(2 * (bound + 1) + 1)):
         ws = plain + exact_divide(num, "s-t")
-        lhs = _rule_lhs(rule, lhs_env)
         pairs = ((es, et) for es in range(bound + (1 if rule == "ii" else 2))
                  for et in range(bound + 1))
         bad = next(((es, et) for es, et in pairs if ws.coeff(s=es, t=et)

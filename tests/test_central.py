@@ -47,6 +47,36 @@ def test_appendix_b_tables():
     assert len(rep.results) == 9 + 9 + 9 * 2 + 2
 
 
+# The G rows of the Appendix-B table, as the paper writes them out:
+# (integer, power of [2]^-1, letter) per term.  `check_appendix_b` derives
+# them from the W- rows.
+G_ROWS = {
+    1: [(1, 0, g_(1))],
+    2: [(1, 0, g_(2))],
+    3: [(1, 0, g_(3)), (-1, 2, g_(1))],
+    4: [(1, 0, g_(4)), (-2, 2, g_(2))],
+    5: [(1, 0, g_(5)), (-3, 2, g_(3)), (1, 4, g_(1))],
+    6: [(1, 0, g_(6)), (-4, 2, g_(4)), (3, 4, g_(2))],
+    7: [(1, 0, g_(7)), (-5, 2, g_(5)), (6, 4, g_(3)), (-1, 6, g_(1))],
+    8: [(1, 0, g_(8)), (-6, 2, g_(6)), (10, 4, g_(4)), (-4, 6, g_(2))],
+    9: [(1, 0, g_(9)), (-7, 2, g_(7)), (15, 4, g_(5)), (-10, 6, g_(3)),
+        (1, 8, g_(1))],
+}
+
+
+@pytest.mark.parametrize("n", sorted(G_ROWS))
+def test_g_down_matches_the_written_out_appendix_b_rows(n):
+    q2 = qf.q_int(2)
+
+    def entry(rows):
+        return NCPoly([((letter,), qf.of(c) * q2 ** -pw)
+                       for c, pw, letter in rows])
+
+    assert C.g_down(n) == entry(G_ROWS[n])
+    assert C.gt_down(n) == entry([(c, pw, gt_(g.k + 1))
+                                  for c, pw, g in G_ROWS[n]])
+
+
 def test_st_series_expansion():
     s = C.st_series("S", 5)
     q2 = qf.q_int(2)
@@ -177,6 +207,29 @@ def test_delta_n():
     from qonsager.words import commutator
     d2 = C.delta_n(2)
     assert R.normal_form(commutator(d2, NCPoly.gen(wm(0)))).is_zero()
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_z_bar_expanded_letters_are_those_recovered_before_step_n(n):
+    # the recursion substitutes recovered letters into this formula, so it
+    # must use W_-k (k < n), W_k (1 <= k <= n), G_k and Gt_k (k < n), all
+    # of them and nothing else
+    letters = {g for w in C.z_bar_expanded_poly(n).words() for g in w}
+    assert letters == ({wm(k) for k in range(n)}
+                       | {wp(k) for k in range(1, n + 1)}
+                       | {g_(k) for k in range(1, n)}
+                       | {gt_(k) for k in range(1, n)})
+
+
+def test_substitute_is_the_algebra_map_of_its_table():
+    w0, w1, g1 = NCPoly.gen(wm(0)), NCPoly.gen(wp(1)), NCPoly.gen(g_(1))
+    p = NCPoly.word((wm(0), wp(1)), qf.Q) + NCPoly.scalar(qf.G0)
+    table = {wm(0): w1 + g1, wp(1): w0 * qf.q_int(3)}
+    assert C._substitute(p, table) == (
+        (w1 + g1) * w0 * (qf.Q * qf.q_int(3)) + NCPoly.scalar(qf.G0))
+    with pytest.raises(KeyError, match=r"recursion touched G\[1\] before "
+                                       r"recovery"):
+        C._substitute(p * g1, table)
 
 
 def test_recover_generators():
