@@ -168,15 +168,15 @@ def z_series_pbw_form(order: int) -> TruncSeries:
 
 def _five_sum_terms(n: int, g_range) -> List[NCPoly]:
     """The terms of the four W sums and the G sum over g_range of the
-    closed Z_n formula, unreduced."""
+    closed Z_n formula, unreduced.  Each W transform is built once."""
     q = qfield.q_pow
     q2 = qfield.q_int(2)
-    w = w_ddown
-    return ([(w(-k) * w(n - k)) * (q2 * q(n - 1 - 2 * k)) for k in range(n)]
-            + [(w(n - 2 - k) * w(-k)) * (q2.inverse() * q(2 * k - n + 3))
+    w = {m: w_ddown(m) for m in range(1 - n, n + 1)}
+    return ([(w[-k] * w[n - k]) * (q2 * q(n - 1 - 2 * k)) for k in range(n)]
+            + [(w[n - 2 - k] * w[-k]) * (q2.inverse() * q(2 * k - n + 3))
                for k in range(n - 2)]
-            + [(w(-k) * w(k - n + 2)) * -q(n - 2 * k) for k in range(n - 1)]
-            + [(w(k + 1) * w(n - k - 1)) * -q(n - 2 * k - 4)
+            + [(w[-k] * w[k - n + 2]) * -q(n - 2 * k) for k in range(n - 1)]
+            + [(w[k + 1] * w[n - k - 1]) * -q(n - 2 * k - 4)
                for k in range(n - 1)]
             + [(g_down(k) * gt_down(n - k)) * (INV_Q2M_SQ * q(n - 2 * k))
                for k in g_range])

@@ -18,12 +18,13 @@ the operands' shape alone:
   polynomial factor, so no normalization runs;
 * a sum of values of one shape (exponents, U and V) adds only the
   prefactors (zero if they cancel);
-* every other result is normalized by `_canon`, which strips a basis
-  factor only after a root test shows that it divides: q - 1 and q + 1
-  divide U iff U(1) = 0 and U(-1) = 0, q^2 + 1 iff U(i) = 0.  When
-  V = 1, the usual case, only U is normalized; V's sign, content, power
-  of q and basis factors, and the general polynomial gcd, run only when
-  V != 1 (denominators such as q^n + q^-n), which is rare;
+* every other result is normalized by `_canon`.  One routine, `_factor`,
+  makes U and V canonical alike: sign and content, the power of q, then
+  each basis factor, stripped only after a root test shows that it
+  divides (q - 1 and q + 1 divide U iff U(1) = 0 and U(-1) = 0, q^2 + 1
+  iff U(i) = 0).  When V = 1, the usual case, V is not factored; V's
+  factoring and the general polynomial gcd run only when V != 1
+  (denominators such as q^n + q^-n), which is rare;
 * values of several shapes (two in `+`, many in `qdot`, many sums at
   once in `lincomb`) are grouped by `_groups` and meet in `_sum` over one
   common factor-basis denominator: each live group's basis-monomial
@@ -123,10 +124,6 @@ def p_trim(cs):
     return tuple(cs[:n])
 
 
-def p_neg(f):
-    return tuple(-c for c in f)
-
-
 def p_mul(f, g):
     if not f or not g:
         return P_ZERO
@@ -186,15 +183,19 @@ def p_eval(f, x: Fraction) -> Fraction:
     return acc
 
 
+def _primitive(f):
+    """(k, f/k) for the content k of f, signed so that f/k has a positive
+    leading coefficient; P_ZERO gives (0, P_ZERO)."""
+    k = p_content(f)
+    if f and f[-1] < 0:
+        k = -k
+    return k, (f if k == 1 else tuple(x // k for x in f))
+
+
 def p_gcd(f, g):
-    """Primitive gcd in Z[q] (monic Euclid over Q; only hit when V != 1)."""
-    if not f or not g:
-        base = f or g
-        if not base:
-            return P_ZERO
-        c = p_content(base)
-        base = tuple(x // c for x in base)
-        return p_neg(base) if base[-1] < 0 else base
+    """Primitive gcd in Z[q] with a positive leading coefficient (monic
+    Euclid over Q; only hit when V != 1).  A zero argument gives the other
+    one made primitive, and two zeros give P_ZERO."""
     a = [Fraction(c) for c in f]
     b = [Fraction(c) for c in g]
     while b:
@@ -216,10 +217,7 @@ def p_gcd(f, g):
     den = 1
     for c in a:
         den = lcm(den, c.denominator)
-    ints = p_trim([int(c * den) for c in a])
-    c = p_content(ints)
-    ints = tuple(x // c for x in ints)
-    return p_neg(ints) if ints[-1] < 0 else ints
+    return _primitive(p_trim([int(c * den) for c in a]))[1]
 
 
 def _divides(f, u):
@@ -473,60 +471,45 @@ def _canon(p, r, a, b, c, d, u, v):
     return _make(p // g, r // g, a + da, b + db, c + dc, d + dd, u, v)
 
 
+def _factor(f):
+    """(k, (a, b, c, d), F) with f = k * q^a * (q-1)^b * (q+1)^c *
+    (q^2+1)^d * F for a nonzero Z[q] tuple f, where F is canonical as U is:
+    sign and content go to k, and the basis factors, found by root tests,
+    to b, c and d."""
+    k, f = _primitive(f)
+    a = 0
+    while f[a] == 0:
+        a += 1
+    f = f[a:]
+    f, b = _strip(f, FM)
+    f, c = _strip(f, FP)
+    f, d = _strip(f, F2)
+    return k, (a, b, c, d), f
+
+
 @lru_cache(maxsize=_MEMO_SIZE)
 def _shape(u, v):
     """The canonical form of U/V for nonzero Z[q] tuples u and v.
 
     Returns (k, m, da, db, dc, dd, U, V) with
     u/v = (k/m) * q^da * (q-1)^db * (q+1)^dc * (q^2+1)^dd * U/V,
-    where U and V are canonical as in the module docstring: sign and
-    content go to k and m, the powers of q and the basis factors, found
-    by root tests, to the exponents, and the general gcd cancels.
+    where U and V are canonical as in the module docstring.  One `_factor`
+    splits u and v alike; for V = 1, the common case, v is not factored.
+    Otherwise the general gcd cancels between U and V when neither is 1,
+    the sign of V's factor moves to k, and the exponents are differences.
     """
-    k = m = 1
-    da = db = dc = dd = 0
-    if u[-1] < 0:
-        u, k = p_neg(u), -1
-    cu = p_content(u)
-    if cu > 1:
-        u = tuple(x // cu for x in u)
-        k *= cu
-    if v != P_ONE:
-        # V's sign, content, power of q and basis factors; skipped for
-        # V = 1, the common case, where each step is the identity
-        if v[-1] < 0:
-            v, k = p_neg(v), -k
-        m = p_content(v)
-        if m > 1:
-            v = tuple(x // m for x in v)
-        z = 0
-        while v[z] == 0:
-            z += 1
-        if z:
-            v = v[z:]
-            da = -z
-        v, db = _strip(v, FM)
-        v, dc = _strip(v, FP)
-        v, dd = _strip(v, F2)
-        db, dc, dd = -db, -dc, -dd
-    z = 0
-    while u[z] == 0:
-        z += 1
-    if z:
-        u = u[z:]
-        da += z
-    u, n = _strip(u, FM)
-    db += n
-    u, n = _strip(u, FP)
-    dc += n
-    u, n = _strip(u, F2)
-    dd += n
-    if v != P_ONE and u != P_ONE:
+    k, (da, db, dc, dd), u = _factor(u)
+    if v == P_ONE:
+        return k, 1, da, db, dc, dd, u, v
+    m, (ea, eb, ec, ed), v = _factor(v)
+    if u != P_ONE and v != P_ONE:
         g = p_gcd(u, v)
         if len(g) > 1:
             u = p_div_exact(u, g)
             v = p_div_exact(v, g)
-    return k, m, da, db, dc, dd, u, v
+    if m < 0:
+        k, m = -k, -m
+    return k, m, da - ea, db - eb, dc - ec, dd - ed, u, v
 
 
 def lincomb(scaled) -> dict:

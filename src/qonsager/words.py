@@ -268,9 +268,6 @@ class NCPoly:
     def scalar_part(self) -> QRat:
         return self.terms.get(EMPTY_WORD, QZERO)
 
-    def coeff(self, w: Word) -> QRat:
-        return self.terms.get(tuple(w), QZERO)
-
     def words(self):
         return self.terms.keys()
 

@@ -245,6 +245,15 @@ def test_denominator_normalization_invariants():
         assert gcd(qf.p_content(num), qf.p_content(den)) == 1
 
 
+@pytest.mark.parametrize("f,expected", [
+    ((3,), (1,)), ((-5,), (1,)), ((0, -2, 4), (0, -1, 2)),
+    ((6, 0, -9), (-2, 0, 3)), ((-4, -6), (2, 3)), ((1, 1), (1, 1)),
+    (qf.P_ZERO, qf.P_ZERO)])
+def test_gcd_with_zero_is_the_other_argument_made_primitive(f, expected):
+    assert qf.p_gcd(qf.P_ZERO, f) == expected
+    assert qf.p_gcd(f, qf.P_ZERO) == expected
+
+
 def _strip_by_division(u, f):
     # reference: repeated trial division
     n = 0
@@ -300,7 +309,8 @@ def _assert_canonical(got, expected, points=AXIOM_POINTS):
     """got is in canonical form and takes the expected values at points."""
     num, den = got.numerator(), got.denominator()
     assert got == qf.from_num_den(num, den)
-    assert got == qf.from_num_den(qf.p_neg(num), qf.p_neg(den))
+    assert got == qf.from_num_den(tuple(-c for c in num),
+                                  tuple(-c for c in den))
     assert [got.evaluate(t) for t in points] == expected
 
 
