@@ -151,18 +151,23 @@ def z_series_alt(form: int, order: int) -> TruncSeries:
 def z_series_pbw_form(order: int) -> TruncSeries:
     """The assembly whose last term carries the divided G-difference:
     ST [t^-1 W-(S)W+(T) + t W-(T)W+(S) - q^2 W-(S)W-(T) - q^-2 W+(S)W+(T)
-    + (t G(T)Gt(S) - t^-1 G(S)Gt(T)) / ((S - T)(q^2 - q^-2)[2]^2)]."""
+    + (t G(T)Gt(S) - t^-1 G(S)Gt(T)) / ((S - T)(q^2 - q^-2)[2]^2)].
+
+    With S = [2]q^-1 t/(1 + q^-2 t^2) and T = [2]q t/(1 + q^2 t^2),
+    ST/((S - T)(q^2 - q^-2)[2]^2) = -t/((q^2 - q^-2)^2 (1 - t^2)), so the
+    G-difference is multiplied by that odd series and nothing is divided.
+    """
     m = order + 3
     swm, swp, twm, twp, gs, gts, g_T, gt_T = _st_bundle(m)
-    S, T = st_series("S", m), st_series("T", m)
     q = qfield.q_pow
     u = (g_T * gts).shift("t", 1) - (gs * gt_T).shift("t", -1)
-    gpart = series.exact_divide(u, S - T) * rewrite.E_II
+    odd = TruncSeries(("t",), (m,), (1,), {(n,): NCPoly.scalar(-INV_Q2M_SQ)
+                                           for n in range(1, m + 1, 2)})
     z = ((swm * twp).shift("t", -1)
          + (twm * swp).shift("t", 1)
          - q(2) * (swm * twm)
          - q(-2) * (swp * twp)
-         + (S * T) * gpart)
+         + u * odd)
     return _window(z, order, "PBW-form series").normal_form()
 
 

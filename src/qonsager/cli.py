@@ -27,7 +27,7 @@ from . import __version__, central, dims, qfield, rewrite, series
 from .qfield import QONE
 from .series import Report
 from .words import (EMPTY_WORD, Family, Generator, NCPoly, render_poly,
-                    symbol_from_subscript)
+                    render_word, symbol_from_subscript)
 
 
 class ParseError(ValueError):
@@ -341,13 +341,9 @@ def run_ambiguity_suite(bound: int) -> Report:
     overlaps = rewrite.enumerate_overlaps(bound)
     agreed = [rewrite.check_overlap(w).agrees for w in overlaps]
     for w, ok in sorted(zip(overlaps, agreed),
-                        key=lambda pair: render_overlap(pair[0])):
-        report.add(render_overlap(w), ok, "" if ok else "normal forms differ")
+                        key=lambda pair: render_word(pair[0])):
+        report.add(render_word(w), ok, "" if ok else "normal forms differ")
     return report
-
-
-def render_overlap(w) -> str:
-    return "*".join(g.text() for g in w)
 
 
 def run_relation_suite(bound: int) -> Report:

@@ -25,8 +25,8 @@ the operands' shape alone:
   iff U(i) = 0).  When V = 1, the usual case, V is not factored; V's
   factoring and the general polynomial gcd run only when V != 1
   (denominators such as q^n + q^-n), which is rare;
-* values of several shapes (two in `+`, many in `qdot`, many sums at
-  once in `lincomb`) are grouped by `_groups` and meet in `_sum` over one
+* values of several shapes (two in `+`, many sums at once in
+  `lincomb`) are grouped by `_groups` and meet in `_sum` over one
   common factor-basis denominator: each live group's basis-monomial
   expansion (`_mono`), times its integer weight and the other groups'
   V's, is added into one list of coefficients at its offset in q, and
@@ -53,7 +53,7 @@ the operands' shape alone:
   caches hold one object per distinct coefficient (a cold bound-4
   ambiguity run stores 248,392 coefficients with 689 distinct values);
 * `lincomb` is the one place coefficients are accumulated: the normal
-  forms of `rewrite`, `qdot`, and NCPoly's `+`, `-`, `*`, `sum` and
+  forms of `rewrite` and NCPoly's `+`, `-`, `*`, `sum` and
   constructor from (word, coefficient) pairs (and through them the series
   and central sums) all combine terms there.  While no key has been
   reached, a pair's summands are copied whole with `dict.update`, a
@@ -637,13 +637,6 @@ def _groups(values) -> dict:
             g[0] = g[0] * x.r + x.p * g[1]
             g[1] *= x.r
     return groups
-
-
-def qdot(cs, xs) -> QRat:
-    """The exact value of sum(c * x) over zip(cs, xs), canonicalized once
-    by `lincomb`; the canonical form is unique, so it equals the fold."""
-    return lincomb([(c, {0: x}) for c, x in zip(cs, xs)
-                    if c.p and x.p]).get(0, QZERO)
 
 
 def _sum(groups) -> QRat:

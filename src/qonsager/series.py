@@ -129,15 +129,11 @@ class TruncSeries:
             return _mul(self, other)
         if isinstance(other, (QRat, int)):
             return self.map_coeffs(lambda p: p * other)
-        if isinstance(other, NCPoly):
-            return _mul(self, constant(other, self.vars))
         return NotImplemented
 
     def __rmul__(self, other):
         if isinstance(other, (QRat, int)):
             return self.__mul__(other)
-        if isinstance(other, NCPoly):
-            return _mul(constant(other, self.vars), self)
         return NotImplemented
 
     def shift(self, var: str, k: int) -> "TruncSeries":
@@ -292,22 +288,14 @@ def gf(family: Family, var: str, order: int) -> TruncSeries:
 # -- exact division ----------------------------------------------------------
 
 
-def exact_divide(a: TruncSeries, divisor) -> TruncSeries:
-    """Divide a by (u - v) (divisor "u-v") or by a scalar series t*unit.
+def exact_divide(a: TruncSeries, divisor: str) -> TruncSeries:
+    """Divide a by (u - v), given as the divisor "u-v".
 
-    The difference path checks that the remainder vanishes on the whole
-    known window and raises DivisibilityError otherwise; the quotient is
-    returned on the half-order window where it is fully determined.
+    The remainder must vanish on the whole known window, else
+    DivisibilityError; the quotient is returned on the half-order window
+    where it is fully determined.
     """
-    if isinstance(divisor, str):
-        u, v = divisor.split("-")
-        return _divide_by_difference(a, u.strip(), v.strip())
-    if isinstance(divisor, TruncSeries):
-        return _divide_by_scalar_series(a, divisor)
-    raise TypeError("divisor must be 'u-v' or a scalar TruncSeries")
-
-
-def _divide_by_difference(a: TruncSeries, u: str, v: str) -> TruncSeries:
+    u, v = (x.strip() for x in divisor.split("-"))
     a = _promote(a, _vars(*a.vars, u, v))
     iu, iv = a.vars.index(u), a.vars.index(v)
     if a.floor[iu] < 0 or a.floor[iv] < 0:
@@ -343,40 +331,6 @@ def _divide_by_difference(a: TruncSeries, u: str, v: str) -> TruncSeries:
             groups.setdefault(tuple(e2), []).append(p)
     coeffs = {e: NCPoly.sum(ps) for e, ps in groups.items()}
     return TruncSeries(a.vars, tuple(order), a.floor, coeffs)
-
-
-def _divide_by_scalar_series(a: TruncSeries, d: TruncSeries) -> TruncSeries:
-    if len(d.vars) != 1:
-        raise ValueError("series divisor must be univariate")
-    var = d.vars[0]
-    exps = d.nonzero_exponents()
-    if not exps:
-        raise ZeroDivisionError("division by the zero series")
-    val = exps[0][0]
-    # the inverse is needed to the divisor's order, or, for a divisor known
-    # exactly, to the dividend's span; windows near INF are unbounded
-    ia = a.vars.index(var) if var in a.vars else None
-    if d.order[0] < INF // 2:
-        length = d.order[0] - val
-    elif ia is not None and a.order[ia] < INF // 2:
-        length = max(a.order[ia] - a.floor[ia], 0)
-    else:
-        raise ValueError(f"dividend and divisor are both unbounded in {var}")
-    unit = [d.coeffs.get((n + val,), NCPoly.zero()).scalar_part()
-            for n in range(length + 1)]
-    for e in exps:
-        if not d.coeffs[e].is_scalar():
-            raise ValueError("series divisor must have scalar coefficients")
-    if unit[0].is_zero():
-        raise ZeroDivisionError("divisor unit part has zero constant term")
-    inv = [unit[0].inverse()]
-    for n in range(1, length + 1):
-        s = qfield.qdot(unit[1:n + 1], inv[n - 1::-1])
-        inv.append(-(inv[0] * s))
-    inv_ts = TruncSeries((var,), (length,), (0,),
-                         {(n,): NCPoly.scalar(c) for n, c in enumerate(inv)})
-    shifted = a.shift(var, -val) if val else a
-    return _mul(shifted, inv_ts)
 
 
 # -- the named two-variable combinations --------------------------------------

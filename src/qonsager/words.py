@@ -23,7 +23,7 @@ from functools import partial
 from typing import Iterable, NamedTuple, Tuple, Union
 
 from . import qfield
-from .qfield import QONE, QRat, QZERO, lincomb
+from .qfield import QONE, QRat, lincomb
 
 
 class Family(IntEnum):
@@ -261,12 +261,6 @@ class NCPoly:
 
     def __bool__(self):
         return bool(self.terms)
-
-    def is_scalar(self) -> bool:
-        return not self.terms or set(self.terms) == {EMPTY_WORD}
-
-    def scalar_part(self) -> QRat:
-        return self.terms.get(EMPTY_WORD, QZERO)
 
     def words(self):
         return self.terms.keys()

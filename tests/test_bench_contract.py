@@ -70,6 +70,12 @@ def _memo_sizes():
             len(qfield._SUMS))
 
 
+def _qdot(cs, xs):
+    """sum(c * x) over zip(cs, xs), accumulated in one `lincomb` call."""
+    return qfield.lincomb([(c, {0: x}) for c, x in zip(cs, xs)
+                           if c.p and x.p]).get(0, qfield.QZERO)
+
+
 def _interned(*values):
     """Whether each value is the one live object for its fields."""
     return all(qfield._VALUES[(x.p, x.r, x.a, x.b, x.c, x.d, x.u, x.v)] is x
@@ -102,14 +108,14 @@ def test_values_above_the_memo_cap_leave_the_memos_alone():
     # sums in `lincomb` whose summands exceed the cap: one shape, big
     # summands with a small sum, and two shapes that meet
     one = qfield.QONE
-    assert qfield.qdot([one, one], [big, big]) == big + big
-    assert qfield.qdot([one] * 3, [big, one, -big]) == one
-    assert qfield.qdot([one] * 3, [c40, one, -c40]) == one
-    wide = qfield.qdot([one] * 3, [big, qfield.q_pow(6000), big])
+    assert _qdot([one, one], [big, big]) == big + big
+    assert _qdot([one] * 3, [big, one, -big]) == one
+    assert _qdot([one] * 3, [c40, one, -c40]) == one
+    wide = _qdot([one] * 3, [big, qfield.q_pow(6000), big])
     assert len(wide.u) > qfield._MEMO_CAP
     # products in `lincomb` above the cap: of a big x, of a big c, and of a
     # small c and x
-    prods = qfield.qdot([qfield.Q, big, c21], [big, qfield.Q, c19])
+    prods = _qdot([qfield.Q, big, c21], [big, qfield.Q, c19])
     assert _memo_sizes() == before
     # the value table has no cap: the big values are interned like any other
     assert _interned(big, x, wide, prods)

@@ -101,32 +101,6 @@ def test_exact_divide_round_trip():
             assert got.coeffs[e] == a.coeffs.get(e, NCPoly.zero())
 
 
-def test_exact_divide_by_t_unit():
-    # divide t*(1 + t) * X by t and by t*(1+t)
-    x = S.gf(Family.Wminus, "t", 4)
-    one = NCPoly.one()
-    t_unit = S.TruncSeries(("t",), (5,), (1,), {(1,): one, (2,): one})
-    product = x.shift("t", 1) + x.shift("t", 2)
-    got = S.exact_divide(product, t_unit)
-    assert (got - x).is_zero()
-
-
-def test_exact_divide_by_a_constant_keeps_the_dividend_window():
-    x = S.gf(Family.Wminus, "t", 4)
-    got = S.exact_divide(x, S.constant(1, ("t",)))
-    assert got.order == (4,) and got.floor == (0,)
-    assert got.coeffs == x.coeffs
-    half = S.exact_divide(x, S.constant(2, ("t",)))
-    assert half.order == (4,)
-    assert (half * 2 - x).is_zero()
-
-
-def test_exact_divide_with_both_windows_unbounded_is_refused():
-    one = S.constant(1, ("t",))
-    with pytest.raises(ValueError, match="both unbounded"):
-        S.exact_divide(one, one)
-
-
 def test_appendix_a_basic_shapes():
     a = S.appendixA_series("A", order=1)
     assert a.coeff(s=0, t=0).is_zero()  # [W_0, W_0]
