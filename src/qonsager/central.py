@@ -23,7 +23,8 @@ from typing import Callable, Dict, List
 
 from . import qfield, rewrite, series
 from .qfield import QRat
-from .series import Report, TruncSeries
+from .report import Report
+from .series import TruncSeries
 from .words import (Family, Generator, NCPoly, commutator, dagger, g_, gt_,
                     q_commutator, sigma, sigma_dagger, wm, wp)
 

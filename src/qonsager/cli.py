@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
+import importlib
 import io
 import json
 import os
@@ -23,9 +25,9 @@ import re
 import sys
 from typing import List, Optional
 
-from . import __version__, central, dims, qfield, rewrite, series
+from . import __version__, qfield, rewrite
 from .qfield import QONE
-from .series import Report
+from .report import Report
 from .words import (EMPTY_WORD, Family, Generator, NCPoly, render_poly,
                     render_word, symbol_from_subscript)
 
@@ -355,60 +357,74 @@ def run_relation_suite(bound: int) -> Report:
     return report
 
 
+def _kernel(name: str):
+    """The kernel module `name`, imported on first use, so that a command
+    loads only the modules it runs."""
+    return importlib.import_module(f"{__package__}.{name}")
+
+
 # Each check suite: its runner and the parameters it reports, with their
-# defaults.  The runners look their functions up when called, so a wrapper
-# set on a module afterwards still sees each call.
+# defaults.  The runners look their module and function up when called, so
+# a wrapper set on a module afterwards still sees each call.
 CHECKS = {
     "relations": (lambda bound: run_relation_suite(bound), {"bound": 3}),
     "ambiguities": (lambda bound: run_ambiguity_suite(bound), {"bound": 3}),
-    "gf": (lambda order: series.check_gf_relations(order), {"order": 4}),
+    "gf": (lambda order: _kernel("series").check_gf_relations(order),
+           {"order": 4}),
     "central": (lambda n, bound: Report("central", [
                     r for k in range(n + 1)
-                    for r in central.check_central(k, bound).results]),
+                    for r in _kernel("central").check_central(
+                        k, bound).results]),
                 {"n": 4, "bound": 6}),
-    "dolan-grady": (lambda: central.check_dolan_grady(), {}),
-    "matrix": (lambda order: central.check_matrix_factorization(order),
+    "dolan-grady": (lambda: _kernel("central").check_dolan_grady(), {}),
+    "matrix": (lambda order:
+               _kernel("central").check_matrix_factorization(order),
                {"order": 4}),
-    "appendix-b": (lambda: central.check_appendix_b(), {}),
-    "prop41": (lambda order: series.check_prop41_decompositions(order),
+    "appendix-b": (lambda: _kernel("central").check_appendix_b(), {}),
+    "prop41": (lambda order:
+               _kernel("series").check_prop41_decompositions(order),
                {"order": 4}),
 }
 
 # The generating functions `series` lists, by name, and the named series
-# A..S it lists; G names the generating function.
+# A..S it lists: `series.APPENDIX_A_NAMES` less G, which names the
+# generating function (the tests hold the two lists equal).
 GF_FAMILIES = {"W-": Family.Wminus, "W+": Family.Wplus, "G": Family.G,
                "Gt": Family.Gtilde}
-SERIES_NAMES = tuple(n for n in series.APPENDIX_A_NAMES if n not in GF_FAMILIES)
+SERIES_NAMES = tuple("ABCDEFHIJKLMNPQRS")
 
 # (command, parameter) -> (least, largest, reason): a value outside the
 # range is refused before any work starts.  Each largest value is the
 # largest measured to stay under about a minute and 1 GB peak RSS on 2 vCPUs
-# (times and peak RSS of one cold CLI run in the comments); every size
-# parameter has a row.
+# (times and peak RSS of one cold CLI run in the comments, as
+# `tools/limits.py` prints them); every size parameter has a row.  The
+# relations, ambiguities and `check central` times were taken with
+# GC_THRESHOLDS below; the other rows' times predate those thresholds.
 LIMITS = {
     # the relation list grows with the square of the bound: bound 24 took
-    # 1.9 s and 78 MB peak RSS, bound 40 8.3 s and 272 MB, bound 64 23 s and
-    # 992 MB.  The normal-form caches hold that memory, not the list: at
-    # bound 40, of 231 MB traced by tracemalloc at the end, 216 MB went with
-    # rewrite.clear_caches and 12 MB with the list.  A larger bound is
+    # 0.8 s and 52 MB peak RSS, bound 40 3.8 s and 165 MB, bound 64 14 s and
+    # 585 MB.  The normal-form caches hold that memory, not the list: at
+    # bound 40, of 134 MB traced by tracemalloc at the end, 133 MB went with
+    # rewrite.clear_caches, and the list alone takes 13 MB.  A larger bound is
     # refused before the list is built (bound 100,000 ran out of memory)
     ("check relations", "bound"): (
         0, 64, "its relation list grows with the square of the bound"),
     # all C(4(b + 1), 3) overlaps are checked: bound 10 (13,244 overlaps)
-    # took 23 s and 519 MB peak RSS on 2 vCPUs, and each further step takes
+    # took 16 s and 498 MB peak RSS on 2 vCPUs, and each further step takes
     # about 1.5 times the memory, so bound 12 would pass 1 GB; a larger bound
     # is refused before the overlap list is built (bound 100,000 would have
     # about 10^16)
     ("check ambiguities", "bound"): (
         0, 10, "it checks all C(4(bound + 1), 3) overlaps"),
     # no letter has an index below 0, so bound 0 would check nothing; at
-    # --n 4, bound 500 took 18 s and 212 MB, bound 1000 37 s and 412 MB.
+    # --n 4, bound 500 took 4.7 s and 197 MB, bound 1000 10 s and 379 MB.
     # Each cap of `check central` is measured at the other's default; the
     # pair is capped by CENTRAL_COST_CAP below.
     ("check central", "bound"): (
         1, 1000, "it checks the letters with index below the bound"),
-    # at --bound 6: n 20 took 31 s and 140 MB, n 22 48 s and 179 MB, n 24
-    # 78 s and 213 MB
+    # at --bound 6: n 20 took 13 s and 137 MB, n 22 17 s and 165 MB, n 24
+    # (with both caps lifted) 23 s and 198 MB; from n 23 on the default
+    # bound exceeds CENTRAL_COST_CAP
     ("check central", "n"): (
         0, 22, "it checks each of Z_0 to Z_n against every letter"),
     # order 32 took 7.6 s and 163 MB, order 48 22 s and 468 MB; order 60,
@@ -456,29 +472,30 @@ LIMITS = {
 # `check central` normalizes the commutator of each of Z_0 to Z_n with
 # the 4 * bound letters below the bound, so its cost grows with n and
 # bound together, and a pair inside both caps above can still run away.
-# Cold CLI runs, time and peak RSS on 2 vCPUs, against bound * (n + 2)^4:
+# Cold CLI runs, time and peak RSS on 2 vCPUs, against bound * (n + 2)^4
+# (a refused pair was run with the cap lifted):
 #
 #     n  bound     cost        time    peak RSS
-#     4   1000   1,296,000     37 s    412 MB
-#     5    800   1,920,800     39 s    535 MB
-#     6    100     409,600     11 s    114 MB
-#     8    100   1,000,000     22 s    226 MB
-#     8    210   2,100,000     31 s    458 MB   refused
-#    10    100   2,073,600     38 s    408 MB   refused
-#    12     50   1,920,800     32 s    346 MB
-#    14     25   1,638,400     27 s    264 MB
-#    14     44   2,883,584     47 s    473 MB   refused
-#    14     50   3,276,800     55 s    550 MB   refused
-#    14    100   6,553,600    103 s    1.1 GB   refused
-#    16     28   2,939,328     57 s    444 MB   refused
-#    18     12   1,920,000     40 s    232 MB
-#    20      6   1,405,536     31 s    140 MB
-#    20      8   1,874,048     35 s    191 MB
-#    20     11   2,576,816     62 s    274 MB   refused
-#    22      6   1,990,656     48 s    179 MB
+#     4   1000   1,296,000     10 s    379 MB
+#     5    800   1,920,800     13 s    516 MB
+#     6    100     409,600    2.6 s    112 MB
+#     8    100   1,000,000    5.7 s    223 MB
+#     8    210   2,100,000     11 s    453 MB   refused
+#    10    100   2,073,600     10 s    405 MB   refused
+#    12     50   1,920,800    9.7 s    343 MB
+#    14     25   1,638,400    8.4 s    262 MB
+#    14     44   2,883,584     13 s    470 MB   refused
+#    14     50   3,276,800     16 s    548 MB   refused
+#    14    100   6,553,600     31 s    1.1 GB   refused
+#    16     28   2,939,328     22 s    444 MB   refused
+#    18     12   1,920,000     19 s    234 MB
+#    20      6   1,405,536     13 s    137 MB
+#    20      8   1,874,048     18 s    187 MB
+#    20     11   2,576,816     26 s    270 MB   refused
+#    22      6   1,990,656     17 s    165 MB
 #
-# Each run took 15 to 29 microseconds and at most 320 bytes per unit of
-# cost, so a pair up to the cap should take under a minute and 650 MB.
+# Each run took 4.4 to 10 microseconds and at most 300 bytes per unit of
+# cost, so a pair up to the cap should take under 25 s and 600 MB.
 # The cap admits each parameter's own cap at the other's default.
 CENTRAL_COST_CAP = 2_000_000
 
@@ -560,6 +577,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_zn(args) -> int:
+    central = _kernel("central")
     params = _check_limits("zn", {"n": args.n})
     direct, extraction = (central.z_n(args.n, route)
                           for route in ("direct", "extraction"))
@@ -577,6 +595,7 @@ def cmd_zn(args) -> int:
 
 
 def cmd_dims(args) -> int:
+    dims = _kernel("dims")
     params = _check_limits("dims", {"max_degree": args.max_degree})
     report = dims.check_word_counts(args.max_degree)
     counts = [int(r.detail) for r in report.results]
@@ -596,11 +615,11 @@ def cmd_series(args) -> int:
                          f"variables are for W-, W+, G and Gt")
     _check_limits(f"series {spec}", {"order": args.order})
     if spec in GF_FAMILIES:
-        ts = series.gf(GF_FAMILIES[spec], args.var, args.order)
+        ts = _kernel("series").gf(GF_FAMILIES[spec], args.var, args.order)
     elif spec == "Z":
-        ts = central.z_series(args.order)
+        ts = _kernel("central").z_series(args.order)
     else:
-        ts = series.appendixA_series(spec, order=args.order)
+        ts = _kernel("series").appendixA_series(spec, order=args.order)
     report = Report("series")
     for e in ts.nonzero_exponents():
         mono = "*".join(f"{v}^{k}" for v, k in zip(ts.vars, e) if k)
@@ -613,6 +632,7 @@ def cmd_series(args) -> int:
 
 
 def cmd_recover(args) -> int:
+    central = _kernel("central")
     params = _check_limits("recover", {"n": args.n})
     table = central.recover_generators(args.n)
     report = central.check_recovery(args.n, table)
@@ -696,9 +716,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The cyclic collector's thresholds while a command runs.  The kernel's
+# caches are long-lived and hold no reference cycles, and at the default
+# thresholds (700, 10, 10) the collector rescans them again and again,
+# about a fifth of a cold `check relations --bound 40`; the kernel makes no
+# cyclic garbage that needs collecting sooner.
+GC_THRESHOLDS = (50_000, 20, 20)
+
+
+def _internal_error(exc: Exception) -> bool:
+    """True for an exception that is a failed invariant of the kernel, not
+    a fault of the input.  RuntimeError includes RewriteInternalError,
+    FloorUnderflowError and WindowError; DivisibilityError is a ValueError
+    no user input reaches, and only a command that loaded `series` can
+    raise one."""
+    if isinstance(exc, (KeyError, IndexError, RuntimeError)):
+        return True
+    series = sys.modules.get(f"{__package__}.series")
+    return series is not None and isinstance(exc, series.DivisibilityError)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    thresholds = gc.get_threshold()
+    gc.set_threshold(*GC_THRESHOLDS)
     try:
+        parser = build_parser()
         # argparse drops a failed write of its help, so the help goes to a
         # buffer first, and the copy to stdout meets a closed pipe
         with contextlib.redirect_stdout(io.StringIO()) as shown:
@@ -721,14 +763,14 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except (KeyError, IndexError, RuntimeError, series.DivisibilityError) as exc:
-        # RuntimeError includes RewriteInternalError, FloorUnderflowError and
-        # WindowError; DivisibilityError is a ValueError no user input reaches
+    except (KeyError, IndexError, RuntimeError, ValueError) as exc:
+        if not _internal_error(exc):
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    finally:
+        gc.set_threshold(*thresholds)
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import List
 
-from .series import Report
+from .report import Report
 from .words import Family, Generator, Word
 
 IntSeries = List[int]
@@ -58,24 +58,26 @@ def enumerate_irreducible(d: int) -> List[Word]:
     if d < 0:
         raise ValueError("degree must be >= 0")
     letters = letters_up_to_degree(d)
-    degrees = [g.degree() for g in letters]
     out: List[Word] = []
-    word: List[Generator] = []
-
-    def rec(start: int, remaining: int):
-        if remaining == 0:
-            out.append(tuple(word))
-            return
-        for i in range(start, len(letters)):
-            deg = degrees[i]
-            if deg > remaining:
-                continue
-            word.append(letters[i])
-            rec(i, remaining - deg)
-            word.pop()
-
-    rec(0, d)
+    _extend(letters, [g.degree() for g in letters], 0, d, [], out)
     return out
+
+
+def _extend(letters, degrees, start: int, remaining: int, word: list,
+            out: List[Word]) -> None:
+    """Append to out each word + w, in order, for w a non-decreasing word
+    of degree `remaining` in letters[start:].  A module function and not a
+    closure, so no cycle holds the words once the caller drops them."""
+    if remaining == 0:
+        out.append(tuple(word))
+        return
+    for i in range(start, len(letters)):
+        deg = degrees[i]
+        if deg > remaining:
+            continue
+        word.append(letters[i])
+        _extend(letters, degrees, i, remaining - deg, word, out)
+        word.pop()
 
 
 def check_dim_identity(order: int) -> Report:

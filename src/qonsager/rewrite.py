@@ -35,9 +35,8 @@ immutable values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 from . import qfield, words
 from .qfield import QONE, QRat, lincomb as _combine
@@ -50,8 +49,7 @@ class RewriteInternalError(RuntimeError):
     """A per-step invariant of the engine failed; indicates a bug."""
 
 
-@dataclass(frozen=True)
-class RuleApplication:
+class RuleApplication(NamedTuple):
     rule_id: str
     left_pair: Tuple[Generator, Generator]
     result: NCPoly
@@ -337,8 +335,7 @@ def reduce_with_strategy(p: NCPoly, rng) -> NCPoly:
 # -- overlap ambiguities -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OverlapReport:
+class OverlapReport(NamedTuple):
     word: Word
     agrees: bool
     nf_left: NCPoly

@@ -33,12 +33,12 @@ equal is read off its rule's left side and rewritten by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import add, gt
 from typing import Dict, List, Tuple
 
 from . import qfield, rewrite
 from .qfield import QONE, QRat
+from .report import Report
 from .words import Family, Generator, NCPoly, dagger, sigma, sigma_dagger, wm
 
 INF = 10 ** 9
@@ -361,23 +361,26 @@ def appendixA_series(name: str, order: int = 4) -> TruncSeries:
 def _appendix_a(env):
     """A lookup of the named series over the generating functions of one
     `_gf_env`: each name is built on its first lookup and kept by the
-    lookup alone, and an image is made from its source's kept series."""
+    lookup alone, and an image is made from its source's kept series.
+    The lookup holds no reference to itself, so its series are freed as
+    soon as it is dropped, without waiting for the cyclic collector."""
     built: Dict[str, TruncSeries] = {}
+    return lambda name: _named_series(env, built, name)
 
-    def lookup(name: str) -> TruncSeries:
-        ts = built.get(name)
-        if ts is None:
-            if name in _IMAGES:
-                source, image = _IMAGES[name]
-                ts = lookup(source).map_coeffs(image)
-            elif name in _APPENDIX_A_BUILDERS:
-                ts = _APPENDIX_A_BUILDERS[name](env)
-            else:
-                raise ValueError(f"unknown series name {name!r}")
-            built[name] = ts
-        return ts
 
-    return lookup
+def _named_series(env, built: Dict[str, TruncSeries], name: str) -> TruncSeries:
+    """The series `name` over env, from built or built into it."""
+    ts = built.get(name)
+    if ts is None:
+        if name in _IMAGES:
+            source, image = _IMAGES[name]
+            ts = _named_series(env, built, source).map_coeffs(image)
+        elif name in _APPENDIX_A_BUILDERS:
+            ts = _APPENDIX_A_BUILDERS[name](env)
+        else:
+            raise ValueError(f"unknown series name {name!r}")
+        built[name] = ts
+    return ts
 
 
 def _aA(env):
@@ -443,30 +446,6 @@ APPENDIX_A_NAMES = tuple(sorted((*_APPENDIX_A_BUILDERS, *_IMAGES)))
 
 
 # -- verification suites ------------------------------------------------------
-
-
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
-
-
-@dataclass
-class Report:
-    suite: str
-    results: List[CheckResult] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        """True when at least one check ran and every check passed."""
-        return bool(self.results) and all(r.passed for r in self.results)
-
-    def add(self, name: str, passed: bool, detail: str = ""):
-        self.results.append(CheckResult(name, passed, detail))
-
-    def failures(self) -> List[CheckResult]:
-        return [r for r in self.results if not r.passed]
 
 
 def _vanishes(report: Report, name: str, ts: TruncSeries, what: str):

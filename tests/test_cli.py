@@ -1,4 +1,5 @@
 import fcntl
+import gc
 import json
 import math
 import os
@@ -795,6 +796,42 @@ def test_internal_errors_have_their_own_exit_code(capsys, monkeypatch, error,
     assert rc == code
     assert captured.out == ""
     assert captured.err.startswith(prefix)
+
+
+@pytest.mark.parametrize("argv,fault,code", [
+    (["normalize", "W[1]*W[0]"], None, 0),
+    (["check", "ambiguities", "--bound", "11"], None, 2),
+    (["normalize", "W[1] +"], None, 2),
+    (["normalize", "W[1]*W[0]"], RuntimeError("an invariant failed"), 3),
+    (["normalize", "W[1]*W[0]"], TypeError("not caught by main"), None),
+], ids=["ok", "usage-error", "parse-error", "internal-error", "uncaught"])
+def test_main_restores_the_callers_collector_thresholds(capsys, monkeypatch,
+                                                        argv, fault, code):
+    # the command runs with cli.GC_THRESHOLDS, and the caller's own
+    # thresholds come back on every way out of main
+    seen = []
+    normal_form = rewrite.normal_form
+
+    def watched(poly):
+        seen.append(gc.get_threshold())
+        if fault is not None:
+            raise fault
+        return normal_form(poly)
+
+    monkeypatch.setattr(rewrite, "normal_form", watched)
+    before = gc.get_threshold()
+    gc.set_threshold(1234, 5, 6)
+    try:
+        if code is None:
+            with pytest.raises(TypeError):
+                cli.main(argv)
+        else:
+            assert cli.main(argv) == code
+        assert gc.get_threshold() == (1234, 5, 6)
+    finally:
+        gc.set_threshold(*before)
+    capsys.readouterr()
+    assert seen == ([] if code == 2 else [cli.GC_THRESHOLDS])
 
 
 @pytest.mark.parametrize("text,column", [

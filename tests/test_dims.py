@@ -1,3 +1,5 @@
+import gc
+
 from qonsager import dims as D
 from qonsager.words import is_irreducible, wm, word_degree, wp
 
@@ -57,3 +59,17 @@ def test_monotone_growth_heuristic():
     for d in range(1, 11):
         assert series[d] >= series[d - 1]
     assert all(c >= 0 for c in series)
+
+
+def test_enumeration_leaves_no_cyclic_garbage():
+    # the recursion is a module function, so the words it builds are freed
+    # by reference counting alone once the caller drops them
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        assert len(D.enumerate_irreducible(8)) == 185
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import example, given, settings
@@ -542,3 +544,32 @@ def test_the_lookup_makes_each_sigma_image_from_its_source(monkeypatch):
                       for name in counts}
     with pytest.raises(ValueError, match="unknown series name 'X'"):
         lookup("X")
+
+
+def test_a_dropped_lookup_frees_its_series_without_the_collector(monkeypatch):
+    # the lookup holds no reference to itself, so dropping it frees the
+    # series it kept at once; a subclass of TruncSeries takes weak references
+    class Tracked(S.TruncSeries):
+        pass
+
+    refs = []
+    build_a = S._APPENDIX_A_BUILDERS["A"]
+
+    def tracked_a(env):
+        ts = build_a(env)
+        kept = Tracked(ts.vars, ts.order, ts.floor, ts.coeffs)
+        refs.append(weakref.ref(kept))
+        return kept
+
+    monkeypatch.setitem(S._APPENDIX_A_BUILDERS, "A", tracked_a)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        lookup = S._appendix_a(S._gf_env(2))
+        assert not lookup("B").is_zero()   # B is built from A, which stays
+        assert len(refs) == 1 and refs[0]() is not None
+        del lookup
+        assert refs[0]() is None
+    finally:
+        if enabled:
+            gc.enable()
