@@ -341,7 +341,7 @@ def parse_to_poly(text: str) -> NCPoly:
 def run_ambiguity_suite(bound: int) -> Report:
     report = Report("ambiguities")
     overlaps = rewrite.enumerate_overlaps(bound)
-    agreed = [rewrite.check_overlap(w).agrees for w in overlaps]
+    agreed = rewrite.resolve_overlaps(overlaps)
     for w, ok in sorted(zip(overlaps, agreed),
                         key=lambda pair: render_word(pair[0])):
         report.add(render_word(w), ok, "" if ok else "normal forms differ")
@@ -395,68 +395,40 @@ SERIES_NAMES = tuple("ABCDEFHIJKLMNPQRS")
 
 # (command, parameter) -> (least, largest, reason): a value outside the
 # range is refused before any work starts.  Each largest value is the
-# largest measured to stay under about a minute and 1 GB peak RSS on 2 vCPUs
-# (times and peak RSS of one cold CLI run in the comments, as
-# `tools/limits.py` prints them); every size parameter has a row.  The
-# relations, ambiguities and `check central` times were taken with
-# GC_THRESHOLDS below; the other rows' times predate those thresholds.
+# largest measured to stay under about a minute and 1 GB peak RSS in one
+# cold CLI run on 2 vCPUs, as `python3 tools/limits.py <command>` prints
+# it; every size parameter has a row.
 LIMITS = {
-    # the relation list grows with the square of the bound: bound 24 took
-    # 0.8 s and 52 MB peak RSS, bound 40 3.8 s and 165 MB, bound 64 14 s and
-    # 585 MB.  The normal-form caches hold that memory, not the list: at
-    # bound 40, of 134 MB traced by tracemalloc at the end, 133 MB went with
-    # rewrite.clear_caches, and the list alone takes 13 MB.  A larger bound is
-    # refused before the list is built (bound 100,000 ran out of memory)
+    # the relations' normal forms grow with the square of the bound
     ("check relations", "bound"): (
         0, 64, "its relation list grows with the square of the bound"),
-    # all C(4(b + 1), 3) overlaps are checked: bound 10 (13,244 overlaps)
-    # took 16 s and 498 MB peak RSS on 2 vCPUs, and each further step takes
-    # about 1.5 times the memory, so bound 12 would pass 1 GB; a larger bound
-    # is refused before the overlap list is built (bound 100,000 would have
-    # about 10^16)
+    # the overlap count grows with the cube of the bound
     ("check ambiguities", "bound"): (
-        0, 10, "it checks all C(4(bound + 1), 3) overlaps"),
-    # no letter has an index below 0, so bound 0 would check nothing; at
-    # --n 4, bound 500 took 4.7 s and 197 MB, bound 1000 10 s and 379 MB.
-    # Each cap of `check central` is measured at the other's default; the
-    # pair is capped by CENTRAL_COST_CAP below.
+        0, 12, "it checks all C(4(bound + 1), 3) overlaps"),
+    # the letters checked grow with the bound, and bound 0 checks none
     ("check central", "bound"): (
         1, 1000, "it checks the letters with index below the bound"),
-    # at --bound 6: n 20 took 13 s and 137 MB, n 22 17 s and 165 MB, n 24
-    # (with both caps lifted) 23 s and 198 MB; from n 23 on the default
-    # bound exceeds CENTRAL_COST_CAP
+    # the words of Z_n grow with n; CENTRAL_COST_CAP below caps the pair
     ("check central", "n"): (
         0, 22, "it checks each of Z_0 to Z_n against every letter"),
-    # order 32 took 7.6 s and 163 MB, order 48 22 s and 468 MB; order 60,
-    # run as a direct call of the check, took 40 s and 870 MB
+    # the series' coefficients and their words grow with the order
     ("check gf", "order"): (
         0, 48, "its cost grows about as the cube of the order"),
-    # order 36 took 1.8 s and 42 MB, order 64 12 s and 99 MB; order 96, run
-    # as a direct call of the check, took 29 s and 200 MB
+    # the named series' coefficients grow with the order
     ("check prop41", "order"): (
         0, 64, "its cost grows faster than the square of the order"),
-    # order 32 took 24 s and 205 MB, order 36 40 s and 274 MB; order 40, run
-    # as a direct call of the check, took 47 s and 389 MB
+    # the matrix entries' coefficients grow with the order
     ("check matrix", "order"): (
         0, 36, "its cost grows about as the fourth power of the order"),
-    # n 50 took 16 s and 157 MB, n 64 43 s and 318 MB, n 80 97 s and 612 MB
+    # the words of Z_n grow with n
     ("zn", "n"): (0, 64, "its cost grows about as the fourth power of n"),
-    # n 40 took 11 s and 109 MB, n 56 48 s and 219 MB, n 60 68 s and 243 MB
+    # the words of Z_1 to Z_n and of each recovered generator grow with n
     ("recover", "n"): (
         1, 56, "it builds Z_1 to Z_n and every generator up to level n"),
-    # degree 29 took 8.4 s and 81 MB, degree 32 22 s and 168 MB, degree 34
-    # 43 s and 289 MB: each degree costs about 1.4 times the one before
+    # the irreducible words grow exponentially with the degree
     ("dims", "max_degree"): (
         0, 34, "the number of words grows exponentially with the degree"),
-    # `series --order` has one row per name, since the cost depends on the
-    # series named; each group's cap is measured on its costliest name.
-    # Z: order 48 took 19 s and 221 MB, order 56 42 s and 374 MB (38 s and
-    # 482 MB with --format json), order 64 79 s and 597 MB.  A..S: P at
-    # order 96 took 4.3 s and 58 MB, Q at order 192 34 s and 300 MB (33 s
-    # and 378 MB as JSON), Q at order 256 61 s and 523 MB.  The generating
-    # functions: W- at order 100,000 took 1.6 s and 107 MB, at order
-    # 400,000 7.3 s and 379 MB; as JSON, which holds the whole listing
-    # twice, W+ at order 400,000 took 9.1 s and 755 MB.
+    # the coefficients grow with the order; capped at each group's costliest
     **{(f"series {name}", "order"): (0, largest, reason)
        for names, largest, reason in (
            (("Z",), 56, "its cost grows faster than the fourth power of "

@@ -50,8 +50,9 @@ the operands' shape alone:
   value leaves the table when its last reference goes, so the table holds
   only live values and `clear_memos` leaves it alone; a value rebuilt
   later is a new object, equal to nothing that is gone.  The normal-form
-  caches hold one object per distinct coefficient (a cold bound-4
-  ambiguity run stores 248,392 coefficients with 689 distinct values);
+  caches hold one object per distinct coefficient (the normal forms a
+  cold bound-4 ambiguity run fills hold 248,392 coefficients with 689
+  distinct values);
 * `lincomb` is the one place coefficients are accumulated: the normal
   forms of `rewrite` and NCPoly's `+`, `-`, `*`, `sum` and
   constructor from (word, coefficient) pairs (and through them the series

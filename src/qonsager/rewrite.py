@@ -30,7 +30,10 @@ in one merge pass that looks each product up as it goes; a word's
 coefficient is a memo lookup by its summands, or on a miss is grouped by
 shape and canonicalized once.
 The rule and normal-form caches are plain process-local dicts keyed by
-immutable values.
+immutable values.  No rule body word has a degree above its pair's, so
+`resolve_overlaps` takes a suite's overlaps by decreasing degree and, at
+each step down, deletes from `_NF_CACHE` the words no later overlap can
+reach; every word is still filled once.
 """
 
 from __future__ import annotations
@@ -292,6 +295,49 @@ def _word_nf(w: Word) -> dict:
                                    for candidate, c in expansion])
         stack.pop()
     return _NF_CACHE[w]
+
+
+def resolve_overlaps(overlaps: List[Word]) -> List[bool]:
+    """Whether each overlap resolves (`check_overlap(w).agrees`), in the
+    order given.
+
+    The overlaps are resolved by decreasing total degree (a stable sort).
+    No rule body word has a degree above its pair's, so resolving an
+    overlap of degree D reaches only words of degree <= D.  At each step
+    down to a lower degree d, no later overlap can reach a word above d,
+    and those words are deleted from `_NF_CACHE` in place, so every word is
+    filled once; a word reached after its drop would be filled again, and
+    no verdict depends on the drop.  Each cached word's degree is computed
+    once, at the first step after its fill, from a per-letter lookup.
+    """
+    letter_degree = {}
+
+    def degree(w: Word) -> int:
+        d = 0
+        for a in w:
+            x = letter_degree.get(a)
+            if x is None:
+                x = letter_degree[a] = a.degree()
+            d += x
+        return d
+
+    degrees = [degree(w) for w in overlaps]
+    verdicts = [False] * len(overlaps)
+    by_degree = {}   # degree -> the words of that degree in _NF_CACHE
+    mark = 0         # the entries of _NF_CACHE before mark are in by_degree
+    current = None
+    for i in sorted(range(len(overlaps)), key=degrees.__getitem__,
+                    reverse=True):
+        d = degrees[i]
+        if d != current:
+            for w in list(_NF_CACHE)[mark:]:
+                by_degree.setdefault(degree(w), []).append(w)
+            for e in [e for e in by_degree if e > d]:
+                for w in by_degree.pop(e):
+                    _NF_CACHE.pop(w, None)
+            mark, current = len(_NF_CACHE), d
+        verdicts[i] = check_overlap(overlaps[i]).agrees
+    return verdicts
 
 
 def normal_form(p: NCPoly) -> NCPoly:

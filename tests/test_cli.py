@@ -800,7 +800,7 @@ def test_internal_errors_have_their_own_exit_code(capsys, monkeypatch, error,
 
 @pytest.mark.parametrize("argv,fault,code", [
     (["normalize", "W[1]*W[0]"], None, 0),
-    (["check", "ambiguities", "--bound", "11"], None, 2),
+    (["check", "ambiguities", "--bound", "13"], None, 2),
     (["normalize", "W[1] +"], None, 2),
     (["normalize", "W[1]*W[0]"], RuntimeError("an invariant failed"), 3),
     (["normalize", "W[1]*W[0]"], TypeError("not caught by main"), None),

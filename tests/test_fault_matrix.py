@@ -43,7 +43,7 @@ from qonsager import central as C
 from qonsager import cli
 from qonsager import qfield as qf
 from qonsager import rewrite as R
-from qonsager.words import Family, Generator
+from qonsager.words import Family, Generator, render_word
 
 G, WM, WP, GT = Family.G, Family.Wminus, Family.Wplus, Family.Gtilde
 
@@ -179,5 +179,22 @@ def test_the_suite_catches_the_fault(monkeypatch, capsys, fault, suite, code):
         assert cli.main(SUITES[suite]) == code
         if code == 3:
             assert "RewriteInternalError" in capsys.readouterr().err
+    finally:
+        R.clear_caches()
+
+
+def test_the_suite_fails_the_overlaps_a_plain_loop_fails(monkeypatch):
+    # the suite resolves the overlaps by degree and maps each verdict back
+    # to its overlap: it names the rows that checking them one by one fails
+    FAULTS["rule-iii-last-term-negated"](monkeypatch)
+    overlaps = R.enumerate_overlaps(2)
+    R.clear_caches()
+    try:
+        failed = {r.name for r in cli.run_ambiguity_suite(2).failures()}
+        R.clear_caches()
+        plain = {render_word(w) for w in overlaps
+                 if not R.check_overlap(w).agrees}
+        assert failed == plain
+        assert 0 < len(plain) < len(overlaps)
     finally:
         R.clear_caches()

@@ -31,9 +31,9 @@ def test_the_script_reports_a_refused_size_with_its_exit_code():
     # run as its own process, its peak is that of its one child: an
     # interpreter that refused the size before any work
     out = subprocess.run(
-        [sys.executable, str(_PATH), "check", "ambiguities", "--bound", "11"],
+        [sys.executable, str(_PATH), "check", "ambiguities", "--bound", "13"],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": _SRC})
     assert out.returncode == 2
     code, wall, peak, command = _fields(out.stdout.rstrip("\n"))
-    assert (code, command) == (2, "check ambiguities --bound 11")
+    assert (code, command) == (2, "check ambiguities --bound 13")
     assert wall > 0 and 0 < peak < 200

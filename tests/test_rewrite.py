@@ -420,9 +420,32 @@ def test_rule_coefficients_are_signed_basis_monomials():
                 (a, b, c)
 
 
+class _FillLog(dict):
+    """A normal-form cache that records each word stored into it, in order,
+    and the most entries it held at once."""
+
+    def __init__(self):
+        super().__init__()
+        self.filled = []
+        self.peak = 0
+
+    def __setitem__(self, w, terms):
+        self.filled.append(w)
+        super().__setitem__(w, terms)
+        self.peak = max(self.peak, len(self))
+
+
+def _fill_log(monkeypatch) -> _FillLog:
+    """Empty the caches and record the normal-form fills that follow."""
+    R.clear_caches()
+    log = _FillLog()
+    monkeypatch.setattr(R, "_NF_CACHE", log)
+    return log
+
+
 def test_word_nf_looks_up_one_rule_per_filled_word(monkeypatch, capsys):
     from qonsager import cli
-    R.clear_caches()
+    log = _fill_log(monkeypatch)
     calls = []
     rule = R._rule
 
@@ -433,15 +456,36 @@ def test_word_nf_looks_up_one_rule_per_filled_word(monkeypatch, capsys):
     monkeypatch.setattr(R, "_rule", counted)
     assert cli.main(["check", "ambiguities", "--bound", "2"]) == 0
     capsys.readouterr()
-    filled = [w for w in R._NF_CACHE if W.first_descent(w) is not None]
+    # the reducible words filled during the run, dropped or not
+    filled = [w for w in log.filled if W.first_descent(w) is not None]
     # apply_rule looks up both rules of each overlap once more
     assert len(calls) == len(filled) + 2 * len(R.enumerate_overlaps(2))
+
+
+def test_a_cold_ambiguity_run_fills_each_word_once_and_drops_most(
+        monkeypatch, capsys):
+    # resolving the overlaps by decreasing degree drops the words no later
+    # overlap can reach, and none of them is ever filled again
+    from qonsager import cli
+    log = _fill_log(monkeypatch)
+    assert cli.main(["check", "ambiguities", "--bound", "3"]) == 0
+    capsys.readouterr()
+    assert len(log.filled) == len(set(log.filled)) == 8976
+    assert log.peak < 8976 // 2
+
+
+def test_no_rule_body_word_rises_above_its_pairs_degree():
+    # the invariant the degree-ordered drop in `resolve_overlaps` rests on
+    for a, b in reducible_pairs(6):
+        top = a.degree() + b.degree()
+        for u in R._rule(a, b).terms:
+            assert W.word_degree(u) <= top, (a, b, u)
 
 
 def test_a_cold_ambiguity_run_checks_each_step_once_when_its_rule_is_built(
         monkeypatch, capsys):
     from qonsager import cli
-    R.clear_caches()
+    log = _fill_log(monkeypatch)
     calls = []
     descends = R._descends
 
@@ -458,7 +502,7 @@ def test_a_cold_ambiguity_run_checks_each_step_once_when_its_rule_is_built(
         assert len(calls) == sum(len(u) == 2 for body in R._RULE_CACHE.values()
                                  for u in body.terms)
         # the words and rules a cold bound-2 run fills
-        assert len(R._NF_CACHE) == 3548
+        assert len(log.filled) == 3548
         assert len(R._RULE_CACHE) == 236
     finally:
         R.clear_caches()

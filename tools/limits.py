@@ -10,8 +10,8 @@ stderr discarded, and prints one line
 The wall time includes the interpreter's start.  The peak RSS is the
 largest of this process's waited-for children (`RUSAGE_CHILDREN`), so run
 the script once per command, as its own process.  It imports whichever
-`qonsager` is on the path, as the CLI does; the `cli.LIMITS` cost comments
-quote its numbers.
+`qonsager` is on the path, as the CLI does; the caps in `cli.LIMITS` and
+`cli.CENTRAL_COST_CAP` are measured with it.
 """
 
 from __future__ import annotations
