@@ -23,12 +23,16 @@ and `_descends` decides it for every m >= 2 from two values of m.
 Every left side has two letters, so the ambiguities are the overlaps: the
 C(4(b + 1), 3) strictly decreasing triples of letters with indices <= b.
 
-`_word_nf` visits each word once: its expansion (descent, rule and
-candidate words) waits on its stack frame until the candidates are
-filled.  `_combine` (`qfield.lincomb`) then collects the terms by word
+`_word_nf` visits each word once, on an explicit stack.  Its first
+visit reads each candidate word's normal form from `_NF_CACHE` once, into
+a (coefficient, normal form) list in body order on its frame; a
+candidate not yet filled is read once more, after its own frames finish.
+`_combine` (`qfield.lincomb`) then collects the terms by word
 in one merge pass that looks each product up as it goes; a word's
 coefficient is a memo lookup by its summands, or on a miss is grouped by
-shape and canonicalized once.
+shape and canonicalized once.  A same-family swap, one body word with
+coefficient 1, stores its candidate's dict itself with no combine, so a
+cached normal form may serve several words and is read-only.
 The rule and normal-form caches are plain process-local dicts keyed by
 immutable values.  No rule body word has a degree above its pair's, so
 `resolve_overlaps` takes a suite's overlaps by decreasing degree and, at
@@ -259,19 +263,25 @@ def measure_decreases(host: Word, position: int, app: RuleApplication) -> bool:
 
 # -- normal forms ------------------------------------------------------------
 
+# word -> its normal form as a terms dict.  A same-family swap stores its
+# candidate's dict itself, so one dict may serve several words: the cached
+# normal forms are read-only, and every caller combines them into new dicts.
 _NF_CACHE: dict = {}
 
 
 def _word_nf(w: Word) -> dict:
-    """Normal form of a single word as a terms dict (memoized)."""
+    """Normal form of a single word as a terms dict (memoized, read-only)."""
     cached = _NF_CACHE.get(w)
     if cached is not None:
         return cached
-    # frames (word, expansion); the expansion is None until the first visit
-    stack = [(w, None)]
+    # frames (word, terms, missing): terms is None until the first visit,
+    # then the (c, normal form) pairs of the candidates in body order;
+    # missing lists the (index, candidate) of each pair whose normal form
+    # was not yet filled, None until its frames finish
+    stack = [(w, None, None)]
     while stack:
-        top, expansion = stack[-1]
-        if expansion is None:
+        top, terms, missing = stack[-1]
+        if terms is None:
             if top in _NF_CACHE:
                 stack.pop()
                 continue
@@ -281,18 +291,27 @@ def _word_nf(w: Word) -> dict:
                 stack.pop()
                 continue
             prefix, suffix = top[:pos], top[pos + 2:]
-            expansion = [(prefix + u + suffix, c)
-                         for u, c in _rule(top[pos], top[pos + 1]).terms.items()]
-            stack[-1] = (top, expansion)
-            depth = len(stack)
-            for candidate, _ in expansion:
-                if candidate not in _NF_CACHE:
-                    stack.append((candidate, None))
-            if len(stack) > depth:
+            terms, missing = [], []
+            for u, c in _rule(top[pos], top[pos + 1]).terms.items():
+                candidate = prefix + u + suffix
+                nf = _NF_CACHE.get(candidate)
+                if nf is None:
+                    missing.append((len(terms), candidate))
+                terms.append((c, nf))
+            if missing:
+                stack[-1] = (top, terms, missing)
+                stack.extend([(candidate, None, None)
+                              for _, candidate in missing])
                 continue
-        # every candidate is filled: the frames above this one are popped
-        _NF_CACHE[top] = _combine([(c, _NF_CACHE[candidate])
-                                   for candidate, c in expansion])
+        else:
+            # every missing candidate is filled: its frames are popped
+            for i, candidate in missing:
+                terms[i] = (terms[i][0], _NF_CACHE[candidate])
+        if len(terms) == 1 and terms[0][0] is QONE:
+            # a same-family swap shares its candidate's normal form
+            _NF_CACHE[top] = terms[0][1]
+        else:
+            _NF_CACHE[top] = _combine(terms)
         stack.pop()
     return _NF_CACHE[w]
 

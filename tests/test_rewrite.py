@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -422,15 +423,17 @@ def test_rule_coefficients_are_signed_basis_monomials():
 
 class _FillLog(dict):
     """A normal-form cache that records each word stored into it, in order,
-    and the most entries it held at once."""
+    the terms dict stored for it, and the most entries it held at once."""
 
     def __init__(self):
         super().__init__()
         self.filled = []
+        self.stored = {}
         self.peak = 0
 
     def __setitem__(self, w, terms):
         self.filled.append(w)
+        self.stored[w] = terms
         super().__setitem__(w, terms)
         self.peak = max(self.peak, len(self))
 
@@ -460,6 +463,49 @@ def test_word_nf_looks_up_one_rule_per_filled_word(monkeypatch, capsys):
     filled = [w for w in log.filled if W.first_descent(w) is not None]
     # apply_rule looks up both rules of each overlap once more
     assert len(calls) == len(filled) + 2 * len(R.enumerate_overlaps(2))
+
+
+def test_word_nf_combines_once_per_filled_word_and_shares_swaps(
+        monkeypatch, capsys):
+    from qonsager import cli
+    log = _fill_log(monkeypatch)
+    calls = []
+    combine = R._combine
+
+    def counted(scaled):
+        calls.append(scaled)
+        return combine(scaled)
+
+    monkeypatch.setattr(R, "_combine", counted)
+    assert cli.main(["check", "ambiguities", "--bound", "2"]) == 0
+    capsys.readouterr()
+    descents = {w: W.first_descent(w) for w in log.filled}
+    reducible = {w: pos for w, pos in descents.items() if pos is not None}
+    # a same-family swap at the first descent stores its candidate's dict
+    swaps = [w for w, pos in reducible.items()
+             if w[pos].family == w[pos + 1].family]
+    for w in swaps:
+        pos = reducible[w]
+        candidate = w[:pos] + (w[pos + 1], w[pos]) + w[pos + 2:]
+        assert log.stored[w] is log.stored[candidate], w
+    assert (len(log.filled), len(reducible), len(swaps)) == (3548, 2411, 482)
+    # one combine per other reducible fill, and normal_form makes one for
+    # each side of each overlap
+    overlaps = len(R.enumerate_overlaps(2))
+    assert len(calls) == len(reducible) - len(swaps) + 2 * overlaps == 2369
+
+
+def test_normal_form_sorts_a_reversed_run_deeper_than_the_recursion_limit(
+        monkeypatch):
+    # each fill of the chain waits on the next: the walk's explicit stack
+    # holds one frame per word, more than the interpreter's recursion limit
+    log = _fill_log(monkeypatch)
+    run = [g_(k) for k in range(1, 61)]
+    got = R.normal_form(NCPoly.word(tuple(reversed(run))))
+    assert got == NCPoly.word(tuple(run))
+    assert len(log.filled) == 1 + 60 * 59 // 2 > sys.getrecursionlimit()
+    # every word of the chain shares the sorted word's dict
+    assert len({id(t) for t in log.stored.values()}) == 1
 
 
 def test_a_cold_ambiguity_run_fills_each_word_once_and_drops_most(

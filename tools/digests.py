@@ -7,8 +7,9 @@ Each command runs in this process through `qonsager.cli.main`, once with
     <exit code> <sha256 of stdout>  <format> <command>
 
 The commands are the seven steps of the `central` benchmark workload,
-`check ambiguities` at bounds 3 and 4, `check relations --bound 4` and
-`series Z --order 6`; the run takes a few seconds.  The script takes no
+`check ambiguities` at bounds 3 and 4, `check relations --bound 4`,
+`series Z --order 6` and the cold normal form of `Gt[3]*W[3]*W[-3]*G[3]`
+(6,531 cached words); the run takes a few seconds.  The script takes no
 options and imports whichever `qonsager` is on the path, so two
 checkouts compare with
 
@@ -37,6 +38,7 @@ COMMANDS = [
     ["check", "ambiguities", "--bound", "4"],
     ["check", "relations", "--bound", "4"],
     ["series", "Z", "--order", "6"],
+    ["normalize", "Gt[3]*W[3]*W[-3]*G[3]"],
 ]
 
 
