@@ -116,16 +116,21 @@ def _st_bundle(m: int):
 
 def z_series(order: int, reduce: bool = True) -> TruncSeries:
     """The central generating function, coefficients in PBW normal form."""
-    m = order + 3
-    swm, swp, twm, twp, gs, _, _, gtt = _st_bundle(m)
+    z = _z_assembly(_st_bundle(order + 3), order)
+    return z.normal_form() if reduce else z
+
+
+def _z_assembly(bundle, order: int) -> TruncSeries:
+    """Z(t) to order, not reduced, from an S/T bundle (`_st_bundle`) of
+    order at least order + 3."""
+    swm, swp, twm, twp, gs, _, _, gtt = bundle
     q = qfield.q_pow
     z = ((swm * twp).shift("t", -1)
          + (swp * twm).shift("t", 1)
          - q(2) * (swm * twm)
          - q(-2) * (swp * twp)
          + INV_Q2M_SQ * (gs * gtt))
-    z = _window(z, order, "central series")
-    return z.normal_form() if reduce else z
+    return _window(z, order, "central series")
 
 
 def _window(z: TruncSeries, order: int, what: str) -> TruncSeries:
@@ -343,8 +348,8 @@ def check_recovery(N: int, table: Dict[Generator, NCPoly]) -> Report:
 # -- matrix factorization --------------------------------------------------------
 
 
-def _matrix_pair(order: int):
-    swm, swp, twm, twp, gs, gts, g_T, gt_T = _st_bundle(order + 4)
+def _matrix_pair(bundle):
+    swm, swp, twm, twp, gs, gts, g_T, gt_T = bundle
     q = qfield.q_pow
     inv = qfield.Q2M.inverse()
     left = [
@@ -359,10 +364,13 @@ def _matrix_pair(order: int):
 
 
 def check_matrix_factorization(order: int) -> Report:
-    """Both products of the two structured matrices equal Z(t) times I."""
+    """Both products of the two structured matrices equal Z(t) times I.
+    Z(t) and both matrices are built from one S/T bundle of order
+    order + 4."""
     report = Report("matrix-factorization")
-    z = z_series(order)
-    left, right = _matrix_pair(order)
+    bundle = _st_bundle(order + 4)
+    z = _z_assembly(bundle, order).normal_form()
+    left, right = _matrix_pair(bundle)
 
     def prod(m1, m2):
         one = qfield.QONE

@@ -427,7 +427,7 @@ LIMITS = {
         1, 56, "it builds Z_1 to Z_n and every generator up to level n"),
     # the irreducible words grow exponentially with the degree
     ("dims", "max_degree"): (
-        0, 34, "the number of words grows exponentially with the degree"),
+        0, 48, "the number of words grows exponentially with the degree"),
     # the coefficients grow with the order; capped at each group's costliest
     **{(f"series {name}", "order"): (0, largest, reason)
        for names, largest, reason in (

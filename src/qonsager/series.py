@@ -70,16 +70,20 @@ class TruncSeries:
 
     def __init__(self, vars: Tuple[str, ...], order: Tuple[int, ...],
                  floor: Tuple[int, ...], coeffs: Dict[Tuple[int, ...], NCPoly]):
+        """Keep the nonzero coefficients of coeffs.  Each variable's
+        exponents are checked against its window at once, by their least
+        and largest; a violation raises WindowError naming the first
+        offending exponent in coeffs' order.  A zero coefficient is
+        dropped wherever it lies."""
         if list(vars) != sorted(vars, key=_rank):
             raise ValueError("variables must be in canonical order")
-        clean = {}
-        for e, p in coeffs.items():
-            if p.is_zero():
-                continue
-            for x, f, o in zip(e, floor, order):
-                if x < f or x > o:
-                    raise WindowError(f"exponent {e} outside window")
-            clean[e] = p
+        clean = {e: p for e, p in coeffs.items() if p.terms}
+        for i, (f, o) in enumerate(zip(floor, order)):
+            xs = [e[i] for e in clean]
+            if xs and (min(xs) < f or max(xs) > o):
+                bad = next(e for e in clean if any(
+                    not lo <= x <= hi for x, lo, hi in zip(e, floor, order)))
+                raise WindowError(f"exponent {bad} outside window")
         self.vars = tuple(vars)
         self.order = tuple(order)
         self.floor = tuple(floor)

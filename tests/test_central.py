@@ -274,6 +274,23 @@ def test_matrix_factorization_small():
     assert "LR[11] = Z(t)" in names and "RL[22] = Z(t)" in names
 
 
+def test_matrix_factorization_builds_one_st_bundle(monkeypatch):
+    # Z(t) and the two matrices come from one bundle of 8 series
+    calls = []
+    subst = C.subst_ST
+
+    def counted(*args):
+        calls.append(args)
+        return subst(*args)
+
+    monkeypatch.setattr(C, "subst_ST", counted)
+    rep = C.check_matrix_factorization(5)
+    assert len(calls) == 8
+    assert [(r.name, r.passed) for r in rep.results] == [
+        (f"{tag}[{i}{j}] = {'Z(t)' if i == j else '0'}", True)
+        for tag in ("LR", "RL") for i in (1, 2) for j in (1, 2)]
+
+
 def test_matrix_factorization_order_zero():
     rep = C.check_matrix_factorization(0)
     assert rep.passed

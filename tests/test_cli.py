@@ -256,7 +256,7 @@ _WORK = {
     "check matrix": [(central, "check_matrix_factorization")],
     "zn": [(central, "z_n")],
     "recover": [(central, "z_n"), (central, "recover_generators")],
-    "dims": [(dims, "hilbert_Aq"), (dims, "enumerate_irreducible")],
+    "dims": [(dims, "hilbert_Aq"), (dims, "check_word_counts")],
     "series Z": [(central, "z_series")],
     **{f"series {name}": [(series, "appendixA_series")]
        for name in cli.SERIES_NAMES},

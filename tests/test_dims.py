@@ -1,7 +1,7 @@
 import gc
 
 from qonsager import dims as D
-from qonsager.words import is_irreducible, wm, word_degree, wp
+from qonsager.words import g_, is_irreducible, wm, word_degree, wp
 
 
 def test_partition_counts():
@@ -73,3 +73,24 @@ def test_enumeration_leaves_no_cyclic_garbage():
     finally:
         if enabled:
             gc.enable()
+
+
+def test_word_count_rows_are_the_enumerated_counts():
+    # each row's detail is the number of irreducible words of its degree,
+    # as the public listing gives them
+    rep = D.check_word_counts(14)
+    assert [r.name for r in rep.results] == [f"degree {d}" for d in range(15)]
+    assert [r.detail for r in rep.results] == [
+        str(len(D.enumerate_irreducible(d))) for d in range(15)]
+    assert rep.passed
+
+
+def test_word_counts_count_the_letters_not_the_formula(monkeypatch):
+    # without G_3 (degree 6) the words of degree 6 and up fall short of
+    # hilbert_Aq, so the counts come from the letters themselves
+    letters = D.letters_up_to_degree
+    monkeypatch.setattr(D, "letters_up_to_degree",
+                        lambda d: [g for g in letters(d) if g != g_(3)])
+    rep = D.check_word_counts(8)
+    assert [r.passed for r in rep.results] == [True] * 6 + [False] * 3
+    assert rep.results[6].detail == str(D.hilbert_Aq(8)[6] - 1)

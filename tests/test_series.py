@@ -300,6 +300,22 @@ def test_out_of_window_exponent_is_an_internal_error():
             S.TruncSeries(("t",), (3,), (0,), {e: one})
 
 
+def test_a_window_error_names_the_first_offending_exponent():
+    # (1, 5) breaks t's window before (7, 1) breaks s's, in insertion
+    # order, though s comes first among the variables
+    one = NCPoly.one()
+    coeffs = {(0, 0): one, (1, 5): one, (7, 1): one}
+    with pytest.raises(S.WindowError, match=r"exponent \(1, 5\) outside"):
+        S.TruncSeries(("s", "t"), (3, 3), (0, 0), coeffs)
+
+
+def test_a_zero_coefficient_outside_the_window_is_dropped():
+    one, zero = NCPoly.one(), NCPoly.zero()
+    a = S.TruncSeries(("s", "t"), (3, 3), (0, 0),
+                      {(9, 0): zero, (0, 0): one, (1, -4): zero})
+    assert a.coeffs == {(0, 0): one}
+
+
 # `+`, `-` and `*` against a reference double loop over coefficients,
 # summing the coefficients' terms one by one.
 def _fold_terms(pairs):

@@ -8,8 +8,11 @@ Each command runs in this process through `qonsager.cli.main`, once with
 
 The commands are the seven steps of the `central` benchmark workload,
 `check ambiguities` at bounds 3 and 4, `check relations --bound 4`,
-`series Z --order 6` and the cold normal form of `Gt[3]*W[3]*W[-3]*G[3]`
-(6,531 cached words); the run takes a few seconds.  The script takes no
+`series Z --order 6`, the cold normal form of `Gt[3]*W[3]*W[-3]*G[3]`
+(6,531 cached words), and `dims --max-degree 24`, `check matrix --order 12`,
+`check gf --order 14` and `check prop41 --order 12`, which run the word
+count, the series window check and the matrix check above the benchmark's
+sizes; the run takes under ten seconds.  The script takes no
 options and imports whichever `qonsager` is on the path, so two
 checkouts compare with
 
@@ -39,6 +42,10 @@ COMMANDS = [
     ["check", "relations", "--bound", "4"],
     ["series", "Z", "--order", "6"],
     ["normalize", "Gt[3]*W[3]*W[-3]*G[3]"],
+    ["dims", "--max-degree", "24"],
+    ["check", "matrix", "--order", "12"],
+    ["check", "gf", "--order", "14"],
+    ["check", "prop41", "--order", "12"],
 ]
 
 
